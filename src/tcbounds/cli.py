@@ -69,6 +69,16 @@ def _parse_range(text: str) -> List[int]:
     return [int(text)]
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _caps(args) -> Caps:
     return Caps(max_n=args.max_n, max_m=args.max_m)
 
@@ -139,11 +149,16 @@ def cmd_grid(args) -> int:
         print(f"error: bad range {args.m!r} / {args.n!r}", file=sys.stderr)
         return EXIT_USAGE
     cells = sorted((m, n) for m in m_values for n in n_values)
+    if not cells:
+        print(f"error: empty grid: --m {args.m} --n {args.n} has no cells", file=sys.stderr)
+        return EXIT_USAGE
     tasks = [(m, n, args.field, args.max_n, args.max_m) for m, n in cells]
-    if args.jobs > 1 and len(tasks) > 1:
+    # the pool starts all its workers at once: never more than there are cells
+    jobs = min(args.jobs, len(tasks))
+    if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_grid_cell, tasks))
     else:
         results = [_grid_cell(t) for t in tasks]
@@ -265,16 +280,19 @@ def cmd_barspan(args) -> int:
         return rc
     square = TensorSquare(pres, field)
     dims = square.bar_span_profile()
+    witness = square.bar_span_witness()
     payload = {
         "n": args.n,
         "m": args.m,
         "field": field.describe(),
         "bar_span_length": len(dims),
         "span_dims": dims,
+        "witness": [list(e) for e in witness],
     }
     _emit(args, payload, [
         f"bar_span_length = {len(dims)}",
         f"span dimensions by power: {dims}",
+        "witness = " + ("*".join(f"bar(e_{i}_{j})" for i, j in witness) or "1"),
     ])
     return 0
 
@@ -352,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="certify a rectangle of (m, n) values")
     p.add_argument("--m", required=True, help="value or range (e.g. 2..5)")
     p.add_argument("--n", required=True, help="value or range (e.g. 2..3)")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1,
+                   help="worker processes, at most one per cell (default 1)")
     add_common(p)
     p.set_defaults(func=cmd_grid)
 

@@ -8,12 +8,19 @@ zero-divisors.  Two graded quantities drive the bound machinery:
 * `zero_divisor_cuplength`: the largest k with Z^k != 0, where Z is the whole
   zero-divisor ideal and powers are iterated as graded product spans;
 * `bar_span_length`: the largest k with V_k != 0, where V_1 is spanned by the
-  classes g (x) 1 - 1 (x) g of the ring generators and V_{k+1} = V_k * V_1.
+  classes bar(g) = g (x) 1 - 1 (x) g of the ring generators and
+  V_{k+1} = V_k * V_1.
 
 Both are computed by exact row reduction, one graded piece at a time.  The
-bar-span route only multiplies degree-(m-1) classes, so it stays independent
-of the full ideal iteration; their agreement (bar span <= cup-length) is a
-consistency check, never an input.
+bar span is built from labelled products: H (x) H is graded-commutative, so a
+product of barred generators depends only on the multiset S of its factors,
+up to sign, and V_k keeps one accepted vector bar(S) per basis element.
+Multiplying by bar(g) uses precomputed right-multiplication operators R_g on
+H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer arithmetic (the
+structure constants are integers); vectors are coerced into the field only
+on entering the echelon basis.  The bar-span route never touches the full
+ideal iteration; their agreement (bar span <= cup-length) is a consistency
+check, never an input.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .algebra import AlgebraElement, Presentation, Word, format_terms, monomial_
 from .linalg import EchelonBasis, Vec, kernel_basis
 
 Pair = Tuple[Word, Word]
+Label = Tuple[int, ...]  # sorted generator indices S, standing for bar(S)
 
 
 class TensorElement:
@@ -253,8 +261,9 @@ class GradedSubspace:
 class TensorSquare:
     """Graded coordinate model of H* (x) H* over a fixed field.
 
-    Caches bases and the diagonal kernels per weight; all computations consume
-    frozen data, so instances are safe to share once warmed up.
+    Caches bases, the diagonal kernels per weight and the full bar-span levels;
+    all computations consume frozen data, so instances are safe to share once
+    warmed up.
     """
 
     def __init__(self, pres: Presentation, field):
@@ -264,6 +273,7 @@ class TensorSquare:
         self._bases: Dict[int, List[Pair]] = {}
         self._index: Dict[int, Dict[Pair, int]] = {}
         self._zkernels: Dict[int, EchelonBasis] = {}
+        self._bar_levels: Optional[List[List[Label]]] = None
 
     def basis(self, w: int) -> List[Pair]:
         got = self._bases.get(w)
@@ -402,33 +412,129 @@ class TensorSquare:
     def zero_divisor_cuplength(self) -> int:
         return len(self.zero_divisor_power_profile())
 
-    def bar_span_profile(self, max_power: Optional[int] = None) -> List[int]:
-        """Dimensions of V_1, V_2, ... where V_1 = span of barred generators."""
-        v1 = EchelonBasis(self.field, self.dim(1))
-        for i, j in self.pres.generators():
-            g = AlgebraElement.generator(self.pres, self.field, i, j)
-            v1.insert(self.coords(bar(g), weight=1))
-        if not v1.dim:
+    # -- products of barred generators ---------------------------------------
+
+    def _generator_operators(self) -> List[List[List[Tuple[int, int]]]]:
+        """R_g for each generator g: ops[g][iu] lists (iw, k) with u * g = sum k * w.
+
+        Indices run over `Presentation.full_basis()`; this is the only place
+        the bar-span engine asks the presentation for products.
+        """
+        pres = self.pres
+        mons = pres.full_basis()
+        index = {w: i for i, w in enumerate(mons)}
+        return [
+            [[(index[w], k) for w, k in pres.product(u, (g,)).items()] for u in mons]
+            for g in pres.generators()
+        ]
+
+    def _bar_span_levels(self, max_power: Optional[int]) -> List[List[Label]]:
+        """Labels of the accepted basis vectors of V_1, V_2, ..., level by level.
+
+        A label is the sorted tuple of generator indices S, standing for the
+        integer vector bar(S) in flat coordinates iu * N + iv over the full
+        basis of H (N = n!).  Since bar(S) depends on the multiset S only up
+        to sign, V_{k+1} is spanned by bar(S + g) over the labels S of
+        V_k, and each new label is multiplied out once.
+        """
+        cached = self._bar_levels
+        if cached is not None:
+            # V_1 is always reported, as when the levels are computed
+            return cached if max_power is None else cached[:max(max_power, 1)]
+        pres, field = self.pres, self.field
+        gens = pres.generators()
+        if not gens:
             return []
-        dims = [v1.dim]
-        v1_vecs = v1.vectors()
-        cur = v1_vecs
-        k = 1
-        while (k + 1) <= self.top_weight and (max_power is None or k < max_power):
-            eb = EchelonBasis(self.field, self.dim(k + 1))
-            for a in cur:
-                for b in v1_vecs:
-                    p = self.multiply_coords(k, a, 1, b)
-                    if p:
-                        eb.insert(p)
+        mons = pres.full_basis()
+        n_mons = len(mons)
+        ops = self._generator_operators()
+        # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
+        odd = [bool(pres.parity and len(w) & 1) for w in mons]
+        coerce = field.coerce
+
+        def to_field(vec: Dict[int, int]) -> Vec:
+            row = {f: coerce(c) for f, c in vec.items()}
+            return {f: c for f, c in row.items() if c}
+
+        def times_bar(vec: Dict[int, int], op) -> Dict[int, int]:
+            # u (x) v -> (-1)^{parity |v|} ug (x) v - u (x) vg, over Z
+            out: Dict[int, int] = {}
+            get = out.get
+            for f, c in vec.items():
+                iu, iv = divmod(f, n_mons)
+                cu = -c if odd[iv] else c
+                for iw, k in op[iu]:
+                    key = iw * n_mons + iv
+                    out[key] = get(key, 0) + cu * k
+                base = iu * n_mons
+                for iw, k in op[iv]:
+                    key = base + iw
+                    out[key] = get(key, 0) - c * k
+            return {f: c for f, c in out.items() if c}
+
+        # bar(g) = g (x) 1 - 1 (x) g; the unit is full-basis index 0
+        eb = EchelonBasis(field, self.dim(1))
+        level: List[Tuple[Label, Dict[int, int]]] = []
+        weight1 = pres.basis_index(1)
+        for gi, g in enumerate(gens):
+            ig = weight1[(g,)] + 1
+            vec = {ig * n_mons: 1, ig: -1}
+            if eb.insert(to_field(vec)):
+                level.append(((gi,), vec))
+        levels = [[label for label, _ in level]]
+        # bar(g)^2 = 0 when |g| is odd, so such labels never repeat a generator
+        square_free = bool(pres.parity)
+        while len(levels) < self.top_weight and (max_power is None or len(levels) < max_power):
+            eb = EchelonBasis(field, self.dim(len(levels) + 1))
+            seen = set()
+            nxt: List[Tuple[Label, Dict[int, int]]] = []
+            for label, vec in level:
+                for gi, op in enumerate(ops):
+                    if square_free and gi in label:
+                        continue
+                    new = tuple(sorted(label + (gi,)))
+                    if new in seen:
+                        continue
+                    seen.add(new)
+                    prod = times_bar(vec, op)
+                    row = to_field(prod)
+                    if row and eb.insert(row):
+                        nxt.append((new, prod))
+                        if eb.is_full():
+                            break
                 if eb.is_full():
                     break
-            if not eb.dim:
+            if not nxt:
                 break
-            dims.append(eb.dim)
-            cur = eb.vectors()
-            k += 1
-        return dims
+            levels.append([label for label, _ in nxt])
+            level = nxt
+        if max_power is None:
+            self._bar_levels = levels
+        return levels
+
+    def bar_span_profile(self, max_power: Optional[int] = None) -> List[int]:
+        """Dimensions of V_1, V_2, ... where V_1 = span of barred generators.
+
+        V_{k+1} = V_k * V_1 is built from labelled products: the basis of V_k
+        is kept as accepted vectors bar(S), one per sorted multiset S of
+        generators, and V_{k+1} is spanned by bar(S + g).  Multiplying by
+        bar(g) applies the precomputed right-multiplication operators R_g of
+        H in Kronecker form, in integer arithmetic; a vector is coerced into
+        the field only when it is offered to the echelon basis.  The list
+        stops at the last nonzero V_k (or at max_power).
+        """
+        return [len(level) for level in self._bar_span_levels(max_power)]
+
+    def bar_span_witness(self) -> Word:
+        """Generators g_1 <= ... <= g_L with bar(g_1) ... bar(g_L) != 0, L the bar-span length.
+
+        Empty when there are no generators (n = 1).
+        """
+        levels = self._bar_span_levels(None)
+        if not levels:
+            return ()
+        gens = self.pres.generators()
+        return tuple(gens[gi] for gi in levels[-1][0])
 
     def bar_span_length(self) -> int:
         return len(self.bar_span_profile())

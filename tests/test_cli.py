@@ -103,9 +103,36 @@ def test_grid_plane_row_values(capsys):
 
 
 def test_grid_empty_range(capsys):
-    code, out, _ = run(capsys, "grid", "--m", "5..4", "--n", "2..3")
-    assert code == EXIT_PINCHED
-    assert "pinched 0/0" in out
+    code, out, err = run(capsys, "grid", "--m", "5..4", "--n", "2..3")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "empty grid" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2", "two"])
+def test_grid_rejects_bad_jobs(capsys, jobs):
+    code, out, err = run(capsys, "grid", "--m", "2", "--n", "2", "--jobs", jobs)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_grid_jobs_clamped_to_cells(capsys, monkeypatch):
+    import concurrent.futures
+
+    workers = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    code, out, _ = run(capsys, "grid", "--m", "2..3", "--n", "2", "--jobs", "8")
+    assert (code, workers) == (EXIT_PINCHED, [2])
+    assert "pinched 2/2" in out
+    code, _, _ = run(capsys, "grid", "--m", "2", "--n", "2", "--jobs", "8")
+    assert (code, workers) == (EXIT_PINCHED, [2])  # one cell runs in-process
 
 
 def test_grid_with_cap_cells(capsys):
@@ -164,6 +191,17 @@ def test_barspan_command(capsys):
     data = json.loads(out)
     assert data["bar_span_length"] == 3
     assert data["span_dims"] == [3, 3, 1]
+    assert data["witness"] == [[1, 2], [1, 3], [2, 3]]
+
+
+def test_barspan_witness_line(capsys):
+    code, out, _ = run(capsys, "barspan", "--n", "3", "--m", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        "bar_span_length = 4",
+        "span dimensions by power: [3, 6, 6, 3]",
+        "witness = bar(e_1_2)*bar(e_1_2)*bar(e_1_3)*bar(e_1_3)",
+    ]
 
 
 # -- cache round trips ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from tcbounds.algebra import AlgebraElement, Presentation
 from tcbounds.coeffs import QQ, PrimeField
+from tcbounds.linalg import EchelonBasis
 from tcbounds.selftest import random_tensor
 from tcbounds.tensor import (
     TensorElement,
@@ -220,6 +221,65 @@ def test_barspan_parity_law(n):
     for m in (2, 4):
         assert bar_span_length(Presentation(n, m), QQ) == 2 * n - 3
     assert bar_span_length(Presentation(n, 3), QQ) == 2 * n - 2
+
+
+def reference_bar_span_profile(pres, field):
+    """V_k the direct way: every echelon row of V_k times every barred generator."""
+    sq = TensorSquare(pres, field)
+    v1 = [bar(generator(pres, i, j, field=field)) for i, j in pres.generators()]
+    eb = EchelonBasis(field, sq.dim(1))
+    for b in v1:
+        eb.insert(sq.coords(b, weight=1))
+    dims = []
+    k = 1
+    while eb.dim:
+        dims.append(eb.dim)
+        if k == sq.top_weight:
+            break
+        rows = [sq.element(k, vec) for vec in eb.vectors()]
+        k += 1
+        eb = EchelonBasis(field, sq.dim(k))
+        for a in rows:
+            for b in v1:
+                p = a * b
+                if not p.is_zero():
+                    eb.insert(sq.coords(p, weight=k))
+    return dims
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "Z2", "Z3"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_barspan_matches_reference(n, m, field):
+    pres = Presentation(n, m)
+    ref = reference_bar_span_profile(pres, field)
+    sq = TensorSquare(pres, field)
+    assert sq.bar_span_profile() == ref
+    for cap in range(1, len(ref) + 1):
+        assert TensorSquare(pres, field).bar_span_profile(max_power=cap) == ref[:cap]
+        assert sq.bar_span_profile(max_power=cap) == ref[:cap]  # from the cached levels
+
+
+def test_barspan_mod2_odd_m_degrades():
+    # bar(g)^2 = -2 g (x) g dies mod 2: V_2 .. V_5 are thinner than over Q
+    # ([6, 21, 46, 66, 57, 21]) and V_6 vanishes
+    sq = TensorSquare(Presentation(4, 3), PrimeField(2))
+    assert sq.bar_span_profile() == [6, 15, 20, 15, 5]
+    assert TensorSquare(Presentation(4, 3), QQ).bar_span_length() == 6
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "Z2", "Z3"])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_barspan_witness_replays(n, m, field):
+    pres = Presentation(n, m)
+    sq = TensorSquare(pres, field)
+    witness = sq.bar_span_witness()
+    assert len(witness) == sq.bar_span_length()
+    prod = TensorElement.one(pres, field)
+    for i, j in witness:
+        prod = prod * bar(generator(pres, i, j, field=field))
+    assert not prod.is_zero()
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
