@@ -11,6 +11,10 @@ sphere the single bar class already decides everything:
 F(R^m, 2) deformation retracts to the sphere S^{m-1}, so n=2 runs the whole
 pipeline on spheres: TC(S^even) = 3 and TC(S^odd) = 2.
 
+The zero-divisor ideal is generated by the bar classes of the ring
+generators, so its cup-length is the length of the longest nonzero product of
+barred generators: the bar-span length.
+
 Run:  python demos/02_zero_divisors_and_spheres.py
 """
 
@@ -22,7 +26,6 @@ from tcbounds import (
     TensorSquare,
     bar,
     diagonal_restriction,
-    zero_divisor_subspace,
 )
 
 # ---------------------------------------------------------------------------
@@ -46,10 +49,11 @@ print("bar(e)^2 for odd  |e| (m=4):", odd * odd)
 # ---------------------------------------------------------------------------
 
 print("\nzero-divisor subspaces for S^2 (n=2, m=3):")
-for t in (2, 4):
-    sub = zero_divisor_subspace(pres, QQ, t)
-    print(f"  degree {t}: dimension {sub.dim} of ambient {len(sub.ambient)}")
-assert zero_divisor_subspace(pres, QQ, 2).contains(b)
+sq = TensorSquare(pres, QQ)
+for w in (1, 2):
+    ker = sq.diagonal_kernel(w)  # the zero-divisors of weight w
+    print(f"  degree {w * pres.degree}: dimension {ker.dim} of ambient {sq.dim(w)}")
+assert sq.diagonal_kernel(1).contains(sq.coords(b))
 
 # ---------------------------------------------------------------------------
 # cup-lengths decide TC for spheres
@@ -58,11 +62,11 @@ assert zero_divisor_subspace(pres, QQ, 2).contains(b)
 print("\ncup-lengths over Q (TC >= cuplength + 1):")
 for m in (3, 4, 5, 6):
     sq = TensorSquare(Presentation(2, m), QQ)
-    zcl = sq.zero_divisor_cuplength()
+    zcl = sq.bar_span_length()
     print(f"  S^{m-1}: cuplength {zcl}  ->  TC >= {zcl + 1}")
 
 # Over Z_2 the factor -2 kills bar(e)^2 and the even-sphere bound collapses;
 # that is why the certification defaults to rational coefficients.
 sq2 = TensorSquare(Presentation(2, 3), PrimeField(2))
-print("\nsame computation for S^2 over Z_2:", sq2.zero_divisor_cuplength(),
+print("\nsame computation for S^2 over Z_2:", sq2.bar_span_length(),
       " (the rational answer was 2)")

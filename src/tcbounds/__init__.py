@@ -2,8 +2,9 @@
 
 The library builds the cohomology ring of F(R^m, n) (n labelled points in
 R^m) from its Arnold-relation presentation, models the tensor square with
-Koszul signs, and measures zero-divisor cup-lengths by exact linear algebra
-over Q or a prime field.  `assemble_report` turns those measurements into a
+Koszul signs, and measures zero-divisor cup-lengths as bar-span lengths (the
+longest nonzero product of barred generators) by exact linear algebra over Q
+or a prime field.  `assemble_report` turns those measurements into a
 certificate that pins TC(F(R^m, n)) to its closed form at desk scale.
 """
 
@@ -34,18 +35,7 @@ from .bounds import (
     sharpness_upper,
 )
 from .coeffs import PrimeField, QQ, Rationals, parse_field
-from .tensor import (
-    GradedSubspace,
-    TensorElement,
-    TensorSquare,
-    bar,
-    bar_span_length,
-    diagonal_restriction,
-    koszul_swap,
-    tensor_multiply,
-    zero_divisor_cuplength,
-    zero_divisor_subspace,
-)
+from .tensor import TensorElement, TensorSquare, bar, diagonal_restriction, koszul_swap
 
 __version__ = "0.1.0"
 
@@ -55,7 +45,6 @@ __all__ = [
     "CacheError",
     "CapExceeded",
     "Caps",
-    "GradedSubspace",
     "Presentation",
     "PrimeField",
     "QQ",
@@ -65,7 +54,6 @@ __all__ = [
     "ClosedFormContradiction",
     "assemble_report",
     "bar",
-    "bar_span_length",
     "capped_report",
     "closed_form_tc",
     "connectivity_upper",
@@ -82,8 +70,5 @@ __all__ = [
     "straighten_word",
     "straighten_word_shuffled",
     "structure_document",
-    "tensor_multiply",
     "write_structure_document",
-    "zero_divisor_cuplength",
-    "zero_divisor_subspace",
 ]

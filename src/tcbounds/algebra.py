@@ -155,8 +155,7 @@ class Presentation:
     """Presentation of H*(F(R^m, n)): n points in R^m, generators in degree m-1.
 
     Instances memoize bases and pairwise basis products (integer structure
-    constants).  All methods are pure; after `freeze()` the caches are fully
-    populated and the object can be shared between threads read-only.
+    constants).  All methods are pure apart from filling these caches.
     """
 
     def __init__(self, n: int, m: int):
@@ -229,13 +228,6 @@ class Presentation:
             got = straighten_word(u + v, self.parity)
             self._products[key] = got
         return got
-
-    def freeze(self) -> None:
-        """Precompute every pairwise basis product."""
-        mons = self.full_basis()
-        for u in mons:
-            for v in mons:
-                self.product(u, v)
 
     def adopt_products(self, table: Dict[Tuple[Word, Word], Dict[Word, int]]) -> None:
         """Install a verified product table (see `load_structure_document`)."""

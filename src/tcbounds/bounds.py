@@ -3,7 +3,9 @@
 TC conventions are unreduced throughout: TC(point) = 1, TC(circle) = 2.
 
 Lower bounds come from zero-divisor cup-lengths (a nonzero product of k
-zero-divisors forces TC > k).  Upper bounds come from four sources:
+zero-divisors forces TC > k).  The zero-divisor ideal is generated by the
+barred generators, so the cup-length is the bar-span length of
+`TensorSquare`.  Upper bounds come from four sources:
 
 * dimension: TC <= 2*dim + 1 for a complex of dimension dim;
 * connectivity: for an (s-1)-connected complex, TC < (2*dim + 1)/s + 1,
@@ -187,11 +189,13 @@ def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps(),
                     pres: Optional[Presentation] = None) -> BoundsReport:
     """Compute and cross-check TC bounds for F(R^m, n).
 
-    The lower bound is the zero-divisor cup-length over the requested field.
-    The sharpness upper bound always consumes the bar-span length over Q: the
-    ring and its tensor square are free Z-modules, so rational nonvanishing of
-    a bar product is the same as integral nonvanishing, which is what the
-    sharpness criterion needs.  A modular field can only weaken the lower
+    The lower bound is the zero-divisor cup-length over the requested field,
+    read off the bar span over that field (the zero-divisor lemma makes the
+    two lengths equal).  The sharpness upper bound always consumes the
+    bar-span length over Q: the ring and its tensor square are free
+    Z-modules, so rational nonvanishing of a bar product is the same as
+    integral nonvanishing, which is what the sharpness criterion needs.  Over
+    Q one span serves both bounds.  A modular field can only weaken the lower
     bound (recorded as a warning for characteristic 2), never the upper one.
 
     `pres` may supply an already-built (e.g. cache-backed) presentation.
@@ -213,16 +217,12 @@ def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps(),
         pres = Presentation(n, m)
     elif (pres.n, pres.m) != (n, m):
         raise ValueError(f"presentation is for (n={pres.n}, m={pres.m}), not (n={n}, m={m})")
-    square = TensorSquare(pres, field)
-    zcl = square.zero_divisor_cuplength()
+    zcl = TensorSquare(pres, field).bar_span_length()
     report.lower = lower_from_zcl(zcl)
     report.lower_source = LOWER_TAG
     report.diagnostics.append(("zero_divisor_cuplength", zcl))
 
-    if field == QQ:
-        bar_len = square.bar_span_length()
-    else:
-        bar_len = TensorSquare(pres, QQ).bar_span_length()
+    bar_len = zcl if field == QQ else TensorSquare(pres, QQ).bar_span_length()
     report.diagnostics.append(("bar_span_length_over_Q", bar_len))
 
     candidates: List[Tuple[int, str]] = []

@@ -238,27 +238,36 @@ def cmd_multiply(args) -> int:
     return 0
 
 
-def cmd_zcl(args) -> int:
+def _tensor_square(args) -> Tuple[Optional[TensorSquare], Optional[int]]:
+    """The tensor square for --n/--m/--field after the caps and --cache checks.
+
+    Returns (square, None), or (None, exit code) when a check fails.
+    """
     field = parse_field(args.field)
     try:
         _caps(args).check(args.m, args.n)
     except CapExceeded as exc:
         print(f"error: not computed: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return None, EXIT_CAP
     pres = Presentation(args.n, args.m)
     rc = _load_cache(args, pres)
     if rc is not None:
+        return None, rc
+    return TensorSquare(pres, field), None
+
+
+def cmd_zcl(args) -> int:
+    square, rc = _tensor_square(args)
+    if square is None:
         return rc
-    square = TensorSquare(pres, field)
-    profile = square.zero_divisor_power_profile()
-    zcl = len(profile)
+    # the zero-divisor lemma: the cup-length is the bar-span length
+    zcl = square.bar_span_length()
     payload = {
         "n": args.n,
         "m": args.m,
-        "field": field.describe(),
+        "field": square.field.describe(),
         "zero_divisor_cuplength": zcl,
         "tc_lower_bound": zcl + 1,
-        "power_profile": [sorted(p.items()) for p in profile],
     }
     _emit(args, payload, [
         f"zero_divisor_cuplength = {zcl}",
@@ -268,23 +277,15 @@ def cmd_zcl(args) -> int:
 
 
 def cmd_barspan(args) -> int:
-    field = parse_field(args.field)
-    try:
-        _caps(args).check(args.m, args.n)
-    except CapExceeded as exc:
-        print(f"error: not computed: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    pres = Presentation(args.n, args.m)
-    rc = _load_cache(args, pres)
-    if rc is not None:
+    square, rc = _tensor_square(args)
+    if square is None:
         return rc
-    square = TensorSquare(pres, field)
     dims = square.bar_span_profile()
     witness = square.bar_span_witness()
     payload = {
         "n": args.n,
         "m": args.m,
-        "field": field.describe(),
+        "field": square.field.describe(),
         "bar_span_length": len(dims),
         "span_dims": dims,
         "witness": [list(e) for e in witness],

@@ -260,13 +260,18 @@ def suite_stability(n_values=(2, 3, 4), m_values=(4, 6)) -> SuiteResult:
 
 
 def suite_span_consistency(cases=((2, 3), (2, 4), (3, 2), (3, 3)), field=QQ) -> SuiteResult:
-    """bar-span length never exceeds the zero-divisor cup-length."""
+    """bar-span length equals the zero-divisor cup-length of the full ideal iteration.
+
+    The zero-divisor lemma (the ideal is generated by the barred generators)
+    makes them equal; reports rely on it by reading the cup-length off the
+    bar span.
+    """
     res = SuiteResult("span consistency")
     for n, m in cases:
         pres = Presentation(n, m)
         square = TensorSquare(pres, field)
         res.cases += 1
-        if square.bar_span_length() > square.zero_divisor_cuplength():
+        if square.bar_span_length() != len(square.zero_divisor_power_profile()):
             res.failures.append(f"n={n} m={m}")
     return res
 

@@ -2,25 +2,28 @@
 
 This models the cohomology of the product space.  The multiplication carries
 the Koszul sign, (a (x) b)(c (x) d) = (-1)^{|b||c|} ac (x) bd; restriction to
-the diagonal is the algebra map a (x) b -> a*b, and its kernel is the ideal of
-zero-divisors.  Two graded quantities drive the bound machinery:
+the diagonal is the algebra map a (x) b -> a*b, and its kernel is the ideal Z
+of zero-divisors.
 
-* `zero_divisor_cuplength`: the largest k with Z^k != 0, where Z is the whole
-  zero-divisor ideal and powers are iterated as graded product spans;
-* `bar_span_length`: the largest k with V_k != 0, where V_1 is spanned by the
-  classes bar(g) = g (x) 1 - 1 (x) g of the ring generators and
-  V_{k+1} = V_k * V_1.
+The bound machinery needs one graded quantity, the bar-span length: the
+largest k with V_k != 0, where V_1 is spanned by the classes
+bar(g) = g (x) 1 - 1 (x) g of the ring generators and V_{k+1} = V_k * V_1.
+By the zero-divisor lemma Z is the ideal generated by the bar(g), so
+Z^k = (H (x) H) * V_k and the bar-span length is the zero-divisor
+cup-length, over every field.
 
-Both are computed by exact row reduction, one graded piece at a time.  The
-bar span is built from labelled products: H (x) H is graded-commutative, so a
-product of barred generators depends only on the multiset S of its factors,
-up to sign, and V_k keeps one accepted vector bar(S) per basis element.
-Multiplying by bar(g) uses precomputed right-multiplication operators R_g on
-H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer arithmetic (the
-structure constants are integers); vectors are coerced into the field only
-on entering the echelon basis.  The bar-span route never touches the full
-ideal iteration; their agreement (bar span <= cup-length) is a consistency
-check, never an input.
+The bar span is built from labelled products: H (x) H is graded-commutative,
+so a product of barred generators depends only on the multiset S of its
+factors, up to sign, and V_k keeps one accepted vector bar(S) per basis
+element.  Multiplying by bar(g) uses precomputed right-multiplication
+operators R_g on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer
+arithmetic (the structure constants are integers); vectors are coerced into
+the field only on entering the echelon basis.
+
+`TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
+ideal Z from the diagonal kernels instead.  It is the reference oracle that
+the tests and the selftest compare the bar span against, never an input to a
+report.
 """
 
 from __future__ import annotations
@@ -171,10 +174,6 @@ class TensorElement:
         )
 
 
-def tensor_multiply(x: TensorElement, y: TensorElement) -> TensorElement:
-    return x * y
-
-
 def diagonal_restriction(x: TensorElement) -> AlgebraElement:
     """Restriction to the diagonal: a (x) b -> a*b, extended linearly."""
     pres, field = x.pres, x.field
@@ -220,50 +219,12 @@ def koszul_swap(x: TensorElement) -> TensorElement:
     return TensorElement(x.pres, x.field, terms)
 
 
-# ---------------------------------------------------------------------------
-# graded pieces and subspaces
-# ---------------------------------------------------------------------------
-
-class GradedSubspace:
-    """A row-reduced subspace of one graded piece of the tensor square."""
-
-    def __init__(self, square: "TensorSquare", weight: Optional[int],
-                 echelon: EchelonBasis, degree: Optional[int] = None):
-        self.square = square
-        self.weight = weight
-        if weight is not None:
-            self.degree = weight * square.pres.degree
-            self.ambient = square.basis(weight)
-        else:
-            # a degree where the grading is empty (not a multiple of m-1)
-            self.degree = degree
-            self.ambient = []
-        self.echelon = echelon
-
-    @property
-    def dim(self) -> int:
-        return self.echelon.dim
-
-    def contains(self, x: TensorElement) -> bool:
-        if x.is_zero():
-            return True
-        if self.weight is None or x.weight != self.weight:
-            return False
-        return self.echelon.contains(self.square.coords(x))
-
-    def basis_elements(self) -> List[TensorElement]:
-        return [self.square.element(self.weight, row) for row in self.echelon.vectors()]
-
-    def __repr__(self):
-        return f"GradedSubspace(weight={self.weight}, dim={self.dim}, ambient={len(self.ambient)})"
-
-
 class TensorSquare:
     """Graded coordinate model of H* (x) H* over a fixed field.
 
-    Caches bases, the diagonal kernels per weight and the full bar-span levels;
-    all computations consume frozen data, so instances are safe to share once
-    warmed up.
+    Caches bases, the full bar-span levels and, for the reference oracle, the
+    diagonal kernels per weight; all computations consume frozen data, so
+    instances are safe to share once warmed up.
     """
 
     def __init__(self, pres: Presentation, field):
@@ -307,7 +268,7 @@ class TensorSquare:
         basis = self.basis(w)
         return TensorElement(self.pres, self.field, {basis[i]: c for i, c in vec.items()})
 
-    # -- multiplication in coordinates (the hot path) -----------------------
+    # -- the zero-divisor ideal, iterated in full (reference oracle) ---------
 
     def multiply_coords(self, w1: int, a: Vec, w2: int, b: Vec) -> Vec:
         field = self.field
@@ -342,8 +303,6 @@ class TensorSquare:
                         else:
                             del out[k]
         return out
-
-    # -- zero divisors -------------------------------------------------------
 
     def diagonal_kernel(self, w: int) -> EchelonBasis:
         """Kernel of the diagonal restriction on the weight-w piece."""
@@ -388,7 +347,9 @@ class TensorSquare:
         """Dimensions of the graded pieces of Z^1, Z^2, ... until the power dies.
 
         Entry k-1 maps weight -> dim of the weight piece of Z^k.  The list
-        stops at the last nonzero power (or at max_power).
+        stops at the last nonzero power (or at max_power), so its length is
+        the zero-divisor cup-length.  Only tests and the selftest call this:
+        reports take the cup-length from `bar_span_length`.
         """
         if self.top_weight == 0:
             return []
@@ -408,9 +369,6 @@ class TensorSquare:
             profile.append({w: eb.dim for w, eb in sorted(nxt.items())})
             current = {w: eb.vectors() for w, eb in nxt.items()}
         return profile
-
-    def zero_divisor_cuplength(self) -> int:
-        return len(self.zero_divisor_power_profile())
 
     # -- products of barred generators ---------------------------------------
 
@@ -537,37 +495,6 @@ class TensorSquare:
         return tuple(gens[gi] for gi in levels[-1][0])
 
     def bar_span_length(self) -> int:
+        """Largest k with V_k != 0: the zero-divisor cup-length over this field."""
         return len(self.bar_span_profile())
 
-
-# ---------------------------------------------------------------------------
-# one-shot entry points
-# ---------------------------------------------------------------------------
-
-def zero_divisor_subspace(pres: Presentation, field, degree: int,
-                          square: Optional[TensorSquare] = None) -> GradedSubspace:
-    """Zero-divisors of the given cohomological degree, as a row-reduced subspace."""
-    d = pres.degree
-    top = 2 * pres.top_weight * d
-    if degree <= 0 or degree > top:
-        raise ValueError(f"degree {degree} out of range (0, {top}]")
-    if square is None:
-        square = TensorSquare(pres, field)
-    if degree % d:
-        return GradedSubspace(square, None, EchelonBasis(field, 0), degree=degree)
-    w = degree // d
-    return GradedSubspace(square, w, square.diagonal_kernel(w))
-
-
-def zero_divisor_cuplength(pres: Presentation, field,
-                           square: Optional[TensorSquare] = None) -> int:
-    if square is None:
-        square = TensorSquare(pres, field)
-    return square.zero_divisor_cuplength()
-
-
-def bar_span_length(pres: Presentation, field,
-                    square: Optional[TensorSquare] = None) -> int:
-    if square is None:
-        square = TensorSquare(pres, field)
-    return square.bar_span_length()

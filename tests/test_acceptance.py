@@ -58,14 +58,16 @@ def test_criterion_3_sphere_sanity():
     """n=2 gives the spheres S^{m-1}: cup-length 2 (m odd) / 1 (m even)."""
     for m in (3, 5, 7):
         sq = TensorSquare(Presentation(2, m), QQ)
-        assert sq.zero_divisor_cuplength() == 2
+        assert len(sq.zero_divisor_power_profile()) == 2
         r = assemble_report(m, 2)
         assert r.lower == r.upper == 3
+        assert ("zero_divisor_cuplength", 2) in r.diagnostics
     for m in (4, 6):
         sq = TensorSquare(Presentation(2, m), QQ)
-        assert sq.zero_divisor_cuplength() == 1
+        assert len(sq.zero_divisor_power_profile()) == 1
         r = assemble_report(m, 2)
         assert r.lower == r.upper == 2
+        assert ("zero_divisor_cuplength", 1) in r.diagnostics
     _announce(3, "TC(S^{m-1}) certified as 3 (m odd) and 2 (m even)")
 
 
@@ -116,7 +118,7 @@ def test_criterion_5_stability_isomorphism():
 def test_criterion_6_characteristic_sensitivity():
     """Over Z_2 the (m=3, n=2) lower bound degrades to 2 and the report says so."""
     sq = TensorSquare(Presentation(2, 3), PrimeField(2))
-    assert sq.zero_divisor_cuplength() == 1
+    assert len(sq.zero_divisor_power_profile()) == 1
     r = assemble_report(3, 2, field=PrimeField(2))
     assert r.lower == 2, "lower bound should degrade over Z_2"
     assert not r.pinched, "must not pinch falsely at the degraded value"

@@ -235,19 +235,6 @@ def test_straightening_stays_in_basis():
             assert w in basis
 
 
-def test_freeze_populates_all_products():
-    p = Presentation(3, 2)
-    p.freeze()
-    mons = p.full_basis()
-    assert len(p._products) == len(mons) ** 2
-    # frozen caches serve lookups without mutation
-    before = len(p._products)
-    for u in mons:
-        for v in mons:
-            p.product(u, v)
-    assert len(p._products) == before
-
-
 # -- stability -----------------------------------------------------------------
 
 @pytest.mark.parametrize("n,m", [(3, 4), (2, 6), (4, 4), (4, 6)])

@@ -141,6 +141,15 @@ def test_report_mod2_degrades_without_false_pinch():
     assert dict(r.diagnostics)["zero_divisor_cuplength"] == 1
 
 
+def test_report_mod2_n4_odd_m_keeps_fields_apart():
+    # the lower bound comes from the span over Z_2, the sharpness bound from Q
+    r = assemble_report(3, 4, field=PrimeField(2))
+    assert (r.lower, r.upper, r.pinched) == (6, 7, False)
+    diagnostics = dict(r.diagnostics)
+    assert diagnostics["zero_divisor_cuplength"] == 5
+    assert diagnostics["bar_span_length_over_Q"] == 6
+
+
 def test_report_mod2_even_m_still_pinches():
     r = assemble_report(4, 3, field=PrimeField(2))
     assert r.pinched and r.lower == 4

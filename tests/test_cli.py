@@ -1,6 +1,7 @@
 """Command-line surface: output formats, exit codes, cache handling."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -41,6 +42,15 @@ def test_report_json_pinched(capsys):
     assert data["m"] == 4 and data["n"] == 3
     assert data["lower"] == 4 and data["upper"] == 4
     assert data["closed_form"] == 4 and data["pinched"] is True
+
+
+def test_report_json_matches_readme_schema(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Report schema", 1)[1]
+    documented = section.split("```json\n", 1)[1].split("```", 1)[0]
+    code, out, _ = run(capsys, "report", "--m", "4", "--n", "3", "--output", "json")
+    assert code == EXIT_PINCHED
+    assert json.loads(out) == json.loads(documented)
 
 
 def test_report_text_sphere(capsys):
@@ -181,6 +191,7 @@ def test_zcl_command(capsys):
     code, out, _ = run(capsys, "zcl", "--n", "3", "--m", "2", "--output", "json")
     assert code == 0
     data = json.loads(out)
+    assert set(data) == {"n", "m", "field", "zero_divisor_cuplength", "tc_lower_bound"}
     assert data["zero_divisor_cuplength"] == 3
     assert data["tc_lower_bound"] == 4
 
