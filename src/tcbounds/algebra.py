@@ -16,6 +16,12 @@ procedure (`straighten_word`); the randomized variant `straighten_word_shuffled`
 applies the same local rules in an arbitrary order and is kept as an
 independent confluence oracle.
 
+Elements are sparse linear combinations over a field.  `SparseElement` holds
+the linear structure that ring and tensor elements share: sums, scaling,
+equality of the same kind only, weights, and `combine`, the one accumulation
+of integer expansions.  `AlgebraElement` adds generators, words and the ring
+product; `tensor.TensorElement` adds the Koszul product.
+
 >>> p = Presentation(3, 2)
 >>> sorted(p.generators())
 [(1, 2), (1, 3), (2, 3)]
@@ -244,36 +250,21 @@ def monomial_str(word: Word) -> str:
     return "*".join(f"e_{i}_{j}" for i, j in word)
 
 
-def _coeff_str(c) -> str:
-    return str(c)
+class SparseElement:
+    """Finite linear combination of basis keys over a field, zeros never stored.
 
-
-def format_terms(terms, key_str) -> str:
-    if not terms:
-        return "0"
-    parts = []
-    for k in sorted(terms, key=lambda w: (len(w) if isinstance(w, tuple) else 0, w)):
-        c = terms[k]
-        mono = key_str(k)
-        parts.append(f"{_coeff_str(c)}*{mono}" if mono != "1" else _coeff_str(c))
-    return " + ".join(parts).replace("+ -", "- ")
-
-
-class AlgebraElement:
-    """Finite linear combination of admissible monomials over a field.
-
-    Term keys are always admissible words in normal form; zero coefficients
-    are never stored.
+    The linear structure shared by ring and tensor elements lives here; a
+    subclass sets the unit key `UNIT` and supplies `_factors` (the factor
+    count of a key), `_key_str` and its own product loop `_product`.
     """
 
     __slots__ = ("pres", "field", "terms")
+    UNIT: object = None
 
-    def __init__(self, pres: Presentation, field, terms: Dict[Word, object]):
+    def __init__(self, pres: Presentation, field, terms: Dict[object, object]):
         self.pres = pres
         self.field = field
-        self.terms = {w: c for w, c in terms.items() if c}
-
-    # -- constructors ------------------------------------------------------
+        self.terms = {k: c for k, c in terms.items() if c}
 
     @classmethod
     def zero(cls, pres, field):
@@ -281,22 +272,23 @@ class AlgebraElement:
 
     @classmethod
     def one(cls, pres, field):
-        return cls(pres, field, {(): field.one})
+        return cls(pres, field, {cls.UNIT: field.one})
 
     @classmethod
-    def generator(cls, pres, field, i: int, j: int):
-        _check_edge((i, j))
-        if j > pres.n:
-            raise ValueError(f"generator e_{i}_{j} out of range for n={pres.n}")
-        return cls(pres, field, {((i, j),): field.one})
-
-    @classmethod
-    def from_word(cls, pres, field, word: Sequence[Edge], coeff=1):
-        c = field.coerce(coeff)
-        normal = pres.straighten(word)
-        return cls(pres, field, {w: field.mul_int(c, k) for w, k in normal.items()})
-
-    # -- basic structure ----------------------------------------------------
+    def combine(cls, pres, field, parts):
+        """The element sum of c * expansion over the (c, {key: coeff}) pairs in parts."""
+        mul, add = field.mul, field.add
+        out: Dict[object, object] = {}
+        for c, expansion in parts:
+            for key, k in expansion.items():
+                contrib = mul(c, k)
+                prev = out.get(key)
+                nv = add(prev, contrib) if prev is not None else contrib
+                if nv:
+                    out[key] = nv
+                else:
+                    del out[key]
+        return cls(pres, field, out)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -304,7 +296,7 @@ class AlgebraElement:
     @property
     def weight(self):
         """Common factor count of all terms, or None when mixed (0 for zero)."""
-        counts = {len(w) for w in self.terms}
+        counts = {self._factors(k) for k in self.terms}
         if not counts:
             return 0
         if len(counts) == 1:
@@ -320,30 +312,20 @@ class AlgebraElement:
     def is_homogeneous(self) -> bool:
         return self.weight is not None
 
-    def _compatible(self, other: "AlgebraElement"):
-        if not isinstance(other, AlgebraElement):
-            raise TypeError(f"cannot combine AlgebraElement with {type(other).__name__}")
+    def _compatible(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
         if not self.pres.same_ring(other.pres) or self.field != other.field:
             raise ValueError("elements live over different presentations or fields")
 
-    # -- arithmetic ----------------------------------------------------------
-
     def __add__(self, other):
         self._compatible(other)
-        terms = dict(self.terms)
-        add = self.field.add
-        for w, c in other.terms.items():
-            prev = terms.get(w)
-            nv = add(prev, c) if prev is not None else c
-            if nv:
-                terms[w] = nv
-            else:
-                del terms[w]
-        return AlgebraElement(self.pres, self.field, terms)
+        one = self.field.one
+        return self.combine(self.pres, self.field, ((one, self.terms), (one, other.terms)))
 
     def __neg__(self):
         neg = self.field.neg
-        return AlgebraElement(self.pres, self.field, {w: neg(c) for w, c in self.terms.items()})
+        return type(self)(self.pres, self.field, {k: neg(c) for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -351,38 +333,23 @@ class AlgebraElement:
     def scale(self, scalar):
         c = self.field.coerce(scalar)
         if not c:
-            return AlgebraElement.zero(self.pres, self.field)
+            return self.zero(self.pres, self.field)
         mul = self.field.mul
-        return AlgebraElement(self.pres, self.field, {w: mul(c, v) for w, v in self.terms.items()})
+        return type(self)(self.pres, self.field, {k: mul(c, v) for k, v in self.terms.items()})
 
     def __rmul__(self, scalar):
-        if isinstance(scalar, AlgebraElement):
+        if isinstance(scalar, SparseElement):
             return NotImplemented
         return self.scale(scalar)
 
     def __mul__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if not isinstance(other, SparseElement):
             return self.scale(other)
         self._compatible(other)
-        field = self.field
-        mul, mul_int, add = field.mul, field.mul_int, field.add
-        prod = self.pres.product
-        out: Dict[Word, object] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                c = mul(cu, cv)
-                for w, k in prod(u, v).items():
-                    contrib = mul_int(c, k)
-                    prev = out.get(w)
-                    nv = add(prev, contrib) if prev is not None else contrib
-                    if nv:
-                        out[w] = nv
-                    else:
-                        del out[w]
-        return AlgebraElement(self.pres, self.field, out)
+        return self._product(other)
 
     def __eq__(self, other):
-        if not isinstance(other, AlgebraElement):
+        if type(other) is not type(self):
             return NotImplemented
         return (
             self.pres.same_ring(other.pres)
@@ -391,7 +358,45 @@ class AlgebraElement:
         )
 
     def __repr__(self):
-        return format_terms(self.terms, monomial_str)
+        parts = []
+        for k in sorted(self.terms, key=lambda k: (len(k), k)):
+            c, mono = str(self.terms[k]), self._key_str(k)
+            parts.append(f"{c}*{mono}" if mono != "1" else c)
+        return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+class AlgebraElement(SparseElement):
+    """Finite linear combination of admissible monomials over a field.
+
+    Term keys are always admissible words in normal form.
+    """
+
+    __slots__ = ()
+    UNIT = ()
+    _key_str = staticmethod(monomial_str)
+
+    @staticmethod
+    def _factors(word: Word) -> int:
+        return len(word)
+
+    @classmethod
+    def generator(cls, pres, field, i: int, j: int):
+        _check_edge((i, j))
+        if j > pres.n:
+            raise ValueError(f"generator e_{i}_{j} out of range for n={pres.n}")
+        return cls(pres, field, {((i, j),): field.one})
+
+    @classmethod
+    def from_word(cls, pres, field, word: Sequence[Edge], coeff=1):
+        return cls.combine(pres, field, [(field.coerce(coeff), pres.straighten(word))])
+
+    def _product(self, other):
+        mul, prod = self.field.mul, self.pres.product
+        return self.combine(self.pres, self.field, (
+            (mul(cu, cv), prod(u, v))
+            for u, cu in self.terms.items()
+            for v, cv in other.terms.items()
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +457,10 @@ def stability_check(n: int, m_even: int) -> bool:
 # structure-constant documents
 # ---------------------------------------------------------------------------
 
+# the keys a document's checksum covers
+_CHECKED_KEYS = ("schema_version", "n", "m", "basis", "products")
+
+
 def _document_checksum(payload: dict) -> str:
     data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(data).hexdigest()
@@ -479,9 +488,7 @@ def structure_document(pres: Presentation) -> dict:
         "basis": [[list(e) for e in w] for w in mons],
         "products": products,
     }
-    payload["checksum"] = _document_checksum(
-        {k: payload[k] for k in ("schema_version", "n", "m", "basis", "products")}
-    )
+    payload["checksum"] = _document_checksum({k: payload[k] for k in _CHECKED_KEYS})
     return payload
 
 
@@ -497,6 +504,9 @@ def write_structure_document(pres: Presentation, path) -> dict:
 
 
 def _parse_document(doc: dict, pres: Presentation):
+    """The basis and product table of a document; any malformed shape is a CacheError."""
+    if not isinstance(doc, dict):
+        raise CacheError(f"document is a JSON {type(doc).__name__}, not an object")
     if doc.get("schema_version") != STRUCTURE_SCHEMA_VERSION:
         raise CacheError(
             f"schema version {doc.get('schema_version')!r} unsupported "
@@ -507,18 +517,25 @@ def _parse_document(doc: dict, pres: Presentation):
             f"document is for (n={doc.get('n')}, m={doc.get('m')}), "
             f"not (n={pres.n}, m={pres.m})"
         )
-    expected = _document_checksum(
-        {k: doc[k] for k in ("schema_version", "n", "m", "basis", "products")}
-    )
-    if doc.get("checksum") != expected:
+    missing = [k for k in _CHECKED_KEYS if k not in doc]
+    if missing:
+        raise CacheError(f"document lacks {', '.join(missing)}")
+    if doc.get("checksum") != _document_checksum({k: doc[k] for k in _CHECKED_KEYS}):
         raise CacheError("checksum mismatch: document corrupted or stale")
-    mons = [tuple(tuple(e) for e in w) for w in doc["basis"]]
+    try:
+        mons = [tuple(tuple(e) for e in w) for w in doc["basis"]]
+    except TypeError:
+        raise CacheError("basis is not a list of edge lists") from None
     if mons != pres.full_basis():
         raise CacheError("basis list does not match the presentation")
     # absent pairs are zero products; install them too so the cache is complete
     table = {(u, v): {} for u in mons for v in mons}
-    for i, j, entries in doc["products"]:
-        table[(mons[i], mons[j])] = {mons[k]: int(c) for k, c in entries}
+    by_index = dict(enumerate(mons))
+    try:
+        for i, j, entries in doc["products"]:
+            table[(by_index[i], by_index[j])] = {by_index[k]: int(c) for k, c in entries}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise CacheError(f"malformed product entry ({type(exc).__name__}: {exc})") from None
     return mons, table
 
 

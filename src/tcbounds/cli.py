@@ -19,7 +19,6 @@ from typing import List, Optional, Tuple
 
 from .algebra import (
     AlgebraElement,
-    CacheError,
     Presentation,
     load_structure_document,
     monomial_str,
@@ -96,7 +95,7 @@ def _load_cache(args, pres: Presentation) -> Optional[int]:
         return None
     try:
         load_structure_document(args.cache, pres)
-    except (OSError, ValueError, KeyError, CacheError) as exc:
+    except (OSError, ValueError) as exc:  # CacheError is a ValueError
         print(f"error: cannot use cache {args.cache}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return None

@@ -11,18 +11,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+#: Miller-Rabin with these bases decides primality exactly below 2^64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin primality test; raises ValueError for p >= 2^64."""
+    if p >= 1 << 64:
+        raise ValueError(f"{p} is too large: primality is decided only below 2^64")
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -50,10 +65,6 @@ class Rationals:
 
     def mul(self, a, b):
         return a * b
-
-    def mul_int(self, a, k):
-        # k is a plain int; avoids an intermediate coercion in hot loops
-        return a * k
 
     def neg(self, a):
         return -a
@@ -110,9 +121,6 @@ class PrimeField:
 
     def mul(self, a, b):
         return (a * b) % self.p
-
-    def mul_int(self, a, k):
-        return (a * k) % self.p
 
     def neg(self, a):
         return (-a) % self.p

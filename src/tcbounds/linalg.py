@@ -4,13 +4,33 @@ Vectors are dicts {column: nonzero value}.  An `EchelonBasis` keeps a reduced
 row echelon basis of a subspace of F^width: every row has a leading 1 in its
 pivot column, and pivot columns are eliminated from all other rows.  Because
 of that, reducing a vector touches each pivot at most once.
+
+Every elimination step is one row operation, `subtract_multiple` (target -=
+factor * row in place, dropping entries that cancel).  `kernel_basis` is no
+separate eliminator: it takes the RREF of the augmented rows [image_i | e_i]
+with the image columns first, and the rows whose pivot falls in the source
+block are the kernel, already in canonical RREF.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 Vec = Dict[int, object]
+
+
+def subtract_multiple(field, target: Vec, factor, row: Vec) -> None:
+    """target -= factor * row, in place; entries that cancel are dropped."""
+    add, mul = field.add, field.mul
+    minus = field.neg(factor)
+    for col, val in row.items():
+        contrib = mul(minus, val)
+        prev = target.get(col)
+        nv = add(prev, contrib) if prev is not None else contrib
+        if nv:
+            target[col] = nv
+        else:
+            target.pop(col, None)
 
 
 class EchelonBasis:
@@ -29,18 +49,11 @@ class EchelonBasis:
     def reduce(self, vec: Vec) -> Vec:
         """Residual of vec after eliminating all pivot columns (vec untouched)."""
         r = dict(vec)
-        rows = self._rows
-        sub, mul = self.field.sub, self.field.mul
+        rows, field = self._rows, self.field
         for p in sorted(c for c in r if c in rows):
             c = r.get(p)
-            if not c:
-                continue
-            for col, val in rows[p].items():
-                nv = sub(r.get(col, 0), mul(c, val)) if col in r else self.field.neg(mul(c, val))
-                if nv:
-                    r[col] = nv
-                else:
-                    r.pop(col, None)
+            if c:
+                subtract_multiple(field, r, c, rows[p])
         return r
 
     def contains(self, vec: Vec) -> bool:
@@ -52,19 +65,13 @@ class EchelonBasis:
         if not r:
             return False
         p = min(r)
-        inv = self.field.inv(r[p])
-        mul, sub = self.field.mul, self.field.sub
+        field = self.field
+        inv, mul = field.inv(r[p]), field.mul
         row = {col: mul(inv, val) for col, val in r.items()}
         for other in self._rows.values():
             c = other.get(p)
-            if c is None:
-                continue
-            for col, val in row.items():
-                nv = sub(other.get(col, 0), mul(c, val)) if col in other else self.field.neg(mul(c, val))
-                if nv:
-                    other[col] = nv
-                else:
-                    other.pop(col, None)
+            if c is not None:
+                subtract_multiple(field, other, c, row)
         self._rows[p] = row
         return True
 
@@ -87,42 +94,18 @@ class EchelonBasis:
 def kernel_basis(field, images: List[Vec], source_dim: int) -> EchelonBasis:
     """Kernel of the map sending source basis vector i to images[i].
 
-    Forward-eliminates the augmented rows [image_i | e_i]; rows whose image
-    part dies yield kernel vectors, collected into an RREF basis.
+    Source column i of the augmented row [image_i | e_i] sits at shift + i,
+    after every image column, so a row whose pivot is a source column has a
+    zero image part.
     """
-    ker = EchelonBasis(field, source_dim)
-    pivot_rows: Dict[int, Tuple[Vec, Vec]] = {}
-    sub, mul, inv = field.sub, field.mul, field.inv
-
-    def eliminate(target: Vec, src: Vec, factor, prow: Vec, psrc: Vec):
-        for col, val in prow.items():
-            nv = sub(target.get(col, 0), mul(factor, val)) if col in target else field.neg(mul(factor, val))
-            if nv:
-                target[col] = nv
-            else:
-                target.pop(col, None)
-        for col, val in psrc.items():
-            nv = sub(src.get(col, 0), mul(factor, val)) if col in src else field.neg(mul(factor, val))
-            if nv:
-                src[col] = nv
-            else:
-                src.pop(col, None)
-
+    shift = 1 + max((max(img) for img in images if img), default=-1)
+    augmented = EchelonBasis(field, shift + source_dim)
     for i in range(source_dim):
-        img = dict(images[i])
-        src: Vec = {i: field.one}
-        while img:
-            lead = min(img)
-            pivot = pivot_rows.get(lead)
-            if pivot is None:
-                break
-            eliminate(img, src, img[lead], pivot[0], pivot[1])
-        if not img:
-            ker.insert(src)
-        else:
-            lead = min(img)
-            scale = inv(img[lead])
-            img = {c: mul(scale, v) for c, v in img.items()}
-            src = {c: mul(scale, v) for c, v in src.items()}
-            pivot_rows[lead] = (img, src)
+        row = {c: v for c, v in images[i].items() if v}
+        row[shift + i] = field.one
+        augmented.insert(row)
+    ker = EchelonBasis(field, source_dim)
+    for p, row in augmented._rows.items():
+        if p >= shift:
+            ker._rows[p - shift] = {c - shift: v for c, v in row.items()}
     return ker

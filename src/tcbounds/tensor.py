@@ -23,37 +23,34 @@ the field only on entering the echelon basis.
 `TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
 ideal Z from the diagonal kernels instead.  It is the reference oracle that
 the tests and the selftest compare the bar span against, never an input to a
-report.
+report.  It works in coordinates, and `TensorSquare.multiply_coords` is only
+the coordinate view of `TensorElement.__mul__`: there is one Koszul product.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraElement, Presentation, Word, format_terms, monomial_str
+from .algebra import AlgebraElement, Presentation, SparseElement, Word, monomial_str
 from .linalg import EchelonBasis, Vec, kernel_basis
 
 Pair = Tuple[Word, Word]
 Label = Tuple[int, ...]  # sorted generator indices S, standing for bar(S)
 
 
-class TensorElement:
+class TensorElement(SparseElement):
     """Sparse element of H* (x) H*; keys are pairs of admissible words."""
 
-    __slots__ = ("pres", "field", "terms")
+    __slots__ = ()
+    UNIT = ((), ())
 
-    def __init__(self, pres: Presentation, field, terms: Dict[Pair, object]):
-        self.pres = pres
-        self.field = field
-        self.terms = {k: c for k, c in terms.items() if c}
+    @staticmethod
+    def _factors(key: Pair) -> int:
+        return len(key[0]) + len(key[1])
 
-    @classmethod
-    def zero(cls, pres, field):
-        return cls(pres, field, {})
-
-    @classmethod
-    def one(cls, pres, field):
-        return cls(pres, field, {((), ()): field.one})
+    @staticmethod
+    def _key_str(key: Pair) -> str:
+        return f"{monomial_str(key[0])}(x){monomial_str(key[1])}"
 
     @classmethod
     def of(cls, left: AlgebraElement, right: AlgebraElement):
@@ -67,73 +64,12 @@ class TensorElement:
                 terms[(u, v)] = mul(cu, cv)
         return cls(left.pres, field, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def weight(self) -> Optional[int]:
-        """Common total factor count, or None when mixed (0 for zero)."""
-        counts = {len(u) + len(v) for u, v in self.terms}
-        if not counts:
-            return 0
-        if len(counts) == 1:
-            return counts.pop()
-        return None
-
-    @property
-    def degree(self) -> Optional[int]:
-        w = self.weight
-        return None if w is None else w * self.pres.degree
-
-    def is_homogeneous(self) -> bool:
-        return self.weight is not None
-
-    def _compatible(self, other: "TensorElement"):
-        if not isinstance(other, TensorElement):
-            raise TypeError(f"cannot combine TensorElement with {type(other).__name__}")
-        if not self.pres.same_ring(other.pres) or self.field != other.field:
-            raise ValueError("elements live over different presentations or fields")
-
-    def __add__(self, other):
-        self._compatible(other)
-        add = self.field.add
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = terms.get(k)
-            nv = add(prev, c) if prev is not None else c
-            if nv:
-                terms[k] = nv
-            else:
-                del terms[k]
-        return TensorElement(self.pres, self.field, terms)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return TensorElement(self.pres, self.field, {k: neg(c) for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        c = self.field.coerce(scalar)
-        if not c:
-            return TensorElement.zero(self.pres, self.field)
-        mul = self.field.mul
-        return TensorElement(self.pres, self.field, {k: mul(c, v) for k, v in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, TensorElement):
-            return NotImplemented
-        return self.scale(scalar)
-
-    def __mul__(self, other):
-        if not isinstance(other, TensorElement):
-            return self.scale(other)
-        self._compatible(other)
+    def _product(self, other):
+        # (u1 (x) v1)(u2 (x) v2) = (-1)^{|v1||u2|} u1 u2 (x) v1 v2
         pres, field = self.pres, self.field
         parity = pres.parity
         prod = pres.product
-        mul, mul_int, add, neg = field.mul, field.mul_int, field.add, field.neg
+        mul, add, neg = field.mul, field.add, field.neg
         out: Dict[Pair, object] = {}
         for (u1, v1), c1 in self.terms.items():
             lv1 = len(v1)
@@ -149,7 +85,7 @@ class TensorElement:
                     c = neg(c)
                 for wu, ku in pu.items():
                     for wv, kv in pv.items():
-                        contrib = mul_int(c, ku * kv)
+                        contrib = mul(c, ku * kv)
                         key = (wu, wv)
                         prev = out.get(key)
                         nv = add(prev, contrib) if prev is not None else contrib
@@ -159,37 +95,12 @@ class TensorElement:
                             del out[key]
         return TensorElement(pres, field, out)
 
-    def __eq__(self, other):
-        if not isinstance(other, TensorElement):
-            return NotImplemented
-        return (
-            self.pres.same_ring(other.pres)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        return format_terms(
-            self.terms, lambda k: f"{monomial_str(k[0])}(x){monomial_str(k[1])}"
-        )
-
 
 def diagonal_restriction(x: TensorElement) -> AlgebraElement:
     """Restriction to the diagonal: a (x) b -> a*b, extended linearly."""
-    pres, field = x.pres, x.field
-    add, mul_int = field.add, field.mul_int
-    prod = pres.product
-    out: Dict[Word, object] = {}
-    for (u, v), c in x.terms.items():
-        for w, k in prod(u, v).items():
-            contrib = mul_int(c, k)
-            prev = out.get(w)
-            nv = add(prev, contrib) if prev is not None else contrib
-            if nv:
-                out[w] = nv
-            else:
-                del out[w]
-    return AlgebraElement(pres, field, out)
+    prod = x.pres.product
+    parts = ((c, prod(u, v)) for (u, v), c in x.terms.items())
+    return AlgebraElement.combine(x.pres, x.field, parts)
 
 
 def bar(v: AlgebraElement) -> TensorElement:
@@ -270,39 +181,9 @@ class TensorSquare:
 
     # -- the zero-divisor ideal, iterated in full (reference oracle) ---------
 
-    def multiply_coords(self, w1: int, a: Vec, w2: int, b: Vec) -> Vec:
-        field = self.field
-        mul, mul_int, add, neg = field.mul, field.mul_int, field.add, field.neg
-        prod = self.pres.product
-        parity = self.pres.parity
-        basis1, basis2 = self.basis(w1), self.basis(w2)
-        idx = self.index(w1 + w2)
-        out: Vec = {}
-        for ia, ca in a.items():
-            u1, v1 = basis1[ia]
-            lv1 = len(v1)
-            for ib, cb in b.items():
-                u2, v2 = basis2[ib]
-                pu = prod(u1, u2)
-                if not pu:
-                    continue
-                pv = prod(v1, v2)
-                if not pv:
-                    continue
-                c = mul(ca, cb)
-                if parity and lv1 & len(u2) & 1:
-                    c = neg(c)
-                for wu, ku in pu.items():
-                    for wv, kv in pv.items():
-                        k = idx[(wu, wv)]
-                        contrib = mul_int(c, ku * kv)
-                        prev = out.get(k)
-                        nv = add(prev, contrib) if prev is not None else contrib
-                        if nv:
-                            out[k] = nv
-                        else:
-                            del out[k]
-        return out
+    def multiply_coords(self, x: TensorElement, y: TensorElement, w: int) -> Vec:
+        """Coordinates of x * y in the weight-w basis (w the weight of the product)."""
+        return self.coords(x * y, w)
 
     def diagonal_kernel(self, w: int) -> EchelonBasis:
         """Kernel of the diagonal restriction on the weight-w piece."""
@@ -320,13 +201,15 @@ class TensorSquare:
     def _span_product(self, current: Dict[int, List[Vec]],
                       factor: Dict[int, List[Vec]]) -> Dict[int, EchelonBasis]:
         """Echelonized products span(current * factor), one piece per weight."""
+        left = {w: [self.element(w, a) for a in vecs] for w, vecs in current.items()}
+        right = {w: [self.element(w, b) for b in vecs] for w, vecs in factor.items()}
         out: Dict[int, EchelonBasis] = {}
-        for w1, vecs1 in current.items():
-            if not vecs1:
+        for w1, xs in left.items():
+            if not xs:
                 continue
-            for w2, vecs2 in factor.items():
+            for w2, ys in right.items():
                 w = w1 + w2
-                if w > self.top_weight or not vecs2:
+                if w > self.top_weight or not ys:
                     continue
                 eb = out.get(w)
                 if eb is None:
@@ -334,9 +217,9 @@ class TensorSquare:
                     out[w] = eb
                 if eb.is_full():
                     continue
-                for a in vecs1:
-                    for b in vecs2:
-                        p = self.multiply_coords(w1, a, w2, b)
+                for x in xs:
+                    for y in ys:
+                        p = self.multiply_coords(x, y, w)
                         if p:
                             eb.insert(p)
                     if eb.is_full():

@@ -83,3 +83,44 @@ def test_document_serialization_is_canonical():
     a = document_to_json(structure_document(Presentation(3, 2)))
     b = document_to_json(structure_document(Presentation(3, 2)))
     assert a == b
+
+
+def _list_document(doc):
+    return []
+
+
+def _out_of_range_index(doc):
+    doc["products"][0][2][0][0] = len(doc["basis"])
+    return doc
+
+
+def _scalar_basis(doc):
+    doc["basis"] = 5
+    return doc
+
+
+def _no_products(doc):
+    del doc["products"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "malform", [_list_document, _out_of_range_index, _scalar_basis, _no_products],
+    ids=["list", "index-out-of-range", "scalar-basis", "no-products"],
+)
+def test_malformed_document_is_cache_error(malform, tmp_path, capsys):
+    # every malformed shape is a CacheError, never a traceback; the checksum
+    # is recomputed so the malformation itself has to be caught
+    from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
+    from tcbounds.cli import EXIT_USAGE, main
+
+    doc = malform(structure_document(Presentation(3, 2)))
+    if isinstance(doc, dict):
+        doc["checksum"] = _document_checksum({k: doc[k] for k in _CHECKED_KEYS if k in doc})
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheError):
+        load_structure_document(path, Presentation(3, 2))
+    code = main(["report", "--m", "2", "--n", "3", "--cache", str(path)])
+    assert code == EXIT_USAGE
+    assert "cannot use cache" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Tensor square, diagonal restriction, zero-divisor machinery."""
 
+import operator
 import random
 
 import pytest
@@ -305,3 +306,21 @@ def test_mismatched_tensor_factors_rejected():
     y = TensorElement.one(Presentation(3, 3), QQ)
     with pytest.raises(ValueError):
         x * y
+
+
+def test_ring_and_tensor_elements_never_equal():
+    # the shared element base compares the element kind, not only the terms
+    p = Presentation(3, 2)
+    assert not AlgebraElement.zero(p, QQ) == TensorElement.zero(p, QQ)
+    assert not TensorElement.zero(p, QQ) == AlgebraElement.zero(p, QQ)
+    assert AlgebraElement.zero(p, QQ) != TensorElement.zero(p, QQ)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul], ids=["+", "-", "*"])
+def test_ring_and_tensor_elements_do_not_combine(op):
+    p = Presentation(3, 2)
+    a = generator(p, 1, 2)
+    t = bar(a)
+    for x, y in ((a, t), (t, a)):
+        with pytest.raises(TypeError):
+            op(x, y)
