@@ -227,7 +227,15 @@ class Presentation:
         return straighten_word(word, self.parity)
 
     def product(self, u: Word, v: Word) -> Dict[Word, int]:
-        """Structure constants of basis product u * v (memoized)."""
+        """Structure constants of basis product u * v (memoized).
+
+        A product of more than `top_weight` factors is zero by grading and is
+        neither straightened nor memoized: admissible words have strictly
+        increasing upper indices in 2..n, and every rewrite keeps the factor
+        count.
+        """
+        if len(u) + len(v) > self.top_weight:
+            return {}
         key = (u, v)
         got = self._products.get(key)
         if got is None:
@@ -548,6 +556,11 @@ def verify_structure_document(doc: dict, pres: Presentation, samples=100, rng=No
     products verified; raises CacheError on any mismatch.
     """
     mons, table = _parse_document(doc, pres)
+    return _check_products(doc, mons, table, pres, samples, rng)
+
+
+def _check_products(doc: dict, mons: List[Word], table, pres: Presentation, samples, rng) -> int:
+    """Re-derive the sampled (or all) products of a parsed document; returns their count."""
     fresh = Presentation(pres.n, pres.m)
     if samples is None:
         pairs = [(u, v) for u in mons for v in mons]
@@ -567,7 +580,7 @@ def load_structure_document(path, pres: Presentation, samples=100) -> dict:
     """Read, validate and install a product table into `pres`; returns the document."""
     with open(path) as fh:
         doc = json.load(fh)
-    verify_structure_document(doc, pres, samples=samples)
-    _, table = _parse_document(doc, pres)
+    mons, table = _parse_document(doc, pres)
+    _check_products(doc, mons, table, pres, samples, None)
     pres.adopt_products(table)
     return doc

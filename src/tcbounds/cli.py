@@ -156,9 +156,15 @@ def cmd_grid(args) -> int:
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_grid_cell, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_grid_cell, tasks))
+        except BrokenProcessPool as exc:
+            # a worker killed (out of memory, a signal) takes its cells with it
+            print(f"error: grid worker died: {exc}", file=sys.stderr)
+            return EXIT_CAP
     else:
         results = [_grid_cell(t) for t in tasks]
 

@@ -18,7 +18,11 @@ factors, up to sign, and V_k keeps one accepted vector bar(S) per basis
 element.  Multiplying by bar(g) uses precomputed right-multiplication
 operators R_g on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer
 arithmetic (the structure constants are integers); vectors are coerced into
-the field only on entering the echelon basis.
+the field only on entering the echelon basis.  The flat coordinates
+iu * N + iv of these vectors run over the basis of H in reverse, top weight
+first and the unit last, so that the echelon's leftmost pivots fall where the
+products are sparse and the accepted rows do not fill in; the spans do not
+depend on this order.
 
 `TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
 ideal Z from the diagonal kernels instead.  It is the reference oracle that
@@ -255,15 +259,14 @@ class TensorSquare:
 
     # -- products of barred generators ---------------------------------------
 
-    def _generator_operators(self) -> List[List[List[Tuple[int, int]]]]:
+    def _generator_operators(self, mons: List[Word],
+                             index: Dict[Word, int]) -> List[List[List[Tuple[int, int]]]]:
         """R_g for each generator g: ops[g][iu] lists (iw, k) with u * g = sum k * w.
 
-        Indices run over `Presentation.full_basis()`; this is the only place
-        the bar-span engine asks the presentation for products.
+        Indices run over `mons`, with `index` its inverse; this is the only
+        place the bar-span engine asks the presentation for products.
         """
         pres = self.pres
-        mons = pres.full_basis()
-        index = {w: i for i, w in enumerate(mons)}
         return [
             [[(index[w], k) for w, k in pres.product(u, (g,)).items()] for u in mons]
             for g in pres.generators()
@@ -274,9 +277,18 @@ class TensorSquare:
 
         A label is the sorted tuple of generator indices S, standing for the
         integer vector bar(S) in flat coordinates iu * N + iv over the full
-        basis of H (N = n!).  Since bar(S) depends on the multiset S only up
-        to sign, V_{k+1} is spanned by bar(S + g) over the labels S of
-        V_k, and each new label is multiplied out once.
+        basis of H (N = n!) in reverse: top weight first, the lex-last
+        admissible monomial of a weight first, the unit last.  Since bar(S)
+        depends on the multiset S only up to sign, V_{k+1} is spanned by
+        bar(S + g) over the labels S of V_k, and each new label is multiplied
+        out once.
+
+        The order is chosen for fill-in only.  The echelon pivots on the
+        leftmost nonzero coordinate, so here it eliminates high-weight,
+        high-upper-index coordinates first, where products of barred
+        generators are sparse, and the accepted rows stay short.  Spans,
+        labels and witnesses do not depend on it: the same labels are
+        offered in the same order and acceptance is span membership.
         """
         cached = self._bar_levels
         if cached is not None:
@@ -286,9 +298,10 @@ class TensorSquare:
         gens = pres.generators()
         if not gens:
             return []
-        mons = pres.full_basis()
+        mons = pres.full_basis()[::-1]
         n_mons = len(mons)
-        ops = self._generator_operators()
+        index = {w: i for i, w in enumerate(mons)}
+        ops = self._generator_operators(mons, index)
         # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
         odd = [bool(pres.parity and len(w) & 1) for w in mons]
         coerce = field.coerce
@@ -313,13 +326,13 @@ class TensorSquare:
                     out[key] = get(key, 0) - c * k
             return {f: c for f, c in out.items() if c}
 
-        # bar(g) = g (x) 1 - 1 (x) g; the unit is full-basis index 0
+        # bar(g) = g (x) 1 - 1 (x) g; the unit is the last index, N - 1
+        unit = n_mons - 1
         eb = EchelonBasis(field, self.dim(1))
         level: List[Tuple[Label, Dict[int, int]]] = []
-        weight1 = pres.basis_index(1)
         for gi, g in enumerate(gens):
-            ig = weight1[(g,)] + 1
-            vec = {ig * n_mons: 1, ig: -1}
+            ig = index[(g,)]
+            vec = {ig * n_mons + unit: 1, unit * n_mons + ig: -1}
             if eb.insert(to_field(vec)):
                 level.append(((gi,), vec))
         levels = [[label for label, _ in level]]

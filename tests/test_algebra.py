@@ -141,6 +141,19 @@ def test_products_of_n_generators_vanish(m):
         assert out.is_zero()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3])
+def test_over_weight_products_are_zero(n, m):
+    # the grading cutoff in `product` answers these without straightening
+    p = Presentation(n, m)
+    mons = p.full_basis()
+    over = [(u, v) for u in mons for v in mons if len(u) + len(v) > p.top_weight]
+    assert over or n == 1
+    for u, v in over:
+        assert p.product(u, v) == straighten_word(u + v, p.parity) == {}
+    assert not any(key in p._products for key in over)
+
+
 def test_mismatched_presentations_rejected():
     a = AlgebraElement.one(Presentation(3, 2), QQ)
     b = AlgebraElement.one(Presentation(3, 3), QQ)

@@ -1,10 +1,12 @@
 """Command-line surface: output formats, exit codes, cache handling."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import tcbounds.cli
 from tcbounds.cli import (
     EXIT_CAP,
     EXIT_PINCHED,
@@ -159,6 +161,20 @@ def test_grid_parallel_matches_serial(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def _worker_dies(task):
+    os._exit(1)
+
+
+def test_grid_worker_crash_is_reported(capsys, monkeypatch):
+    # two cells on two workers, each of which dies: an error line, not a traceback
+    monkeypatch.setattr(tcbounds.cli, "_grid_cell", _worker_dies)
+    code, out, err = run(capsys, "grid", "--m", "2..3", "--n", "2", "--jobs", "2")
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err.startswith("error: grid worker died: ")
+    assert "Traceback" not in err
+
+
 # -- small utilities -----------------------------------------------------------------
 
 def test_basis_command(capsys):
@@ -203,6 +219,16 @@ def test_barspan_command(capsys):
     assert data["bar_span_length"] == 3
     assert data["span_dims"] == [3, 3, 1]
     assert data["witness"] == [[1, 2], [1, 3], [2, 3]]
+
+
+def test_barspan_n5_mod_p(capsys):
+    code, out, _ = run(capsys, "barspan", "--n", "5", "--m", "2", "--field", "zp:2147419721")
+    assert code == 0
+    assert out.splitlines() == [
+        "bar_span_length = 7",
+        "span dimensions by power: [10, 45, 120, 210, 246, 180, 60]",
+        "witness = bar(e_1_2)*bar(e_1_3)*bar(e_2_3)*bar(e_1_4)*bar(e_2_4)*bar(e_1_5)*bar(e_2_5)",
+    ]
 
 
 def test_barspan_witness_line(capsys):

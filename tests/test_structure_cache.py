@@ -124,3 +124,21 @@ def test_malformed_document_is_cache_error(malform, tmp_path, capsys):
     code = main(["report", "--m", "2", "--n", "3", "--cache", str(path)])
     assert code == EXIT_USAGE
     assert "cannot use cache" in capsys.readouterr().err
+
+
+def test_load_parses_the_document_once(tmp_path, monkeypatch):
+    import tcbounds.algebra as algebra
+
+    path = tmp_path / "s.json"
+    write_structure_document(Presentation(3, 2), path)
+    calls = []
+    parse = algebra._parse_document
+
+    def counting_parse(doc, pres):
+        calls.append(pres)
+        return parse(doc, pres)
+
+    monkeypatch.setattr(algebra, "_parse_document", counting_parse)
+    pres = Presentation(3, 2)
+    load_structure_document(path, pres)
+    assert calls == [pres]
