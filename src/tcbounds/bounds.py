@@ -5,7 +5,10 @@ TC conventions are unreduced throughout: TC(point) = 1, TC(circle) = 2.
 Lower bounds come from zero-divisor cup-lengths (a nonzero product of k
 zero-divisors forces TC > k).  The zero-divisor ideal is generated by the
 barred generators, so the cup-length is the bar-span length of
-`TensorSquare`.  Upper bounds come from four sources:
+`TensorSquare`, certified as in the paper: the witness product survives in
+the field, and below the top weight every product of 2n - 2 distinct barred
+generators vanishes (`bar_span_length_certified`, with the full bar span as
+fallback and test oracle).  Upper bounds come from four sources:
 
 * dimension: TC <= 2*dim + 1 for a complex of dimension dim;
 * connectivity: for an (s-1)-connected complex, TC < (2*dim + 1)/s + 1,
@@ -190,12 +193,12 @@ def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps(),
     """Compute and cross-check TC bounds for F(R^m, n).
 
     The lower bound is the zero-divisor cup-length over the requested field,
-    read off the bar span over that field (the zero-divisor lemma makes the
-    two lengths equal).  The sharpness upper bound always consumes the
-    bar-span length over Q: the ring and its tensor square are free
+    the certified bar-span length over that field (the zero-divisor lemma
+    makes the two lengths equal).  The sharpness upper bound always consumes
+    the bar-span length over Q: the ring and its tensor square are free
     Z-modules, so rational nonvanishing of a bar product is the same as
     integral nonvanishing, which is what the sharpness criterion needs.  Over
-    Q one span serves both bounds.  A modular field can only weaken the lower
+    Q one length serves both bounds.  A modular field can only weaken the lower
     bound (recorded as a warning for characteristic 2), never the upper one.
 
     `pres` may supply an already-built (e.g. cache-backed) presentation.
@@ -217,12 +220,12 @@ def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps(),
         pres = Presentation(n, m)
     elif (pres.n, pres.m) != (n, m):
         raise ValueError(f"presentation is for (n={pres.n}, m={pres.m}), not (n={n}, m={m})")
-    zcl = TensorSquare(pres, field).bar_span_length()
+    zcl = TensorSquare(pres, field).bar_span_length_certified()
     report.lower = lower_from_zcl(zcl)
     report.lower_source = LOWER_TAG
     report.diagnostics.append(("zero_divisor_cuplength", zcl))
 
-    bar_len = zcl if field == QQ else TensorSquare(pres, QQ).bar_span_length()
+    bar_len = zcl if field == QQ else TensorSquare(pres, QQ).bar_span_length_certified()
     report.diagnostics.append(("bar_span_length_over_Q", bar_len))
 
     candidates: List[Tuple[int, str]] = []

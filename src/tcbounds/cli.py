@@ -266,7 +266,7 @@ def cmd_zcl(args) -> int:
     if square is None:
         return rc
     # the zero-divisor lemma: the cup-length is the bar-span length
-    zcl = square.bar_span_length()
+    zcl = square.bar_span_length_certified()
     payload = {
         "n": args.n,
         "m": args.m,
@@ -410,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the invariant fuzz suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--shuffles", type=int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=200)
+    p.add_argument("--shuffles", type=_positive_int, default=100)
     p.add_argument("--cache", default=None,
                    help="also fully re-verify this structure-constant document")
     add_common(p, field=False, caps=False)

@@ -21,7 +21,7 @@ from .algebra import (
     straighten_word,
     straighten_word_shuffled,
 )
-from .coeffs import QQ
+from .coeffs import QQ, PrimeField
 from .tensor import TensorElement, TensorSquare, bar, diagonal_restriction, koszul_swap
 
 
@@ -263,8 +263,8 @@ def suite_span_consistency(cases=((2, 3), (2, 4), (3, 2), (3, 3)), field=QQ) -> 
     """bar-span length equals the zero-divisor cup-length of the full ideal iteration.
 
     The zero-divisor lemma (the ideal is generated by the barred generators)
-    makes them equal; reports rely on it by reading the cup-length off the
-    bar span.
+    makes them equal.  Reports read the cup-length off the certified route,
+    which must give the span's length over Q, Z_2 and Z_3.
     """
     res = SuiteResult("span consistency")
     for n, m in cases:
@@ -273,6 +273,11 @@ def suite_span_consistency(cases=((2, 3), (2, 4), (3, 2), (3, 3)), field=QQ) -> 
         res.cases += 1
         if square.bar_span_length() != len(square.zero_divisor_power_profile()):
             res.failures.append(f"n={n} m={m}")
+        for route_field in (QQ, PrimeField(2), PrimeField(3)):
+            square = TensorSquare(pres, route_field)
+            res.cases += 1
+            if square.bar_span_length_certified() != square.bar_span_length():
+                res.failures.append(f"n={n} m={m} route over {route_field.describe()}")
     return res
 
 

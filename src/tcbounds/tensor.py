@@ -18,11 +18,13 @@ factors, up to sign, and V_k keeps one accepted vector bar(S) per basis
 element.  Multiplying by bar(g) uses precomputed right-multiplication
 operators R_g on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer
 arithmetic (the structure constants are integers); vectors are coerced into
-the field only on entering the echelon basis.  The flat coordinates
-iu * N + iv of these vectors run over the basis of H in reverse, top weight
-first and the unit last, so that the echelon's leftmost pivots fall where the
-products are sparse and the accepted rows do not fill in; the spans do not
-depend on this order.
+the field only on entering the echelon basis.
+
+Reports do not build the span: `TensorSquare.bar_span_length_certified`
+uses the same integer multiply-by-bar.  The paper's witness word, multiplied
+out over Z, bounds the length from below; below the top weight 2n - 2, a check
+that every bar(S) over square-free (2n - 2)-subsets S vanishes bounds it from
+above.  The span is the fallback and the tests' oracle; `barspan` prints it.
 
 `TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
 ideal Z from the diagonal kernels instead.  It is the reference oracle that
@@ -137,8 +139,8 @@ def koszul_swap(x: TensorElement) -> TensorElement:
 class TensorSquare:
     """Graded coordinate model of H* (x) H* over a fixed field.
 
-    Caches bases, the full bar-span levels and, for the reference oracle, the
-    diagonal kernels per weight; all computations consume frozen data, so
+    Caches bases, the bar operators and levels and, for the reference oracle,
+    the diagonal kernels per weight; all computations consume frozen data, so
     instances are safe to share once warmed up.
     """
 
@@ -150,6 +152,7 @@ class TensorSquare:
         self._index: Dict[int, Dict[Pair, int]] = {}
         self._zkernels: Dict[int, EchelonBasis] = {}
         self._bar_levels: Optional[List[List[Label]]] = None
+        self._bar_ops = None  # built once, by _bar_operators
 
     def basis(self, w: int) -> List[Pair]:
         got = self._bases.get(w)
@@ -236,7 +239,7 @@ class TensorSquare:
         Entry k-1 maps weight -> dim of the weight piece of Z^k.  The list
         stops at the last nonzero power (or at max_power), so its length is
         the zero-divisor cup-length.  Only tests and the selftest call this:
-        reports take the cup-length from `bar_span_length`.
+        reports take it from `bar_span_length_certified`.
         """
         if self.top_weight == 0:
             return []
@@ -259,56 +262,26 @@ class TensorSquare:
 
     # -- products of barred generators ---------------------------------------
 
-    def _generator_operators(self, mons: List[Word],
-                             index: Dict[Word, int]) -> List[List[List[Tuple[int, int]]]]:
-        """R_g for each generator g: ops[g][iu] lists (iw, k) with u * g = sum k * w.
+    def _bar_operators(self):
+        """(one, ops, times_bar): multiplying by bar(g) in integer flat coordinates.
 
-        Indices run over `mons`, with `index` its inverse; this is the only
-        place the bar-span engine asks the presentation for products.
+        u (x) v sits at iu * N + iv, over the full basis of H (N = n!) in
+        reverse, the unit last, so one = {N^2 - 1: 1} is 1 (x) 1.  ops[g][iu]
+        lists (iw, k) with u * g = sum k * w (R_g); times_bar(vec, ops[g]) is
+        vec * bar(g) over Z.
         """
+        if self._bar_ops is not None:
+            return self._bar_ops
         pres = self.pres
-        return [
-            [[(index[w], k) for w, k in pres.product(u, (g,)).items()] for u in mons]
-            for g in pres.generators()
-        ]
-
-    def _bar_span_levels(self, max_power: Optional[int]) -> List[List[Label]]:
-        """Labels of the accepted basis vectors of V_1, V_2, ..., level by level.
-
-        A label is the sorted tuple of generator indices S, standing for the
-        integer vector bar(S) in flat coordinates iu * N + iv over the full
-        basis of H (N = n!) in reverse: top weight first, the lex-last
-        admissible monomial of a weight first, the unit last.  Since bar(S)
-        depends on the multiset S only up to sign, V_{k+1} is spanned by
-        bar(S + g) over the labels S of V_k, and each new label is multiplied
-        out once.
-
-        The order is chosen for fill-in only.  The echelon pivots on the
-        leftmost nonzero coordinate, so here it eliminates high-weight,
-        high-upper-index coordinates first, where products of barred
-        generators are sparse, and the accepted rows stay short.  Spans,
-        labels and witnesses do not depend on it: the same labels are
-        offered in the same order and acceptance is span membership.
-        """
-        cached = self._bar_levels
-        if cached is not None:
-            # V_1 is always reported, as when the levels are computed
-            return cached if max_power is None else cached[:max(max_power, 1)]
-        pres, field = self.pres, self.field
-        gens = pres.generators()
-        if not gens:
-            return []
         mons = pres.full_basis()[::-1]
         n_mons = len(mons)
         index = {w: i for i, w in enumerate(mons)}
-        ops = self._generator_operators(mons, index)
+        ops = [
+            [[(index[w], k) for w, k in pres.product(u, (g,)).items()] for u in mons]
+            for g in pres.generators()
+        ]
         # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
         odd = [bool(pres.parity and len(w) & 1) for w in mons]
-        coerce = field.coerce
-
-        def to_field(vec: Dict[int, int]) -> Vec:
-            row = {f: coerce(c) for f, c in vec.items()}
-            return {f: c for f, c in row.items() if c}
 
         def times_bar(vec: Dict[int, int], op) -> Dict[int, int]:
             # u (x) v -> (-1)^{parity |v|} ug (x) v - u (x) vg, over Z
@@ -326,13 +299,44 @@ class TensorSquare:
                     out[key] = get(key, 0) - c * k
             return {f: c for f, c in out.items() if c}
 
-        # bar(g) = g (x) 1 - 1 (x) g; the unit is the last index, N - 1
-        unit = n_mons - 1
+        self._bar_ops = ({n_mons * n_mons - 1: 1}, ops, times_bar)
+        return self._bar_ops
+
+    def _bar_span_levels(self, max_power: Optional[int]) -> List[List[Label]]:
+        """Labels of the accepted basis vectors of V_1, V_2, ..., level by level.
+
+        A label is the sorted tuple of generator indices S, standing for the
+        integer vector bar(S) in the flat coordinates of `_bar_operators`.
+        Since bar(S) depends on the multiset S only up to sign, V_{k+1} is
+        spanned by bar(S + g) over the labels S of V_k, and each new label is
+        multiplied out once.
+
+        The reversed basis order (top weight first, the lex-last admissible
+        monomial of a weight first) is chosen for fill-in only.  The echelon
+        pivots on the leftmost nonzero coordinate, so here it eliminates
+        high-weight, high-upper-index coordinates first, where products of
+        barred generators are sparse, and the accepted rows stay short.
+        Spans, labels and witnesses do not depend on it: the same labels are
+        offered in the same order and acceptance is span membership.
+        """
+        cached = self._bar_levels
+        if cached is not None:
+            # V_1 is always reported, as when the levels are computed
+            return cached if max_power is None else cached[:max(max_power, 1)]
+        pres, field = self.pres, self.field
+        one, ops, times_bar = self._bar_operators()
+        if not ops:
+            return []
+        coerce = field.coerce
+
+        def to_field(vec: Dict[int, int]) -> Vec:
+            row = {f: coerce(c) for f, c in vec.items()}
+            return {f: c for f, c in row.items() if c}
+
         eb = EchelonBasis(field, self.dim(1))
         level: List[Tuple[Label, Dict[int, int]]] = []
-        for gi, g in enumerate(gens):
-            ig = index[(g,)]
-            vec = {ig * n_mons + unit: 1, unit * n_mons + ig: -1}
+        for gi, op in enumerate(ops):
+            vec = times_bar(one, op)  # bar(g) = g (x) 1 - 1 (x) g
             if eb.insert(to_field(vec)):
                 level.append(((gi,), vec))
         levels = [[label for label, _ in level]]
@@ -369,13 +373,7 @@ class TensorSquare:
     def bar_span_profile(self, max_power: Optional[int] = None) -> List[int]:
         """Dimensions of V_1, V_2, ... where V_1 = span of barred generators.
 
-        V_{k+1} = V_k * V_1 is built from labelled products: the basis of V_k
-        is kept as accepted vectors bar(S), one per sorted multiset S of
-        generators, and V_{k+1} is spanned by bar(S + g).  Multiplying by
-        bar(g) applies the precomputed right-multiplication operators R_g of
-        H in Kronecker form, in integer arithmetic; a vector is coerced into
-        the field only when it is offered to the echelon basis.  The list
-        stops at the last nonzero V_k (or at max_power).
+        The list stops at the last nonzero V_k (or at max_power).
         """
         return [len(level) for level in self._bar_span_levels(max_power)]
 
@@ -394,3 +392,46 @@ class TensorSquare:
         """Largest k with V_k != 0: the zero-divisor cup-length over this field."""
         return len(self.bar_span_profile())
 
+    def _witness_word(self) -> Label:
+        """The paper's witness word, as sorted generator indices.
+
+        Each bar(e_1j) squared (length 2n - 2) for odd m outside characteristic
+        2, else each bar(e_1j) and bar(e_2j), j >= 3 (length 2n - 3).
+        """
+        gens = self.pres.generators()
+        if not self.pres.parity and self.field.characteristic != 2:
+            return tuple(gi for gi, (i, _) in enumerate(gens) if i == 1 for _ in range(2))
+        return tuple(gi for gi, (i, j) in enumerate(gens) if i == 1 or (i == 2 and j >= 3))
+
+    def _square_free_products_vanish(self, k: int) -> bool:
+        """Whether bar(S) vanishes in the field for each square-free k-subset S."""
+        one, ops, times_bar = self._bar_operators()
+        coerce = self.field.coerce
+
+        def vanish(vec: Dict[int, int], start: int, depth: int) -> bool:
+            # depth first over sorted S; a partial product 0 over Z stays 0
+            if depth == k:
+                return not any(coerce(c) for c in vec.values())
+            for gi in range(start, len(ops) - (k - depth) + 1):
+                prod = times_bar(vec, ops[gi])
+                if prod and not vanish(prod, gi + 1, depth + 1):
+                    return False
+            return True
+
+        return vanish(one, 0, 0)
+
+    def bar_span_length_certified(self) -> int:
+        """The bar-span length from the paper's witness and a top-weight check, else the span."""
+        one, ops, times_bar = self._bar_operators()
+        word = self._witness_word()
+        vec = one
+        for gi in word:
+            vec = times_bar(vec, ops[gi])
+        top = self.top_weight
+        # square-free S span V_top only when every bar(g)^2 vanishes in the field
+        square_free = self.pres.parity or self.field.characteristic == 2
+        if any(map(self.field.coerce, vec.values())) and (len(word) == top or (
+                len(word) == top - 1 and square_free
+                and self._square_free_products_vanish(top))):
+            return len(word)
+        return self.bar_span_length()

@@ -142,7 +142,7 @@ def test_report_mod2_degrades_without_false_pinch():
 
 
 def test_report_mod2_n4_odd_m_keeps_fields_apart():
-    # the lower bound comes from the span over Z_2, the sharpness bound from Q
+    # the lower bound comes from the cup-length over Z_2, the sharpness bound from Q
     r = assemble_report(3, 4, field=PrimeField(2))
     assert (r.lower, r.upper, r.pinched) == (6, 7, False)
     diagnostics = dict(r.diagnostics)
@@ -160,6 +160,11 @@ def test_report_mod3_sphere_pinches():
     r = assemble_report(3, 2, field=PrimeField(3))
     assert r.pinched and r.lower == 3
     assert not r.warnings
+
+
+def test_report_n6_certifies_past_the_default_cap():
+    r = assemble_report(3, 6, caps=Caps(max_n=6))
+    assert (r.lower, r.upper, r.closed_form, r.pinched) == (11, 11, 11, True)
 
 
 def test_caps_give_unknown_report():

@@ -323,6 +323,15 @@ def test_selftest_passes(capsys):
     assert "all suites passed" in out
 
 
+@pytest.mark.parametrize("option", ["--samples", "--shuffles"])
+@pytest.mark.parametrize("value", ["0", "-1", "many"])
+def test_selftest_rejects_vacuous_runs(capsys, option, value):
+    code, out, err = run(capsys, "selftest", option, value)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert option in err
+
+
 def test_selftest_deterministic(capsys):
     _, out1, _ = run(capsys, "selftest", "--samples", "10", "--shuffles", "5",
                      "--seed", "42", "--output", "json")

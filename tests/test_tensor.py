@@ -279,6 +279,72 @@ def test_barspan_never_exceeds_cuplength(n, m):
         assert bar_span_length(pres, field) == cuplength(pres, field), field.describe()
 
 
+# -- the report route: the paper's witness and one top-weight check ---------------
+
+def route_length_without_span(pres, field, monkeypatch):
+    """`bar_span_length_certified`, failing if it falls back to the span."""
+    def no_span(self, max_power=None):
+        raise AssertionError("the route fell back to the span")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TensorSquare, "bar_span_profile", no_span)
+        return TensorSquare(pres, field).bar_span_length_certified()
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "Z2", "Z3"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_route_matches_span(n, m, field, monkeypatch):
+    pres = Presentation(n, m)
+    assert route_length_without_span(pres, field, monkeypatch) == bar_span_length(pres, field)
+
+
+@pytest.mark.parametrize("m,field", [(2, PrimeField(3)), (3, PrimeField(2))], ids=["2-Z3", "3-Z2"])
+def test_route_matches_span_n5(m, field, monkeypatch):
+    # over Z_2 the odd-m witness has length 2n - 3 = 7, so the top check runs:
+    # its 45 square-free bar(S) of length 8 are nonzero over Z but vanish mod 2
+    pres = Presentation(5, m)
+    assert route_length_without_span(pres, field, monkeypatch) == bar_span_length(pres, field) == 7
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_top_check_sees_surviving_products(n):
+    # odd m: bar(all six generators) survives over Q at n = 4, and 45 square-free
+    # products of length 8 at n = 5; all of them vanish mod 2
+    top = 2 * n - 2
+    assert not TensorSquare(Presentation(n, 3), QQ)._square_free_products_vanish(top)
+    assert TensorSquare(Presentation(n, 3), PrimeField(2))._square_free_products_vanish(top)
+    # even m: the witness length 2n - 3 survives, the top weight does not
+    sq = TensorSquare(Presentation(n, 2), QQ)
+    assert not sq._square_free_products_vanish(top - 1)
+    assert sq._square_free_products_vanish(top)
+
+
+@pytest.mark.parametrize("n,m,field,word", [
+    # bar(e_12)^(2n-3) = 0 for n >= 3: bar(g)^2 is 0 or -2 g (x) g, and g^2 = 0
+    (3, 2, QQ, (0, 0, 0)),
+    (3, 3, QQ, (0, 0, 0)),
+    (4, 3, QQ, (0,) * 5),
+    # bar(e_12)^2 bar(e_13)^2 = 4 e12e13 (x) e12e13: nonzero over Z, 0 mod 2
+    (3, 3, PrimeField(2), (0, 0, 1, 1)),
+    # survives below the top, but bar(g)^2 != 0: square-free products do not span V_4
+    (3, 3, QQ, (0, 1, 2)),
+], ids=["even-m", "odd-m", "odd-m-n4", "dies-mod-2", "squares-survive"])
+def test_route_falls_back_to_span(n, m, field, word, monkeypatch):
+    monkeypatch.setattr(TensorSquare, "_witness_word", lambda self: word)
+    profile_calls = []
+    span_profile = TensorSquare.bar_span_profile
+
+    def spy(self, max_power=None):
+        profile_calls.append(max_power)
+        return span_profile(self, max_power)
+
+    monkeypatch.setattr(TensorSquare, "bar_span_profile", spy)
+    pres = Presentation(n, m)
+    assert TensorSquare(pres, field).bar_span_length_certified() == bar_span_length(pres, field)
+    assert profile_calls
+
+
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 5)])
 def test_power_weights_stay_in_range(n, m):
     sq = TensorSquare(Presentation(n, m), QQ)
