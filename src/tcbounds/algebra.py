@@ -16,6 +16,14 @@ procedure (`straighten_word`); the randomized variant `straighten_word_shuffled`
 applies the same local rules in an arbitrary order and is kept as an
 independent confluence oracle.
 
+`straighten_word` is also the definition of the product of basis words:
+u * v is the normal form of the word u + v.  `Presentation.product` straightens
+only products by one generator g (the operator R_g) and folds a longer v one
+generator at a time, u * (v' g) = (u * v') * g; the table it fills holds only
+the pairs within the top weight, since every longer product is zero by
+grading.  Loaded structure-constant documents are checked against the
+definition itself, so the fold is never its own oracle.
+
 Elements are sparse linear combinations over a field.  `SparseElement` holds
 the linear structure that ring and tensor elements share: sums, scaling,
 equality of the same kind only, weights, and `combine`, the one accumulation
@@ -160,8 +168,9 @@ def straighten_word_shuffled(word: Iterable[Edge], parity: int, rng) -> Dict[Wor
 class Presentation:
     """Presentation of H*(F(R^m, n)): n points in R^m, generators in degree m-1.
 
-    Instances memoize bases and pairwise basis products (integer structure
-    constants).  All methods are pure apart from filling these caches.
+    Instances memoize bases, pairwise basis products (integer structure
+    constants) and the R_g operators.  All methods are pure apart from filling
+    these caches.
     """
 
     def __init__(self, n: int, m: int):
@@ -179,6 +188,7 @@ class Presentation:
         self._bases: Dict[int, Tuple[Word, ...]] = {}
         self._basis_index: Dict[int, Dict[Word, int]] = {}
         self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}
+        self._right_ops = None  # built once, by right_operators
 
     def __repr__(self):
         return f"Presentation(n={self.n}, m={self.m})"
@@ -229,8 +239,19 @@ class Presentation:
     def product(self, u: Word, v: Word) -> Dict[Word, int]:
         """Structure constants of basis product u * v (memoized).
 
+        By definition u * v is `straighten_word(u + v)`, and that is how a
+        product by at most one generator (the operator R_g) is computed.  A
+        longer v is folded one generator at a time: with v = v' g,
+
+            u * v = (u * v') * g = sum_w c_w * (w * g),  where u * v' = sum_w c_w * w.
+
+        This holds because the ring is associative and a prefix v' of an
+        admissible word is admissible, and it straightens only the R_g
+        entries, not every whole word u + v.  `_check_products` compares
+        loaded tables with the definition, not with this fold.
+
         A product of more than `top_weight` factors is zero by grading and is
-        neither straightened nor memoized: admissible words have strictly
+        neither computed nor memoized: admissible words have strictly
         increasing upper indices in 2..n, and every rewrite keeps the factor
         count.
         """
@@ -239,9 +260,37 @@ class Presentation:
         key = (u, v)
         got = self._products.get(key)
         if got is None:
-            got = straighten_word(u + v, self.parity)
+            if len(v) <= 1:
+                got = straighten_word(u + v, self.parity)
+            else:
+                g = v[-1:]
+                got = {}
+                for w, c in self.product(u, v[:-1]).items():
+                    for x, k in self.product(w, g).items():
+                        total = got.get(x, 0) + c * k
+                        if total:
+                            got[x] = total
+                        else:
+                            del got[x]
             self._products[key] = got
         return got
+
+    def right_operators(self) -> List[List[List[Tuple[int, int]]]]:
+        """R_g for each generator g, in integer coordinates over the reversed full basis.
+
+        The basis is `full_basis()[::-1]`: the top weight first, the unit
+        last.  ops[g][iu] lists (iw, k) with u * g = sum k * w, where u and w
+        sit at iu and iw.  Built once per ring, so every tensor square over
+        it, whatever its field, shares them.
+        """
+        if self._right_ops is None:
+            mons = self.full_basis()[::-1]
+            index = {w: i for i, w in enumerate(mons)}
+            self._right_ops = [
+                [[(index[w], k) for w, k in self.product(u, (g,)).items()] for u in mons]
+                for g in self.generators()
+            ]
+        return self._right_ops
 
     def adopt_products(self, table: Dict[Tuple[Word, Word], Dict[Word, int]]) -> None:
         """Install a verified product table (see `load_structure_document`)."""
@@ -478,13 +527,17 @@ def structure_document(pres: Presentation) -> dict:
     """Versioned JSON-ready dump of the full product table.
 
     Coefficients are serialized as decimal strings; `basis` lists monomials as
-    edge lists in the canonical weight-by-weight order.
+    edge lists in the canonical weight-by-weight order.  Only pairs within the
+    top weight can be nonzero, and the weight order lets the scan stop there.
     """
     mons = pres.full_basis()
     index = {w: i for i, w in enumerate(mons)}
+    top = pres.top_weight
     products = []
     for i, u in enumerate(mons):
         for j, v in enumerate(mons):
+            if len(u) + len(v) > top:
+                break
             p = pres.product(u, v)
             if p:
                 entry = sorted((index[w], c) for w, c in p.items())
@@ -536,14 +589,34 @@ def _parse_document(doc: dict, pres: Presentation):
         raise CacheError("basis is not a list of edge lists") from None
     if mons != pres.full_basis():
         raise CacheError("basis list does not match the presentation")
-    # absent pairs are zero products; install them too so the cache is complete
-    table = {(u, v): {} for u in mons for v in mons}
+    # absent pairs within the top weight are zero products; install them too so
+    # the cache is complete (`product` never stores or reads the pairs above it)
+    top = pres.top_weight
+    table = {}
+    for u in mons:
+        for v in mons:
+            if len(u) + len(v) > top:
+                break
+            table[(u, v)] = {}
     by_index = dict(enumerate(mons))
     try:
-        for i, j, entries in doc["products"]:
-            table[(by_index[i], by_index[j])] = {by_index[k]: int(c) for k, c in entries}
+        entries = [(by_index[i], by_index[j], {by_index[k]: int(c) for k, c in terms})
+                   for i, j, terms in doc["products"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CacheError(f"malformed product entry ({type(exc).__name__}: {exc})") from None
+    # a product is homogeneous of weight len(u) + len(v), and zero above the top
+    for u, v, terms in entries:
+        weight = len(u) + len(v)
+        if weight > top:
+            raise CacheError(
+                f"entry for {monomial_str(u)} * {monomial_str(v)} is above the top weight {top}"
+            )
+        if any(len(w) != weight for w in terms):
+            raise CacheError(
+                f"entry for {monomial_str(u)} * {monomial_str(v)} has a term "
+                f"of weight other than {weight}"
+            )
+        table[(u, v)] = terms
     return mons, table
 
 
@@ -560,8 +633,12 @@ def verify_structure_document(doc: dict, pres: Presentation, samples=100, rng=No
 
 
 def _check_products(doc: dict, mons: List[Word], table, pres: Presentation, samples, rng) -> int:
-    """Re-derive the sampled (or all) products of a parsed document; returns their count."""
-    fresh = Presentation(pres.n, pres.m)
+    """Re-derive the sampled (or all) products of a parsed document; returns their count.
+
+    Each product is re-derived from the definition, `straighten_word(u + v)`
+    within the top weight and zero above it, never through the generator fold
+    of `Presentation.product`, so a fault in the fold cannot vouch for itself.
+    """
     if samples is None:
         pairs = [(u, v) for u in mons for v in mons]
     else:
@@ -570,8 +647,10 @@ def _check_products(doc: dict, mons: List[Word], table, pres: Presentation, samp
         if rng is None:
             rng = random.Random(int(doc["checksum"][:16], 16))
         pairs = [(rng.choice(mons), rng.choice(mons)) for _ in range(samples)]
+    top, parity = pres.top_weight, pres.parity
     for u, v in pairs:
-        if table.get((u, v), {}) != fresh.product(u, v):
+        want = straighten_word(u + v, parity) if len(u) + len(v) <= top else {}
+        if table.get((u, v), {}) != want:
             raise CacheError(f"stale product for {monomial_str(u)} * {monomial_str(v)}")
     return len(pairs)
 

@@ -266,20 +266,16 @@ class TensorSquare:
         """(one, ops, times_bar): multiplying by bar(g) in integer flat coordinates.
 
         u (x) v sits at iu * N + iv, over the full basis of H (N = n!) in
-        reverse, the unit last, so one = {N^2 - 1: 1} is 1 (x) 1.  ops[g][iu]
-        lists (iw, k) with u * g = sum k * w (R_g); times_bar(vec, ops[g]) is
-        vec * bar(g) over Z.
+        reverse, the unit last, so one = {N^2 - 1: 1} is 1 (x) 1.  ops is
+        `Presentation.right_operators()` (R_g, shared by every square over
+        the ring); times_bar(vec, ops[g]) is vec * bar(g) over Z.
         """
         if self._bar_ops is not None:
             return self._bar_ops
         pres = self.pres
         mons = pres.full_basis()[::-1]
         n_mons = len(mons)
-        index = {w: i for i, w in enumerate(mons)}
-        ops = [
-            [[(index[w], k) for w, k in pres.product(u, (g,)).items()] for u in mons]
-            for g in pres.generators()
-        ]
+        ops = pres.right_operators()
         # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
         odd = [bool(pres.parity and len(w) & 1) for w in mons]
 

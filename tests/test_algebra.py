@@ -154,6 +154,19 @@ def test_over_weight_products_are_zero(n, m):
     assert not any(key in p._products for key in over)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3])
+def test_folded_product_is_the_straightened_word(n, m):
+    # `product` folds v one generator at a time; the definition straightens u + v
+    p = Presentation(n, m)
+    mons = p.full_basis()
+    for u in mons:
+        for v in mons:
+            if len(u) + len(v) > p.top_weight:
+                break
+            assert p.product(u, v) == straighten_word(u + v, p.parity), (u, v)
+
+
 def test_mismatched_presentations_rejected():
     a = AlgebraElement.one(Presentation(3, 2), QQ)
     b = AlgebraElement.one(Presentation(3, 3), QQ)

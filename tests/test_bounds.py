@@ -199,3 +199,22 @@ def test_sharpness_never_exceeds_connectivity():
             s = m - 1
             for bar_len in range(0, 2 * n):
                 assert sharpness_upper(dim, s, bar_len) <= connectivity_upper(dim, s)
+
+
+def test_report_builds_the_bar_operators_once(monkeypatch):
+    # over Z_p the report multiplies by bar(g) over Z_p and over Q; both squares
+    # share the ring's R_g, one straightened product per basis word and generator
+    from tcbounds.algebra import Presentation
+
+    lengths = []
+    product = Presentation.product
+
+    def counting(self, u, v):
+        lengths.append(len(v))
+        return product(self, u, v)
+
+    monkeypatch.setattr(Presentation, "product", counting)
+    report = assemble_report(3, 6, field=PrimeField(3), caps=Caps(max_n=6))
+    assert report.pinched
+    pres = Presentation(6, 3)
+    assert lengths.count(1) == len(pres.full_basis()) * len(pres.generators())

@@ -1,5 +1,6 @@
 """Structure-constant documents: export, checksum, reload, staleness."""
 
+import hashlib
 import json
 
 import pytest
@@ -79,6 +80,55 @@ def test_loaded_table_is_used(tmp_path):
     assert ((mons[1], mons[1]) in pres._products)
 
 
+def test_loaded_table_holds_exactly_the_pairs_within_the_top_weight(tmp_path):
+    path = tmp_path / "s.json"
+    write_structure_document(Presentation(4, 2), path)
+    pres = Presentation(4, 2)
+    load_structure_document(path, pres)
+    mons = pres.full_basis()
+    within = {(u, v) for u in mons for v in mons if len(u) + len(v) <= pres.top_weight}
+    assert set(pres._products) == within
+
+
+# sha256 of document_to_json(structure_document(Presentation(n, m))), recorded
+# from the whole-word straightening that `product` used before the fold
+GOLDEN_SHA256 = {
+    (1, 2): "8c4d3e0999c6dde5cfe07d96d4b3284bdd750474a664fe52c226672b095a37f9",
+    (2, 2): "6d2f7fe88d6ecfc150398eac9cafaf23b40e2341359444354c0357afb4e339d8",
+    (3, 2): "0e1ca591913d9de9a970b2e8bdf1cc5ad5ef750d968bb0b0a63c3e5fd43a47e4",
+    (4, 2): "42edf42b8f908d8db4a1d36eac36cd1bdc0ac1d1f51ca3832fa270ffda2fa96c",
+    (5, 2): "44cf8bd55fd07af8bc443c499801c97332fa8fba92539df00ead00c61199fd43",
+    (1, 3): "c02dd8b0adc17d47f7d575addabdf3970ca53d4ca57615a223a8a7b2274377f6",
+    (2, 3): "605981a915e29194c1c9a5c81bd884442223b85f8d11708d50d6458422805628",
+    (3, 3): "dcacd603d8e5635c408537f2858c78c7ba21eb4f57350cb7c5d40cfea9829e50",
+    (4, 3): "3d2d8adf5ced45303561cf18c8904b55ff6c780ada8b265242ba324b2f79fb22",
+    (5, 3): "2c8c758a35b0cdc664062d4815bf10a20bd3de2601be60635be59d967c21cbfb",
+}
+
+
+@pytest.mark.parametrize("n,m", sorted(GOLDEN_SHA256))
+def test_export_matches_recorded_document(n, m):
+    text = document_to_json(structure_document(Presentation(n, m)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[(n, m)]
+
+
+def test_full_check_does_not_trust_the_product_fold(monkeypatch):
+    # a fault in `Presentation.product` is exported with a valid checksum; the
+    # full check re-derives from the definition, so it still sees the fault
+    product = Presentation.product
+
+    def corrupted(self, u, v):
+        got = product(self, u, v)
+        if u == ((1, 2),) and v == ((1, 3),):
+            got = {w: 2 * c for w, c in got.items()}
+        return got
+
+    monkeypatch.setattr(Presentation, "product", corrupted)
+    doc = structure_document(Presentation(3, 2))
+    with pytest.raises(CacheError, match="stale product"):
+        verify_structure_document(doc, Presentation(3, 2), samples=None)
+
+
 def test_document_serialization_is_canonical():
     a = document_to_json(structure_document(Presentation(3, 2)))
     b = document_to_json(structure_document(Presentation(3, 2)))
@@ -104,24 +154,45 @@ def _no_products(doc):
     return doc
 
 
-@pytest.mark.parametrize(
-    "malform", [_list_document, _out_of_range_index, _scalar_basis, _no_products],
-    ids=["list", "index-out-of-range", "scalar-basis", "no-products"],
-)
-def test_malformed_document_is_cache_error(malform, tmp_path, capsys):
+def _mis_graded_term(doc):
+    # 1 * e_2_4 gains the term 7 * 1, of weight 0 where the product has weight 1
+    j = doc["basis"].index([[2, 4]])
+    entry = next(e for e in doc["products"] if e[:2] == [0, j])
+    entry[2] = sorted(entry[2] + [[0, "7"]])
+    return doc
+
+
+def _above_top_weight(doc):
+    # the last basis word has top weight, so its square is above it
+    last = len(doc["basis"]) - 1
+    doc["products"].append([last, last, []])
+    return doc
+
+
+# n = 4 for the last two: at n = 3 the 100 sampled products cover nearly every
+# pair, so sampling alone would catch a wrong entry
+@pytest.mark.parametrize("malform,n", [
+    pytest.param(_list_document, 3, id="list"),
+    pytest.param(_out_of_range_index, 3, id="index-out-of-range"),
+    pytest.param(_scalar_basis, 3, id="scalar-basis"),
+    pytest.param(_no_products, 3, id="no-products"),
+    pytest.param(_mis_graded_term, 4, id="mis-graded-term"),
+    pytest.param(_above_top_weight, 4, id="above-top-weight"),
+])
+def test_malformed_document_is_cache_error(malform, n, tmp_path, capsys):
     # every malformed shape is a CacheError, never a traceback; the checksum
     # is recomputed so the malformation itself has to be caught
     from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
     from tcbounds.cli import EXIT_USAGE, main
 
-    doc = malform(structure_document(Presentation(3, 2)))
+    doc = malform(structure_document(Presentation(n, 2)))
     if isinstance(doc, dict):
         doc["checksum"] = _document_checksum({k: doc[k] for k in _CHECKED_KEYS if k in doc})
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheError):
-        load_structure_document(path, Presentation(3, 2))
-    code = main(["report", "--m", "2", "--n", "3", "--cache", str(path)])
+        load_structure_document(path, Presentation(n, 2))
+    code = main(["report", "--m", "2", "--n", str(n), "--cache", str(path)])
     assert code == EXIT_USAGE
     assert "cannot use cache" in capsys.readouterr().err
 
