@@ -17,8 +17,8 @@ so a product of barred generators depends only on the multiset S of its
 factors, up to sign, and V_k keeps one accepted vector bar(S) per basis
 element.  Multiplying by bar(g) uses precomputed right-multiplication
 operators R_g on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer
-arithmetic (the structure constants are integers); vectors are coerced into
-the field only on entering the echelon basis.
+arithmetic (the structure constants are integers); the echelon basis takes
+these integer vectors as they are.
 
 Reports do not build the span: `TensorSquare.bar_span_length_certified`
 uses the same integer multiply-by-bar.  The paper's witness word, multiplied
@@ -196,11 +196,10 @@ class TensorSquare:
         """Kernel of the diagonal restriction on the weight-w piece."""
         got = self._zkernels.get(w)
         if got is None:
-            coerce = self.field.coerce
             alg_index = self.pres.basis_index(w)
             images = []
             for u, v in self.basis(w):
-                images.append({alg_index[m]: coerce(c) for m, c in self.pres.product(u, v).items()})
+                images.append({alg_index[m]: c for m, c in self.pres.product(u, v).items()})
             got = kernel_basis(self.field, images, self.dim(w))
             self._zkernels[w] = got
         return got
@@ -323,17 +322,11 @@ class TensorSquare:
         one, ops, times_bar = self._bar_operators()
         if not ops:
             return []
-        coerce = field.coerce
-
-        def to_field(vec: Dict[int, int]) -> Vec:
-            row = {f: coerce(c) for f, c in vec.items()}
-            return {f: c for f, c in row.items() if c}
-
         eb = EchelonBasis(field, self.dim(1))
         level: List[Tuple[Label, Dict[int, int]]] = []
         for gi, op in enumerate(ops):
             vec = times_bar(one, op)  # bar(g) = g (x) 1 - 1 (x) g
-            if eb.insert(to_field(vec)):
+            if eb.insert(vec):
                 level.append(((gi,), vec))
         levels = [[label for label, _ in level]]
         # bar(g)^2 = 0 when |g| is odd, so such labels never repeat a generator
@@ -351,8 +344,7 @@ class TensorSquare:
                         continue
                     seen.add(new)
                     prod = times_bar(vec, op)
-                    row = to_field(prod)
-                    if row and eb.insert(row):
+                    if prod and eb.insert(prod):
                         nxt.append((new, prod))
                         if eb.is_full():
                             break

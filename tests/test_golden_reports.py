@@ -1,9 +1,16 @@
-"""Report outputs pinned byte for byte against recorded runs.
+"""Report and span outputs pinned byte for byte against recorded runs.
 
-Each file under `data/` is the stdout of
+Each `data/grid_F.json` is the stdout of
 `tcbounds grid --m 2..7 --n 1..5 --output json --field F`, recorded from the
 bar-span engine: every report over Q, Z_2 and Z_3 up to n = 5, so any change
 in a bound, a diagnostic, a warning or the JSON layout shows here.
+
+Each `data/barspan_F.jsonl` holds the stdout of
+`tcbounds barspan --n N --m M --output json --field F` for n = 1..4 and
+m = 2..5, in that order, recorded from the echelon that reduced rows in
+`Fraction` and field arithmetic.  The span's own reference oracle shares the
+echelon, so these files are what pins the span dimensions and witnesses
+against a fault in it.
 """
 
 from pathlib import Path
@@ -25,3 +32,15 @@ def test_grid_json_matches_recorded_output(capsys, field, code):
     assert main(["grid", "--m", "2..7", "--n", "1..5", "--output", "json",
                  "--field", field]) == code
     assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("field", ["q", "zp:2", "zp:3"])
+def test_barspan_json_matches_recorded_output(capsys, field):
+    expected = (DATA / f"barspan_{field.replace(':', '')}.jsonl").read_text()
+    got = []
+    for n in range(1, 5):
+        for m in range(2, 6):
+            assert main(["barspan", "--n", str(n), "--m", str(m), "--output", "json",
+                         "--field", field]) == 0
+            got.append(capsys.readouterr().out)
+    assert "".join(got) == expected

@@ -1,5 +1,6 @@
 """Exact sparse row reduction and kernel extraction."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -110,3 +111,101 @@ def test_kernel_vectors_do_map_to_zero(field):
     for img in images:
         span.insert(img)
     assert ker.dim + span.dim == width_src
+
+
+# -- property test against a plain Gauss-Jordan reference --------------------
+
+PROPERTY_FIELDS = [QQ, PrimeField(2), PrimeField(3), PrimeField(2**31 - 1)]
+
+
+def reference_rref(field, vectors, width):
+    """Dense Gauss-Jordan in the field's own arithmetic (`Fraction` over Q).
+
+    Returns the nonzero RREF rows, each with a leading 1, in pivot order.
+    """
+    rows = []  # (pivot, dense row)
+    for vec in vectors:
+        r = reference_residual(field, rows, vec, width)
+        if not any(r):
+            continue
+        piv = next(c for c, x in enumerate(r) if x)
+        inv = field.inv(r[piv])
+        r = [field.mul(inv, x) for x in r]
+        rows = [(q, [field.sub(x, field.mul(row[piv], y)) for x, y in zip(row, r)])
+                for q, row in rows]
+        rows.append((piv, r))
+    return [row for _, row in sorted(rows, key=lambda pr: pr[0])]
+
+
+def reference_residual(field, rows, vec, width):
+    r = [field.zero] * width
+    for c, v in vec.items():
+        r[c] = field.coerce(v)
+    for piv, row in rows:
+        if r[piv]:
+            r = [field.sub(x, field.mul(r[piv], y)) for x, y in zip(r, row)]
+    return r
+
+
+def random_entry(rng, field):
+    """A small int, or a Fraction whose denominator is invertible in the field."""
+    num = rng.choice([-3, -2, -1, 1, 2, 3, 4, 6])
+    if rng.random() < 0.5:
+        return num
+    dens = [d for d in (1, 2, 3, 4, 5, 6, 7) if not field.characteristic or d % field.characteristic]
+    return Fraction(num, rng.choice(dens))
+
+
+def random_combination(rng, field, vectors):
+    out = {}
+    for vec in rng.sample(vectors, min(len(vectors), 3)):
+        k = random_entry(rng, field)
+        for c, v in vec.items():
+            out[c] = field.add(out.get(c, field.zero), field.mul(field.coerce(k), field.coerce(v)))
+    return {c: v for c, v in out.items() if v}
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)
+def test_echelon_matches_reference_gauss_jordan(field):
+    rng = random.Random(field.characteristic)
+    for _ in range(40):
+        width = rng.randint(1, 10)
+        vectors = []
+        for _ in range(rng.randint(1, 12)):
+            if vectors and rng.random() < 0.3:
+                vec = random_combination(rng, field, vectors)  # often dependent
+            else:
+                vec = {c: random_entry(rng, field) for c in range(width) if rng.random() < 0.4}
+            vectors.append(vec)
+        eb = EchelonBasis(field, width)
+        for vec in vectors:
+            eb.insert(vec)
+        ref = reference_rref(field, vectors, width)
+        ref_rows = [(next(c for c, x in enumerate(row) if x), row) for row in ref]
+
+        assert eb.dim == len(ref)
+        assert eb.pivots() == [piv for piv, _ in ref_rows]
+        assert eb.dense() == ref
+        for _ in range(5):
+            combo = random_combination(rng, field, vectors)
+            assert eb.contains(combo)
+            perturbed = dict(combo)
+            c = rng.randrange(width)
+            perturbed[c] = field.add(perturbed.get(c, field.zero), field.one)
+            perturbed = {c: v for c, v in perturbed.items() if v}
+            residual = reference_residual(field, ref_rows, perturbed, width)
+            assert eb.contains(perturbed) == (not any(residual))
+            # reduce returns the residual over Z_p, a nonzero multiple of it over Q
+            got = eb.reduce(perturbed)
+            if any(residual):
+                lead = next(c for c, x in enumerate(residual) if x)
+                scale = Fraction(got[lead]) / residual[lead]
+                assert scale and all(got.get(c, 0) == scale * x for c, x in enumerate(residual))
+
+        # stored rows: pivot 1 mod p, or primitive integers with a positive pivot
+        for piv, row in eb._rows.items():
+            assert piv == min(row) and all(type(v) is int and v for v in row.values())
+            if field.characteristic:
+                assert row[piv] == 1 and all(0 < v < field.characteristic for v in row.values())
+            else:
+                assert row[piv] > 0 and math.gcd(*row.values()) == 1

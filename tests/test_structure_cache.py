@@ -213,3 +213,37 @@ def test_load_parses_the_document_once(tmp_path, monkeypatch):
     pres = Presentation(3, 2)
     load_structure_document(path, pres)
     assert calls == [pres]
+
+
+def _count_straightenings(monkeypatch):
+    import tcbounds.algebra as algebra
+
+    words = []
+    straighten = algebra.straighten_word
+
+    def counting(word, parity):
+        words.append(tuple(word))
+        return straighten(word, parity)
+
+    monkeypatch.setattr(algebra, "straighten_word", counting)
+    return words
+
+
+def test_sampled_load_re_derives_only_pairs_within_the_top_weight(tmp_path, monkeypatch):
+    # every sample is a product that can be nonzero, not one zero by grading
+    path = tmp_path / "s.json"
+    write_structure_document(Presentation(5, 2), path)
+    words = _count_straightenings(monkeypatch)
+    load_structure_document(path, Presentation(5, 2), samples=100)
+    assert len(words) == 100
+    assert all(len(w) <= 4 for w in words)
+
+
+def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight(monkeypatch):
+    pres = Presentation(4, 2)
+    doc = structure_document(pres)
+    mons = pres.full_basis()
+    within = sum(1 for u in mons for v in mons if len(u) + len(v) <= pres.top_weight)
+    words = _count_straightenings(monkeypatch)
+    assert verify_structure_document(doc, Presentation(4, 2), samples=None) == len(mons) ** 2
+    assert len(words) == within
