@@ -22,7 +22,8 @@ are taken mod p, so integer vectors enter without conversion.  `reduce`
 returns the residual over Z_p and, over Q, a nonzero integer multiple of it;
 either way it is empty exactly when the vector lies in the span.
 `vectors()` and `dense()` return field values with pivot 1 (over Q each entry
-is Fraction(v, pivot)), which is the canonical RREF.
+is Fraction(v, pivot)), which is the canonical RREF; `integer_rows()` returns
+the stored rows themselves, for callers that only need the span.
 
 `kernel_basis` is no separate eliminator: it takes the RREF of the augmented
 rows [image_i | e_i] with the image columns first, and the rows whose pivot
@@ -144,6 +145,14 @@ class EchelonBasis:
 
     def pivots(self) -> List[int]:
         return sorted(self._rows)
+
+    def integer_rows(self) -> List[Dict[int, int]]:
+        """The stored integer rows in pivot order (not copies; read only).
+
+        Over Z_p they are the `vectors()` rows; over Q each is a nonzero
+        integer multiple of its `vectors()` row, so they span the same space.
+        """
+        return [self._rows[piv] for piv in sorted(self._rows)]
 
     def _field_row(self, piv: int) -> Vec:
         row = self._rows[piv]

@@ -20,6 +20,20 @@ operators R_g on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer
 arithmetic (the structure constants are integers); the echelon basis takes
 these integer vectors as they are.
 
+The echelon sees only half of each vector.  The Koszul swap
+tau(u (x) v) = (-1)^{|u||v|} v (x) u is an algebra automorphism of H (x) H
+with tau(bar g) = -bar g, so tau(bar S) = (-1)^{|S|} bar S: in the flat
+coordinates of `TensorSquare._bar_operators`,
+
+    x[iv * N + iu] = (-1)^{|S| + |u||v|} x[iu * N + iv].
+
+V_k lies in one tau-eigenspace, and a vector there that vanishes on the
+coordinates iu >= iv vanishes everywhere.  Projecting onto those coordinates
+(the diagonal kept) is injective on V_k over every field, characteristic 2
+included, so ranks and acceptance are those of the full vectors.  The echelon
+width stays dim (H (x) H)_k, so `is_full` still means V_k is the whole piece
+(as at n = 2, odd m, where V_2 = (H (x) H)_2 is spanned by a diagonal vector).
+
 Reports do not build the span: `TensorSquare.bar_span_length_certified`
 uses the same integer multiply-by-bar.  The paper's witness word, multiplied
 out over Z, bounds the length from below; below the top weight 2n - 2, a check
@@ -242,8 +256,10 @@ class TensorSquare:
         """
         if self.top_weight == 0:
             return []
+        # integer rows: over Q each is a multiple of its RREF row, so the
+        # products span the same spaces without a Fraction
         z1 = {
-            w: self.diagonal_kernel(w).vectors()
+            w: self.diagonal_kernel(w).integer_rows()
             for w in range(1, self.top_weight + 1)
             if self.diagonal_kernel(w).dim
         }
@@ -256,7 +272,7 @@ class TensorSquare:
             if not nxt:
                 break
             profile.append({w: eb.dim for w, eb in sorted(nxt.items())})
-            current = {w: eb.vectors() for w, eb in nxt.items()}
+            current = {w: eb.integer_rows() for w, eb in nxt.items()}
         return profile
 
     # -- products of barred generators ---------------------------------------
@@ -313,6 +329,12 @@ class TensorSquare:
         barred generators are sparse, and the accepted rows stay short.
         Spans, labels and witnesses do not depend on it: the same labels are
         offered in the same order and acceptance is span membership.
+
+        The echelon takes only the coordinates iu >= iv of each bar(S), the
+        diagonal kept: by the swap symmetry of the module docstring that
+        projection is injective on V_k, so it halves every row without
+        changing a rank.  `level` keeps the full integer vector, which the
+        next multiplication by bar(g) needs.  The width stays dim (H (x) H)_k.
         """
         cached = self._bar_levels
         if cached is not None:
@@ -322,11 +344,17 @@ class TensorSquare:
         one, ops, times_bar = self._bar_operators()
         if not ops:
             return []
+        n_mons = len(pres.full_basis())
+
+        def half(vec: Dict[int, int]) -> Dict[int, int]:
+            # the coordinates iu >= iv, diagonal kept: injective on V_k (see above)
+            return {f: c for f, c in vec.items() if f // n_mons >= f % n_mons}
+
         eb = EchelonBasis(field, self.dim(1))
         level: List[Tuple[Label, Dict[int, int]]] = []
         for gi, op in enumerate(ops):
             vec = times_bar(one, op)  # bar(g) = g (x) 1 - 1 (x) g
-            if eb.insert(vec):
+            if eb.insert(half(vec)):
                 level.append(((gi,), vec))
         levels = [[label for label, _ in level]]
         # bar(g)^2 = 0 when |g| is odd, so such labels never repeat a generator
@@ -344,7 +372,7 @@ class TensorSquare:
                         continue
                     seen.add(new)
                     prod = times_bar(vec, op)
-                    if prod and eb.insert(prod):
+                    if prod and eb.insert(half(prod)):
                         nxt.append((new, prod))
                         if eb.is_full():
                             break

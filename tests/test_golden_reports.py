@@ -10,7 +10,11 @@ Each `data/barspan_F.jsonl` holds the stdout of
 m = 2..5, in that order, recorded from the echelon that reduced rows in
 `Fraction` and field arithmetic.  The span's own reference oracle shares the
 echelon, so these files are what pins the span dimensions and witnesses
-against a fault in it.
+against a fault in it.  `data/barspan_n5_zp2.json` adds
+`tcbounds barspan --n 5 --m 3 --output json --field zp:2`, recorded from the
+echelon that reduced the full vectors bar(S): in characteristic 2 the two
+eigenspaces of the Koszul swap coincide, which the half-coordinate echelon
+must survive.
 """
 
 from pathlib import Path
@@ -44,3 +48,10 @@ def test_barspan_json_matches_recorded_output(capsys, field):
                          "--field", field]) == 0
             got.append(capsys.readouterr().out)
     assert "".join(got) == expected
+
+
+def test_barspan_n5_char2_matches_recorded_output(capsys):
+    expected = (DATA / "barspan_n5_zp2.json").read_text()
+    assert main(["barspan", "--n", "5", "--m", "3", "--output", "json",
+                 "--field", "zp:2"]) == 0
+    assert capsys.readouterr().out == expected

@@ -209,3 +209,11 @@ def test_echelon_matches_reference_gauss_jordan(field):
                 assert row[piv] == 1 and all(0 < v < field.characteristic for v in row.values())
             else:
                 assert row[piv] > 0 and math.gcd(*row.values()) == 1
+        # integer_rows: the stored rows in pivot order, each a multiple of its RREF row
+        rows = eb.integer_rows()
+        assert [min(row) for row in rows] == eb.pivots()
+        if field.characteristic:
+            assert rows == eb.vectors()
+        else:
+            assert [{c: Fraction(v, row[min(row)]) for c, v in row.items()}
+                    for row in rows] == eb.vectors()

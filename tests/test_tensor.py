@@ -210,6 +210,43 @@ def test_barspan_parity_law(n):
     assert bar_span_length(Presentation(n, 3), QQ) == 2 * n - 2
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_bar_products_are_swap_eigenvectors(n, m):
+    # tau(bar S) = (-1)^|S| bar S, read in the flat coordinates f = iu * N + iv:
+    # the premise that lets the bar span row-reduce only the coordinates iu >= iv
+    pres = Presentation(n, m)
+    one, ops, times_bar = TensorSquare(pres, QQ)._bar_operators()
+    mons = pres.full_basis()[::-1]
+    n_mons = len(mons)
+    top = 2 * n - 2  # longer products vanish by grading
+    checked = 0
+
+    def walk(vec, start, length):
+        # every multiset S of at most top generators, as sorted indices
+        nonlocal checked
+        for f, c in vec.items():
+            iu, iv = divmod(f, n_mons)
+            sign = (-1) ** (length + pres.parity * len(mons[iu]) * len(mons[iv]))
+            assert vec.get(iv * n_mons + iu, 0) == sign * c
+        checked += len(vec)
+        if length < top:
+            for gi in range(start, len(ops)):
+                prod = times_bar(vec, ops[gi])
+                if prod:
+                    walk(prod, gi, length + 1)
+
+    walk(one, 0, 0)
+    assert checked > 1
+
+
+@pytest.mark.parametrize("n,m,dims", [(2, 3, [1, 1]), (3, 3, [3, 6, 6, 3])])
+def test_barspan_keeps_the_diagonal(n, m, dims):
+    # V_2 = (H (x) H)_2 = span(e (x) e) at n = 2: a projection onto iu > iv
+    # alone would lose it and give [1], and [3, 3, 6, 1] at n = 3
+    assert TensorSquare(Presentation(n, m), QQ).bar_span_profile() == dims
+
+
 def reference_bar_span_profile(pres, field):
     """V_k the direct way: every echelon row of V_k times every barred generator."""
     sq = TensorSquare(pres, field)
