@@ -17,12 +17,17 @@ applies the same local rules in an arbitrary order and is kept as an
 independent confluence oracle.
 
 `straighten_word` is also the definition of the product of basis words:
-u * v is the normal form of the word u + v.  `Presentation.product` straightens
-only products by one generator g (the operator R_g) and folds a longer v one
-generator at a time, u * (v' g) = (u * v') * g; the table it fills holds only
-the pairs within the top weight, since every longer product is zero by
-grading.  Loaded structure-constant documents are checked against the
-definition itself, so the fold is never its own oracle.
+u * v is the normal form of the word u + v.  `Presentation` holds one product
+table, integer rows in the index coordinates of `full_basis()`: row(iu)[iv]
+is {ix: c}, one slot for each pair within the top weight, since every longer
+product is zero by grading.  Only the products by one generator g are
+straightened: the operators R_g of `right_operators`, over the reversed basis
+that `tensor` multiplies by.  A longer v is folded one generator at a time,
+u * (v' g) = (u * v') * g, over precomputed parent and last-generator index
+arrays, so no word is hashed.  Structure-constant documents store the rows as
+they are; once a document is adopted, R_g and `product` (the word view) read
+its rows.  Loaded documents are checked against the definition itself, so the
+fold is never its own oracle.
 
 Elements are sparse linear combinations over a field.  `SparseElement` holds
 the linear structure that ring and tensor elements share: sums, scaling,
@@ -42,8 +47,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import accumulate, combinations, islice, product as iproduct
-from typing import Dict, Iterable, List, Sequence, Tuple
+from itertools import accumulate, combinations, product as iproduct
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Edge = Tuple[int, int]
 Word = Tuple[Edge, ...]
@@ -168,9 +174,10 @@ def straighten_word_shuffled(word: Iterable[Edge], parity: int, rng) -> Dict[Wor
 class Presentation:
     """Presentation of H*(F(R^m, n)): n points in R^m, generators in degree m-1.
 
-    Instances memoize bases, pairwise basis products (integer structure
-    constants) and the R_g operators.  All methods are pure apart from filling
-    these caches.
+    Instances memoize bases, the product rows (integer structure constants
+    in full-basis index coordinates) and their views.  All methods are pure
+    apart from filling these caches and `adopt_products`, which installs
+    verified rows.
     """
 
     def __init__(self, n: int, m: int):
@@ -187,7 +194,9 @@ class Presentation:
         self.top_weight = n - 1    # largest factor count of a nonzero monomial
         self._bases: Dict[int, Tuple[Word, ...]] = {}
         self._basis_index: Dict[int, Dict[Word, int]] = {}
-        self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}
+        self._coords = None  # built once, by _coordinates
+        self._rows: Dict[int, List[Mapping[int, int]]] = {}  # by row or adopt_products
+        self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # the word view
         self._right_ops = None  # built once, by right_operators
 
     def __repr__(self):
@@ -236,65 +245,144 @@ class Presentation:
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
         return straighten_word(word, self.parity)
 
-    def product(self, u: Word, v: Word) -> Dict[Word, int]:
-        """Structure constants of basis product u * v (memoized).
+    def _coordinates(self) -> "_Coordinates":
+        """Index data of the full basis, built once (see `_Coordinates`)."""
+        if self._coords is None:
+            self._coords = _Coordinates(self)
+        return self._coords
 
-        By definition u * v is `straighten_word(u + v)`, and that is how a
-        product by at most one generator (the operator R_g) is computed.  A
-        longer v is folded one generator at a time: with v = v' g,
+    def width(self, iu: int) -> int:
+        """How many basis words v the word at iu multiplies within the top weight.
 
-            u * v = (u * v') * g = sum_w c_w * (w * g),  where u * v' = sum_w c_w * w.
-
-        This holds because the ring is associative and a prefix v' of an
-        admissible word is admissible, and it straightens only the R_g
-        entries, not every whole word u + v.  `_check_products` compares
-        loaded tables with the definition, not with this fold.
-
-        A product of more than `top_weight` factors is zero by grading and is
-        neither computed nor memoized: admissible words have strictly
-        increasing upper indices in 2..n, and every rewrite keeps the factor
-        count.
+        The full basis is weight-ordered, so these v are a prefix of it: the
+        words of weight at most top_weight - len(u).
         """
-        if len(u) + len(v) > self.top_weight:
-            return {}
-        key = (u, v)
-        got = self._products.get(key)
-        if got is None:
-            if len(v) <= 1:
-                got = straighten_word(u + v, self.parity)
-            else:
-                g = v[-1:]
-                got = {}
-                for w, c in self.product(u, v[:-1]).items():
-                    for x, k in self.product(w, g).items():
-                        total = got.get(x, 0) + c * k
-                        if total:
-                            got[x] = total
-                        else:
-                            del got[x]
-            self._products[key] = got
-        return got
+        co = self._coordinates()
+        return co.ends[self.top_weight - co.weights[iu]]
 
     def right_operators(self) -> List[List[List[Tuple[int, int]]]]:
         """R_g for each generator g, in integer coordinates over the reversed full basis.
 
         The basis is `full_basis()[::-1]`: the top weight first, the unit
         last.  ops[g][iu] lists (iw, k) with u * g = sum k * w, where u and w
-        sit at iu and iw.  Built once per ring, so every tensor square over
-        it, whatever its field, shares them.
+        sit at iu and iw.  Each entry is the definition, `straighten_word(u +
+        (g,))`, for u below the top weight (a top-weight u times g is zero);
+        after `adopt_products` it is read from the adopted rows instead, so a
+        loaded document saves every straightening.  Built once per ring, so
+        every tensor square over it, whatever its field, shares them, and so
+        does the fold of `row`.
         """
         if self._right_ops is None:
-            mons = self.full_basis()[::-1]
-            index = {w: i for i, w in enumerate(mons)}
-            self._right_ops = [
-                [[(index[w], k) for w, k in self.product(u, (g,)).items()] for u in mons]
-                for g in self.generators()
-            ]
+            co = self._coordinates()
+            mons, index, parity = co.mons, co.index, self.parity
+            flip = len(mons) - 1
+            below = len(mons) - len(self.basis(self.top_weight))
+            self._right_ops = []
+            for g, gen in enumerate(self.generators()):
+                op: List[List[Tuple[int, int]]] = [[] for _ in range(below, len(mons))]
+                for ix in range(below - 1, -1, -1):
+                    adopted = self._rows.get(ix)
+                    if adopted is None:
+                        terms = straighten_word(mons[ix] + (gen,), parity)
+                        op.append([(flip - index[w], k) for w, k in terms.items()])
+                    else:
+                        op.append([(flip - iy, k) for iy, k in adopted[1 + g].items()])
+                self._right_ops.append(op)
         return self._right_ops
 
-    def adopt_products(self, table: Dict[Tuple[Word, Word], Dict[Word, int]]) -> None:
-        """Install a verified product table (see `load_structure_document`)."""
-        self._products.update(table)
+    def row(self, iu: int) -> List[Mapping[int, int]]:
+        """Products of the basis word u at iu, in full-basis index coordinates (memoized).
+
+        row(iu)[iv] is {ix: c} with u * v = sum c * x, for each of the
+        `width(iu)` words v within the top weight; every longer product is
+        zero by grading and has no slot.  By definition u * v is
+        `straighten_word(u + v)`, but only the products by one generator (the
+        operators R_g of `right_operators`) are straightened.  The rest of the
+        row is the fold, one generator at a time: with v = v' g,
+
+            u * v = (u * v') * g = sum_x c_x * (x * g),  where u * v' = sum_x c_x * x.
+
+        This holds because the ring is associative and the prefix v' of an
+        admissible word is admissible, of lower weight and so earlier in the
+        row; `parent` and `last` of `_Coordinates` index v' and g, so no word
+        is hashed.  `_check_products` compares loaded tables with the
+        definition, not with this fold.
+        """
+        got = self._rows.get(iu)
+        if got is None:
+            co = self._coordinates()
+            ops = self.right_operators()
+            parent, last = co.parent, co.last
+            flip = len(co.mons) - 1  # R_g is over the reversed basis
+            got = [{iu: 1}]
+            for iv in range(1, self.width(iu)):
+                op = ops[last[iv]]
+                out: Dict[int, int] = {}
+                for ix, c in got[parent[iv]].items():
+                    for iw, k in op[flip - ix]:
+                        iy = flip - iw
+                        total = out.get(iy, 0) + c * k
+                        if total:
+                            out[iy] = total
+                        else:
+                            del out[iy]
+                got.append(out)
+            self._rows[iu] = got
+        return got
+
+    def product(self, u: Word, v: Word) -> Dict[Word, int]:
+        """Structure constants of the basis product u * v, in words (memoized).
+
+        The word view of `row`, for callers that hold elements as words; u
+        and v must be admissible.  A product of more than `top_weight` factors
+        is zero by grading and is neither computed nor memoized: admissible
+        words have strictly increasing upper indices in 2..n, and every
+        rewrite keeps the factor count.
+        """
+        if len(u) + len(v) > self.top_weight:
+            return {}
+        key = (u, v)
+        got = self._products.get(key)
+        if got is None:
+            co = self._coordinates()
+            mons = co.mons
+            got = {mons[ix]: c for ix, c in self.row(co.index[u])[co.index[v]].items()}
+            self._products[key] = got
+        return got
+
+    def adopt_products(self, rows: List[List[Mapping[int, int]]]) -> None:
+        """Install verified product rows (see `load_structure_document`).
+
+        They replace every table derived so far: `row`, `product` and
+        `right_operators` read them from now on.
+        """
+        self._rows = dict(enumerate(rows))
+        self._products = {}
+        self._right_ops = None
+
+
+class _Coordinates:
+    """Index data of `Presentation.full_basis()`, the coordinates of the product rows.
+
+    weights[i] is the factor count of mons[i], and ends[w] counts the words
+    of weight at most w.  For every word v but the unit, parent[iv] indexes
+    v[:-1] and last[iv] the generator v[-1] in `generators()` order.
+    """
+
+    __slots__ = ("mons", "index", "weights", "ends", "parent", "last")
+
+    def __init__(self, pres: Presentation):
+        mons: List[Word] = []
+        self.ends = []
+        for k in range(pres.top_weight + 1):
+            mons.extend(pres.basis(k))
+            self.ends.append(len(mons))
+        index = {w: i for i, w in enumerate(mons)}
+        self.mons, self.index = mons, index
+        self.weights = [len(w) for w in mons]
+        self.parent = [0] + [index[v[:-1]] for v in mons[1:]]
+        # the words of weight 1 follow the unit, in `generators()` order
+        self.last = [0] + [index[v[-1:]] - 1 for v in mons[1:]]
 
 
 # ---------------------------------------------------------------------------
@@ -528,20 +616,16 @@ def structure_document(pres: Presentation) -> dict:
 
     Coefficients are serialized as decimal strings; `basis` lists monomials as
     edge lists in the canonical weight-by-weight order.  Only pairs within the
-    top weight can be nonzero, and the weight order lets the scan stop there.
+    top weight can be nonzero; `Presentation.row` holds exactly those, in the
+    index coordinates of the document, so its nonzero entries are emitted as
+    they are.
     """
     mons = pres.full_basis()
-    index = {w: i for i, w in enumerate(mons)}
-    top = pres.top_weight
     products = []
-    for i, u in enumerate(mons):
-        for j, v in enumerate(mons):
-            if len(u) + len(v) > top:
-                break
-            p = pres.product(u, v)
+    for i in range(len(mons)):
+        for j, p in enumerate(pres.row(i)):
             if p:
-                entry = sorted((index[w], c) for w, c in p.items())
-                products.append([i, j, [[k, str(c)] for k, c in entry]])
+                products.append([i, j, [[k, str(c)] for k, c in sorted(p.items())]])
     payload = {
         "schema_version": STRUCTURE_SCHEMA_VERSION,
         "n": pres.n,
@@ -564,8 +648,21 @@ def write_structure_document(pres: Presentation, path) -> dict:
     return doc
 
 
-def _parse_document(doc: dict, pres: Presentation):
-    """The basis and product table of a document; any malformed shape is a CacheError."""
+# the slot of every pair within the top weight that a document leaves out: a
+# zero product, shared and read-only
+_NO_TERMS: Mapping[int, int] = MappingProxyType({})
+
+
+def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int]]]:
+    """The product rows of a document; any malformed shape is a CacheError.
+
+    The rows have the shape of `Presentation.row`: rows[i][j] holds the
+    terms {k: c} of basis word i times basis word j, for each j within the
+    top weight.  Indices must be ints in range(N) and coefficients decimal
+    strings of nonzero integers; a pair or a term may appear only once, and
+    every term must have the weight of its product.  A pair the document
+    leaves out is a zero product.
+    """
     if not isinstance(doc, dict):
         raise CacheError(f"document is a JSON {type(doc).__name__}, not an object")
     if doc.get("schema_version") != STRUCTURE_SCHEMA_VERSION:
@@ -587,37 +684,50 @@ def _parse_document(doc: dict, pres: Presentation):
         mons = [tuple(tuple(e) for e in w) for w in doc["basis"]]
     except TypeError:
         raise CacheError("basis is not a list of edge lists") from None
-    if mons != pres.full_basis():
+    co = pres._coordinates()
+    if mons != co.mons:
         raise CacheError("basis list does not match the presentation")
-    # absent pairs within the top weight are zero products; install them too so
-    # the cache is complete (`product` never stores or reads the pairs above it)
-    top = pres.top_weight
-    table = {}
-    for u in mons:
-        for v in mons:
-            if len(u) + len(v) > top:
-                break
-            table[(u, v)] = {}
-    by_index = dict(enumerate(mons))
+    n_mons = len(mons)
+    weights, ends = co.weights, co.ends
+    starts = [0] + ends[:-1]  # a term of weight w has its index in starts[w]..ends[w]-1
+    rows = [[_NO_TERMS] * pres.width(i) for i in range(n_mons)]
+
+    def malformed(what):
+        return CacheError(f"malformed product entry ({what})")
+
+    def pair(i, j):
+        return f"{monomial_str(mons[i])} * {monomial_str(mons[j])}"
+
     try:
-        entries = [(by_index[i], by_index[j], {by_index[k]: int(c) for k, c in terms})
-                   for i, j, terms in doc["products"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CacheError(f"malformed product entry ({type(exc).__name__}: {exc})") from None
-    # a product is homogeneous of weight len(u) + len(v), and zero above the top
-    for u, v, terms in entries:
-        weight = len(u) + len(v)
-        if weight > top:
-            raise CacheError(
-                f"entry for {monomial_str(u)} * {monomial_str(v)} is above the top weight {top}"
-            )
-        if any(len(w) != weight for w in terms):
-            raise CacheError(
-                f"entry for {monomial_str(u)} * {monomial_str(v)} has a term "
-                f"of weight other than {weight}"
-            )
-        table[(u, v)] = terms
-    return mons, table
+        for i, j, terms in doc["products"]:
+            if not (type(i) is int and 0 <= i < n_mons and type(j) is int and 0 <= j < n_mons):
+                raise malformed(f"index pair {i!r}, {j!r} not in range({n_mons})")
+            row = rows[i]
+            # a product is homogeneous of weight len(u) + len(v), and zero above the top
+            if j >= len(row):
+                raise CacheError(f"entry for {pair(i, j)} is above the top weight {pres.top_weight}")
+            if row[j] is not _NO_TERMS:
+                raise CacheError(f"second entry for {pair(i, j)}")
+            weight = weights[i] + weights[j]
+            lo, hi = starts[weight], ends[weight]
+            got = {}
+            for k, c in terms:
+                if not (type(k) is int and 0 <= k < n_mons):
+                    raise malformed(f"term index {k!r} not in range({n_mons})")
+                if not lo <= k < hi:
+                    raise CacheError(f"entry for {pair(i, j)} has a term of weight other than {weight}")
+                value = int(c) if type(c) is str else 0
+                if not value or str(value) != c:
+                    raise malformed(f"coefficient {c!r} is not a nonzero decimal string")
+                got[k] = value
+            if len(got) != len(terms):
+                raise malformed(f"a repeated term in {pair(i, j)}")
+            row[j] = got
+    except CacheError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise malformed(f"{type(exc).__name__}: {exc}") from None
+    return rows
 
 
 def verify_structure_document(doc: dict, pres: Presentation, samples=100, rng=None) -> int:
@@ -629,39 +739,37 @@ def verify_structure_document(doc: dict, pres: Presentation, samples=100, rng=No
     Returns the number of products verified; raises CacheError on any
     mismatch.
     """
-    mons, table = _parse_document(doc, pres)
-    return _check_products(doc, mons, table, pres, samples, rng)
+    return _check_products(doc, _parse_document(doc, pres), pres, samples, rng)
 
 
-def _check_products(doc: dict, mons: List[Word], table, pres: Presentation, samples, rng) -> int:
-    """Re-derive the sampled (or all) products of a parsed document; returns their count.
+def _check_products(doc: dict, rows, pres: Presentation, samples, rng) -> int:
+    """Re-derive the sampled (or all) products of parsed rows; returns their count.
 
     Each product is re-derived from the definition, `straighten_word(u + v)`,
-    never through the generator fold of `Presentation.product`, so a fault in
+    never through the generator fold of `Presentation.row`, so a fault in
     the fold cannot vouch for itself.  Only pairs within the top weight are
     re-derived: `_parse_document` has already rejected every entry above it,
-    so every other pair is absent from the table, zero as grading requires.
+    so every other pair is absent from the rows, zero as grading requires.
     The full check counts all N^2 pairs; a sampled check draws uniformly
     among the pairs within the top weight.
     """
-    top, parity = pres.top_weight, pres.parity
-    # mons is weight-ordered, so the v with len(u) + len(v) <= top are a prefix
-    ends = list(accumulate(len(pres.basis(k)) for k in range(top + 1)))
+    mons, parity = pres._coordinates().mons, pres.parity
     if samples is None:
-        pairs = ((u, v) for u in mons for v in islice(mons, ends[top - len(u)]))
+        pairs = ((i, j) for i, row in enumerate(rows) for j in range(len(row)))
         count = len(mons) ** 2
     else:
         import random
 
         if rng is None:
             rng = random.Random(int(doc["checksum"][:16], 16))
-        within = accumulate(ends[top - len(u)] for u in mons)
-        firsts = rng.choices(mons, cum_weights=list(within), k=samples)
-        pairs = [(u, mons[rng.randrange(ends[top - len(u)])]) for u in firsts]
+        within = accumulate(len(row) for row in rows)
+        firsts = rng.choices(range(len(rows)), cum_weights=list(within), k=samples)
+        pairs = [(i, rng.randrange(len(rows[i]))) for i in firsts]
         count = samples
-    for u, v in pairs:
-        if table.get((u, v), {}) != straighten_word(u + v, parity):
-            raise CacheError(f"stale product for {monomial_str(u)} * {monomial_str(v)}")
+    for i, j in pairs:
+        got = {mons[k]: c for k, c in rows[i][j].items()}
+        if got != straighten_word(mons[i] + mons[j], parity):
+            raise CacheError(f"stale product for {monomial_str(mons[i])} * {monomial_str(mons[j])}")
     return count
 
 
@@ -669,7 +777,7 @@ def load_structure_document(path, pres: Presentation, samples=100) -> dict:
     """Read, validate and install a product table into `pres`; returns the document."""
     with open(path) as fh:
         doc = json.load(fh)
-    mons, table = _parse_document(doc, pres)
-    _check_products(doc, mons, table, pres, samples, None)
-    pres.adopt_products(table)
+    rows = _parse_document(doc, pres)
+    _check_products(doc, rows, pres, samples, None)
+    pres.adopt_products(rows)
     return doc

@@ -203,18 +203,21 @@ def test_sharpness_never_exceeds_connectivity():
 
 def test_report_builds_the_bar_operators_once(monkeypatch):
     # over Z_p the report multiplies by bar(g) over Z_p and over Q; both squares
-    # share the ring's R_g, one straightened product per basis word and generator
+    # share the ring's R_g, one straightened product per generator and basis
+    # word below the top weight (a top-weight word times g is zero by grading)
+    import tcbounds.algebra as algebra
     from tcbounds.algebra import Presentation
 
-    lengths = []
-    product = Presentation.product
+    words = []
+    straighten = algebra.straighten_word
 
-    def counting(self, u, v):
-        lengths.append(len(v))
-        return product(self, u, v)
+    def counting(word, parity):
+        words.append(tuple(word))
+        return straighten(word, parity)
 
-    monkeypatch.setattr(Presentation, "product", counting)
+    monkeypatch.setattr(algebra, "straighten_word", counting)
     report = assemble_report(3, 6, field=PrimeField(3), caps=Caps(max_n=6))
     assert report.pinched
     pres = Presentation(6, 3)
-    assert lengths.count(1) == len(pres.full_basis()) * len(pres.generators())
+    below_top = len(pres.full_basis()) - len(pres.basis(pres.top_weight))
+    assert len(words) == len(set(words)) == below_top * len(pres.generators()) == 9000

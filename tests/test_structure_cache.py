@@ -70,14 +70,20 @@ def test_stale_content_with_fixed_checksum_detected():
         verify_structure_document(doc, Presentation(3, 2), samples=None)
 
 
-def test_loaded_table_is_used(tmp_path):
+def test_loaded_table_is_used(tmp_path, monkeypatch):
     path = tmp_path / "s.json"
     write_structure_document(Presentation(3, 3), path)
     pres = Presentation(3, 3)
     load_structure_document(path, pres)
-    # cache is fully populated after adoption
+    # the adopted rows are the whole table, and every view reads them
     mons = pres.full_basis()
-    assert ((mons[1], mons[1]) in pres._products)
+    assert len(pres._rows) == len(mons)
+    assert pres._rows[1][1] == {}
+    words = _count_straightenings(monkeypatch)
+    assert all(pres.row(i) is pres._rows[i] for i in range(len(mons)))
+    assert pres.product(mons[1], mons[2]) == {mons[k]: c for k, c in pres._rows[1][2].items()}
+    assert pres.right_operators()
+    assert words == []
 
 
 def test_loaded_table_holds_exactly_the_pairs_within_the_top_weight(tmp_path):
@@ -86,12 +92,14 @@ def test_loaded_table_holds_exactly_the_pairs_within_the_top_weight(tmp_path):
     pres = Presentation(4, 2)
     load_structure_document(path, pres)
     mons = pres.full_basis()
-    within = {(u, v) for u in mons for v in mons if len(u) + len(v) <= pres.top_weight}
-    assert set(pres._products) == within
+    within = {(i, j) for i, u in enumerate(mons) for j, v in enumerate(mons)
+              if len(u) + len(v) <= pres.top_weight}
+    assert {(i, j) for i, row in pres._rows.items() for j in range(len(row))} == within
 
 
 # sha256 of document_to_json(structure_document(Presentation(n, m))), recorded
-# from the whole-word straightening that `product` used before the fold
+# from the whole-word straightening that `product` used before the fold; the
+# n = 6 pair from the word-keyed fold that came before the index rows
 GOLDEN_SHA256 = {
     (1, 2): "8c4d3e0999c6dde5cfe07d96d4b3284bdd750474a664fe52c226672b095a37f9",
     (2, 2): "6d2f7fe88d6ecfc150398eac9cafaf23b40e2341359444354c0357afb4e339d8",
@@ -103,6 +111,8 @@ GOLDEN_SHA256 = {
     (3, 3): "dcacd603d8e5635c408537f2858c78c7ba21eb4f57350cb7c5d40cfea9829e50",
     (4, 3): "3d2d8adf5ced45303561cf18c8904b55ff6c780ada8b265242ba324b2f79fb22",
     (5, 3): "2c8c758a35b0cdc664062d4815bf10a20bd3de2601be60635be59d967c21cbfb",
+    (6, 2): "c0ba0c50b1f87706a6d5e88909bdca5cdb16bac48e4d2ccda8fcccfb5eb4fc79",
+    (6, 3): "ca6f3fa06e127f2e10148863e01eed9e4bcbdf4727aa3a3d75e818cd699a240b",
 }
 
 
@@ -113,20 +123,24 @@ def test_export_matches_recorded_document(n, m):
 
 
 def test_full_check_does_not_trust_the_product_fold(monkeypatch):
-    # a fault in `Presentation.product` is exported with a valid checksum; the
-    # full check re-derives from the definition, so it still sees the fault
-    product = Presentation.product
+    # a fault in the row fold of `Presentation.row` is exported with a valid
+    # checksum; the full check re-derives from the definition, so it still
+    # sees the fault.  e_1_2 * (e_1_3 * e_2_4) is a product the fold builds.
+    mons = Presentation(4, 2).full_basis()
+    iu, iv = mons.index(((1, 2),)), mons.index(((1, 3), (2, 4)))
+    row = Presentation.row
 
-    def corrupted(self, u, v):
-        got = product(self, u, v)
-        if u == ((1, 2),) and v == ((1, 3),):
-            got = {w: 2 * c for w, c in got.items()}
+    def corrupted(self, i):
+        got = row(self, i)
+        if i == iu:
+            assert got[iv]
+            got = got[:iv] + [{k: 2 * c for k, c in got[iv].items()}] + got[iv + 1:]
         return got
 
-    monkeypatch.setattr(Presentation, "product", corrupted)
-    doc = structure_document(Presentation(3, 2))
-    with pytest.raises(CacheError, match="stale product"):
-        verify_structure_document(doc, Presentation(3, 2), samples=None)
+    monkeypatch.setattr(Presentation, "row", corrupted)
+    doc = structure_document(Presentation(4, 2))
+    with pytest.raises(CacheError, match="stale product for e_1_2 \\* e_1_3\\*e_2_4"):
+        verify_structure_document(doc, Presentation(4, 2), samples=None)
 
 
 def test_document_serialization_is_canonical():
@@ -141,6 +155,30 @@ def _list_document(doc):
 
 def _out_of_range_index(doc):
     doc["products"][0][2][0][0] = len(doc["basis"])
+    return doc
+
+
+def _negative_index(doc):
+    # 1 * (last word) filed under -1: a bare list index would read it as the
+    # last slot of the unit's row, where it belongs
+    last = len(doc["basis"]) - 1
+    next(e for e in doc["products"] if e[:2] == [0, last])[1] = -1
+    return doc
+
+
+def _float_coefficient(doc):
+    # int(1.7) is 1, the right value
+    doc["products"][0][2][0][1] = 1.7
+    return doc
+
+
+def _zero_coefficient(doc):
+    doc["products"][0][2][0][1] = "0"
+    return doc
+
+
+def _duplicate_pair(doc):
+    doc["products"].append(json.loads(json.dumps(doc["products"][-1])))
     return doc
 
 
@@ -174,6 +212,10 @@ def _above_top_weight(doc):
 @pytest.mark.parametrize("malform,n", [
     pytest.param(_list_document, 3, id="list"),
     pytest.param(_out_of_range_index, 3, id="index-out-of-range"),
+    pytest.param(_negative_index, 3, id="negative-index"),
+    pytest.param(_float_coefficient, 3, id="float-coefficient"),
+    pytest.param(_zero_coefficient, 3, id="zero-coefficient"),
+    pytest.param(_duplicate_pair, 3, id="duplicate-pair"),
     pytest.param(_scalar_basis, 3, id="scalar-basis"),
     pytest.param(_no_products, 3, id="no-products"),
     pytest.param(_mis_graded_term, 4, id="mis-graded-term"),
@@ -247,3 +289,35 @@ def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight
     words = _count_straightenings(monkeypatch)
     assert verify_structure_document(doc, Presentation(4, 2), samples=None) == len(mons) ** 2
     assert len(words) == within
+
+
+def test_report_from_a_cache_straightens_only_the_samples(tmp_path, monkeypatch, capsys):
+    # R_g comes from the adopted rows: the 100 sampled re-derivations are the
+    # only straightenings, against one per generator and word below the top
+    # weight without the cache
+    from tcbounds.cli import main
+
+    path = tmp_path / "s.json"
+    write_structure_document(Presentation(5, 3), path)
+    words = _count_straightenings(monkeypatch)
+    assert main(["report", "--n", "5", "--m", "3", "--cache", str(path)]) == 0
+    assert len(words) == 100
+    words.clear()
+    assert main(["report", "--n", "5", "--m", "3"]) == 0
+    assert len(words) == (120 - 24) * 10
+
+
+@pytest.mark.parametrize("malform", [
+    pytest.param(_negative_index, id="negative-index"),
+    pytest.param(_float_coefficient, id="float-coefficient"),
+    pytest.param(_zero_coefficient, id="zero-coefficient"),
+    pytest.param(_duplicate_pair, id="duplicate-pair"),
+])
+def test_strict_parse_rejects_without_sampling(malform):
+    # with no re-derivation at all, the entry checks alone reject the document
+    from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
+
+    doc = malform(structure_document(Presentation(3, 2)))
+    doc["checksum"] = _document_checksum({k: doc[k] for k in _CHECKED_KEYS})
+    with pytest.raises(CacheError, match="malformed product entry|second entry"):
+        verify_structure_document(doc, Presentation(3, 2), samples=0)
