@@ -25,9 +25,12 @@ straightened: the operators R_g of `right_operators`, over the reversed basis
 that `tensor` multiplies by.  A longer v is folded one generator at a time,
 u * (v' g) = (u * v') * g, over precomputed parent and last-generator index
 arrays, so no word is hashed.  Structure-constant documents store the rows as
-they are; once a document is adopted, R_g and `product` (the word view) read
-its rows.  Loaded documents are checked against the definition itself, so the
-fold is never its own oracle.
+they are; once a document is adopted, R_g and `product` read its rows.
+`product(u, v)`, the word view for callers that hold elements as words, reads
+the row of u when the table holds it; a one-off product outside the table is
+folded the same way in words, so its cost grows with the length of v and never
+with the n! basis words.  Loaded documents are checked against the definition
+itself, so the fold is never its own oracle.
 
 Elements are sparse linear combinations over a field.  `SparseElement` holds
 the linear structure that ring and tensor elements share: sums, scaling,
@@ -175,9 +178,9 @@ class Presentation:
     """Presentation of H*(F(R^m, n)): n points in R^m, generators in degree m-1.
 
     Instances memoize bases, the product rows (integer structure constants
-    in full-basis index coordinates) and their views.  All methods are pure
-    apart from filling these caches and `adopt_products`, which installs
-    verified rows.
+    in full-basis index coordinates), the operators R_g and the products in
+    words that `product` returns.  All methods are pure apart from filling
+    these caches and `adopt_products`, which installs verified rows.
     """
 
     def __init__(self, n: int, m: int):
@@ -196,7 +199,7 @@ class Presentation:
         self._basis_index: Dict[int, Dict[Word, int]] = {}
         self._coords = None  # built once, by _coordinates
         self._rows: Dict[int, List[Mapping[int, int]]] = {}  # by row or adopt_products
-        self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # the word view
+        self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # by product, in words
         self._right_ops = None  # built once, by right_operators
 
     def __repr__(self):
@@ -233,11 +236,12 @@ class Presentation:
         return idx
 
     def full_basis(self) -> List[Word]:
-        """All admissible monomials, weight by weight; total length is n!."""
-        out: List[Word] = []
-        for k in range(self.top_weight + 1):
-            out.extend(self.basis(k))
-        return out
+        """All admissible monomials, weight by weight; total length is n!.
+
+        The one list that fixes the basis order of the product rows and of
+        structure documents, built once per ring and shared: do not mutate it.
+        """
+        return self._coordinates().mons
 
     def straighten(self, word: Sequence[Edge]) -> Dict[Word, int]:
         for i, j in word:
@@ -333,20 +337,39 @@ class Presentation:
     def product(self, u: Word, v: Word) -> Dict[Word, int]:
         """Structure constants of the basis product u * v, in words (memoized).
 
-        The word view of `row`, for callers that hold elements as words; u
-        and v must be admissible.  A product of more than `top_weight` factors
-        is zero by grading and is neither computed nor memoized: admissible
-        words have strictly increasing upper indices in 2..n, and every
-        rewrite keeps the factor count.
+        u and v must be admissible.  When the table holds the row of u (built
+        by `row` or installed by `adopt_products`), this is the word view of
+        that row.  Otherwise it is the same fold in words, u * (v' g) =
+        (u * v') * g, over memoized prefixes and one-generator products
+        `straighten_word(w + (g,))`: a one-off product, as `multiply` makes,
+        costs in proportion to the length of v and never lists the n! basis
+        words that the rows are indexed by.  A product of more than
+        `top_weight` factors is zero by grading and is neither computed nor
+        memoized: admissible words have strictly increasing upper indices in
+        2..n, and every rewrite keeps the factor count.
         """
         if len(u) + len(v) > self.top_weight:
             return {}
         key = (u, v)
         got = self._products.get(key)
         if got is None:
-            co = self._coordinates()
-            mons = co.mons
-            got = {mons[ix]: c for ix, c in self.row(co.index[u])[co.index[v]].items()}
+            co = self._coords
+            row = self._rows.get(co.index[u]) if self._rows else None
+            if row is not None:
+                mons = co.mons
+                got = {mons[ix]: c for ix, c in row[co.index[v]].items()}
+            elif len(v) <= 1:
+                got = straighten_word(u + v, self.parity)
+            else:
+                g = v[-1:]
+                got = {}
+                for w, c in self.product(u, v[:-1]).items():
+                    for x, k in self.product(w, g).items():
+                        total = got.get(x, 0) + c * k
+                        if total:
+                            got[x] = total
+                        else:
+                            del got[x]
             self._products[key] = got
         return got
 
@@ -659,9 +682,9 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
     The rows have the shape of `Presentation.row`: rows[i][j] holds the
     terms {k: c} of basis word i times basis word j, for each j within the
     top weight.  Indices must be ints in range(N) and coefficients decimal
-    strings of nonzero integers; a pair or a term may appear only once, and
-    every term must have the weight of its product.  A pair the document
-    leaves out is a zero product.
+    strings of nonzero integers; a pair or a term may appear only once, an
+    entry must have a term, and every term must have the weight of its
+    product.  A pair the document leaves out is a zero product.
     """
     if not isinstance(doc, dict):
         raise CacheError(f"document is a JSON {type(doc).__name__}, not an object")
@@ -684,9 +707,9 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
         mons = [tuple(tuple(e) for e in w) for w in doc["basis"]]
     except TypeError:
         raise CacheError("basis is not a list of edge lists") from None
-    co = pres._coordinates()
-    if mons != co.mons:
+    if mons != pres.full_basis():
         raise CacheError("basis list does not match the presentation")
+    co = pres._coordinates()
     n_mons = len(mons)
     weights, ends = co.weights, co.ends
     starts = [0] + ends[:-1]  # a term of weight w has its index in starts[w]..ends[w]-1
@@ -708,6 +731,8 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
                 raise CacheError(f"entry for {pair(i, j)} is above the top weight {pres.top_weight}")
             if row[j] is not _NO_TERMS:
                 raise CacheError(f"second entry for {pair(i, j)}")
+            if not terms:
+                raise malformed(f"no terms for {pair(i, j)}")
             weight = weights[i] + weights[j]
             lo, hi = starts[weight], ends[weight]
             got = {}
@@ -753,7 +778,7 @@ def _check_products(doc: dict, rows, pres: Presentation, samples, rng) -> int:
     The full check counts all N^2 pairs; a sampled check draws uniformly
     among the pairs within the top weight.
     """
-    mons, parity = pres._coordinates().mons, pres.parity
+    mons, parity = pres.full_basis(), pres.parity
     if samples is None:
         pairs = ((i, j) for i, row in enumerate(rows) for j in range(len(row)))
         count = len(mons) ** 2

@@ -271,3 +271,31 @@ def test_stability_holds(n, m):
 def test_stability_rejects_odd_m():
     with pytest.raises(ValueError):
         stability_check(3, 5)
+
+
+def test_one_off_products_never_list_the_basis(monkeypatch, capsys):
+    # `multiply` folds each product in words, straightening a handful of short
+    # words, and never builds the n! basis words the product rows are indexed
+    # by (10! = 3,628,800 here)
+    import tcbounds.algebra as algebra
+    from tcbounds.cli import main
+
+    def unlisted(self):
+        raise AssertionError("the full basis was listed")
+
+    words = []
+    straighten = algebra.straighten_word
+
+    def counting(word, parity):
+        words.append(tuple(word))
+        return straighten(word, parity)
+
+    monkeypatch.setattr(Presentation, "_coordinates", unlisted)
+    monkeypatch.setattr(algebra, "straighten_word", counting)
+    factors = ["e_2_5*e_1_3", "e_3_4", "e_4_5*e_1_10"]
+    assert main(["multiply", "--n", "10", "--m", "3", *factors]) == 0
+    assert len(words) <= 40
+    whole = [(2, 5), (1, 3), (3, 4), (4, 5), (1, 10)]
+    expected = AlgebraElement.from_word(Presentation(10, 3), QQ, whole)
+    assert not expected.is_zero()
+    assert capsys.readouterr().out == repr(expected) + "\n"

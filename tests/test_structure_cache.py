@@ -182,6 +182,13 @@ def _duplicate_pair(doc):
     return doc
 
 
+def _empty_terms(doc):
+    # an empty entry is a zero product, the same as a missing one, but
+    # export never writes it
+    doc["products"][0][2] = []
+    return doc
+
+
 def _scalar_basis(doc):
     doc["basis"] = 5
     return doc
@@ -208,20 +215,22 @@ def _above_top_weight(doc):
 
 
 # n = 4 for the last two: at n = 3 the 100 sampled products cover nearly every
-# pair, so sampling alone would catch a wrong entry
-@pytest.mark.parametrize("malform,n", [
-    pytest.param(_list_document, 3, id="list"),
-    pytest.param(_out_of_range_index, 3, id="index-out-of-range"),
-    pytest.param(_negative_index, 3, id="negative-index"),
-    pytest.param(_float_coefficient, 3, id="float-coefficient"),
-    pytest.param(_zero_coefficient, 3, id="zero-coefficient"),
-    pytest.param(_duplicate_pair, 3, id="duplicate-pair"),
-    pytest.param(_scalar_basis, 3, id="scalar-basis"),
-    pytest.param(_no_products, 3, id="no-products"),
-    pytest.param(_mis_graded_term, 4, id="mis-graded-term"),
-    pytest.param(_above_top_weight, 4, id="above-top-weight"),
+# pair, so sampling alone would catch a wrong entry.  The entry-check cases
+# load with samples=0, so the entry checks alone must reject them.
+@pytest.mark.parametrize("malform,n,samples", [
+    pytest.param(_list_document, 3, 100, id="list"),
+    pytest.param(_out_of_range_index, 3, 100, id="index-out-of-range"),
+    pytest.param(_negative_index, 3, 0, id="negative-index"),
+    pytest.param(_float_coefficient, 3, 0, id="float-coefficient"),
+    pytest.param(_zero_coefficient, 3, 0, id="zero-coefficient"),
+    pytest.param(_duplicate_pair, 3, 0, id="duplicate-pair"),
+    pytest.param(_empty_terms, 3, 0, id="empty-terms"),
+    pytest.param(_scalar_basis, 3, 100, id="scalar-basis"),
+    pytest.param(_no_products, 3, 100, id="no-products"),
+    pytest.param(_mis_graded_term, 4, 100, id="mis-graded-term"),
+    pytest.param(_above_top_weight, 4, 100, id="above-top-weight"),
 ])
-def test_malformed_document_is_cache_error(malform, n, tmp_path, capsys):
+def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, capsys):
     # every malformed shape is a CacheError, never a traceback; the checksum
     # is recomputed so the malformation itself has to be caught
     from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
@@ -233,7 +242,7 @@ def test_malformed_document_is_cache_error(malform, n, tmp_path, capsys):
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheError):
-        load_structure_document(path, Presentation(n, 2))
+        load_structure_document(path, Presentation(n, 2), samples=samples)
     code = main(["report", "--m", "2", "--n", str(n), "--cache", str(path)])
     assert code == EXIT_USAGE
     assert "cannot use cache" in capsys.readouterr().err
@@ -305,19 +314,3 @@ def test_report_from_a_cache_straightens_only_the_samples(tmp_path, monkeypatch,
     words.clear()
     assert main(["report", "--n", "5", "--m", "3"]) == 0
     assert len(words) == (120 - 24) * 10
-
-
-@pytest.mark.parametrize("malform", [
-    pytest.param(_negative_index, id="negative-index"),
-    pytest.param(_float_coefficient, id="float-coefficient"),
-    pytest.param(_zero_coefficient, id="zero-coefficient"),
-    pytest.param(_duplicate_pair, id="duplicate-pair"),
-])
-def test_strict_parse_rejects_without_sampling(malform):
-    # with no re-derivation at all, the entry checks alone reject the document
-    from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
-
-    doc = malform(structure_document(Presentation(3, 2)))
-    doc["checksum"] = _document_checksum({k: doc[k] for k in _CHECKED_KEYS})
-    with pytest.raises(CacheError, match="malformed product entry|second entry"):
-        verify_structure_document(doc, Presentation(3, 2), samples=0)
