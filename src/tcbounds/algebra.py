@@ -22,10 +22,13 @@ table, integer rows in the index coordinates of `full_basis()`: row(iu)[iv]
 is {ix: c}, one slot for each pair within the top weight, since every longer
 product is zero by grading.  Only the products by one generator g are
 straightened: the operators R_g of `right_operators`, over the reversed basis
-that `tensor` multiplies by.  A longer v is folded one generator at a time,
-u * (v' g) = (u * v') * g, over precomputed parent and last-generator index
-arrays, so no word is hashed.  Structure-constant documents store the rows as
-they are; once a document is adopted, R_g and `product` read its rows.
+that `tensor` multiplies by.  Their rows are memo entries filled on first
+read (`right_operator_row`), so a certificate that multiplies out one witness
+straightens only the words it meets; `row` completes them all before it
+folds.  A longer v is folded one generator at a time, u * (v' g) =
+(u * v') * g, over precomputed parent and last-generator index arrays, so no
+word is hashed.  Structure-constant documents store the rows as they are;
+once a document is adopted, R_g and `product` read its rows.
 `product(u, v)`, the word view for callers that hold elements as words, reads
 the row of u when the table holds it; a one-off product outside the table is
 folded the same way in words, so its cost grows with the length of v and never
@@ -52,7 +55,7 @@ import json
 import math
 from itertools import accumulate, combinations, product as iproduct
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 Word = Tuple[Edge, ...]
@@ -200,7 +203,8 @@ class Presentation:
         self._coords = None  # built once, by _coordinates
         self._rows: Dict[int, List[Mapping[int, int]]] = {}  # by row or adopt_products
         self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # by product, in words
-        self._right_ops = None  # built once, by right_operators
+        self._right_ops = None  # the R_g lists, made once by right_operators
+        self._ops_complete = False  # whether every R_g row is filled
 
     def __repr__(self):
         return f"Presentation(n={self.n}, m={self.m})"
@@ -264,35 +268,59 @@ class Presentation:
         co = self._coordinates()
         return co.ends[self.top_weight - co.weights[iu]]
 
-    def right_operators(self) -> List[List[List[Tuple[int, int]]]]:
+    def right_operators(self) -> List[List[Optional[List[Tuple[int, int]]]]]:
         """R_g for each generator g, in integer coordinates over the reversed full basis.
 
         The basis is `full_basis()[::-1]`: the top weight first, the unit
         last.  ops[g][iu] lists (iw, k) with u * g = sum k * w, where u and w
-        sit at iu and iw.  Each entry is the definition, `straighten_word(u +
-        (g,))`, for u below the top weight (a top-weight u times g is zero);
-        after `adopt_products` it is read from the adopted rows instead, so a
-        loaded document saves every straightening.  Built once per ring, so
-        every tensor square over it, whatever its field, shares them, and so
-        does the fold of `row`.
+        sit at iu and iw.  A top-weight u times g is zero, so its row is [];
+        every other row is None until `right_operator_row` fills it on first
+        read.  The lists are made once per ring and filled in place, so every
+        tensor square over it, whatever its field, shares what any of them
+        has read, and so does the fold of `row`.
         """
         if self._right_ops is None:
-            co = self._coordinates()
-            mons, index, parity = co.mons, co.index, self.parity
-            flip = len(mons) - 1
-            below = len(mons) - len(self.basis(self.top_weight))
-            self._right_ops = []
-            for g, gen in enumerate(self.generators()):
-                op: List[List[Tuple[int, int]]] = [[] for _ in range(below, len(mons))]
-                for ix in range(below - 1, -1, -1):
-                    adopted = self._rows.get(ix)
-                    if adopted is None:
-                        terms = straighten_word(mons[ix] + (gen,), parity)
-                        op.append([(flip - index[w], k) for w, k in terms.items()])
-                    else:
-                        op.append([(flip - iy, k) for iy, k in adopted[1 + g].items()])
-                self._right_ops.append(op)
+            size = len(self._coordinates().mons)
+            top = len(self.basis(self.top_weight))
+            self._right_ops = [[[]] * top + [None] * (size - top) for _ in self.generators()]
         return self._right_ops
+
+    def right_operator_row(self, g: int, iu: int) -> List[Tuple[int, int]]:
+        """Row iu of R_g (see `right_operators`), filled on first read."""
+        op = self.right_operators()[g]
+        if op[iu] is None:
+            self._fill_right_operator(g, (iu,))
+        return op[iu]
+
+    def _fill_right_operator(self, g: int, ius: Iterable[int]) -> None:
+        """Fill the rows ius of R_g, the one place they are computed.
+
+        Each is the definition, `straighten_word(u + (g,))`; after
+        `adopt_products` it is read from the adopted rows instead, so a
+        loaded document saves every straightening.
+        """
+        co = self._coordinates()
+        mons, index, parity, rows = co.mons, co.index, self.parity, self._rows
+        flip = len(mons) - 1
+        gen = mons[1 + g]  # the words of weight 1 follow the unit, in `generators()` order
+        op = self._right_ops[g]
+        for iu in ius:
+            ix = flip - iu
+            adopted = rows.get(ix)
+            if adopted is None:
+                terms = straighten_word(mons[ix] + gen, parity)
+                op[iu] = [(flip - index[w], k) for w, k in terms.items()]
+            else:
+                op[iu] = [(flip - iy, k) for iy, k in adopted[1 + g].items()]
+
+    def _complete_right_operators(self) -> List[List[List[Tuple[int, int]]]]:
+        """R_g with every row filled, for callers that read the whole table."""
+        ops = self.right_operators()
+        if not self._ops_complete:
+            for g, op in enumerate(ops):
+                self._fill_right_operator(g, [iu for iu, row in enumerate(op) if row is None])
+            self._ops_complete = True
+        return ops
 
     def row(self, iu: int) -> List[Mapping[int, int]]:
         """Products of the basis word u at iu, in full-basis index coordinates (memoized).
@@ -301,8 +329,10 @@ class Presentation:
         `width(iu)` words v within the top weight; every longer product is
         zero by grading and has no slot.  By definition u * v is
         `straighten_word(u + v)`, but only the products by one generator (the
-        operators R_g of `right_operators`) are straightened.  The rest of the
-        row is the fold, one generator at a time: with v = v' g,
+        operators R_g of `right_operators`) are straightened, each R_g row
+        once, and all of them before the first fold, so that the fold reads
+        filled lists.  The rest of the row is the fold, one generator at a
+        time: with v = v' g,
 
             u * v = (u * v') * g = sum_x c_x * (x * g),  where u * v' = sum_x c_x * x.
 
@@ -315,7 +345,7 @@ class Presentation:
         got = self._rows.get(iu)
         if got is None:
             co = self._coordinates()
-            ops = self.right_operators()
+            ops = self._complete_right_operators()
             parent, last = co.parent, co.last
             flip = len(co.mons) - 1  # R_g is over the reversed basis
             got = [{iu: 1}]
@@ -377,11 +407,17 @@ class Presentation:
         """Install verified product rows (see `load_structure_document`).
 
         They replace every table derived so far: `row`, `product` and
-        `right_operators` read them from now on.
+        `right_operators` read them from now on.  The R_g rows are emptied in
+        place, not replaced, so a tensor square that already holds the lists
+        refills them from the adopted rows.
         """
         self._rows = dict(enumerate(rows))
         self._products = {}
-        self._right_ops = None
+        if self._right_ops is not None:
+            top = len(self.basis(self.top_weight))
+            for op in self._right_ops:
+                op[top:] = [None] * (len(op) - top)
+            self._ops_complete = False
 
 
 class _Coordinates:

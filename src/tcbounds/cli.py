@@ -2,7 +2,9 @@
 
 Exit codes: 0 pinched certificate matching the closed form, 1 unpinched
 bounds (or failed selftest), 2 usage or input-file error, 3 resource cap
-exceeded, 4 contradiction with the closed form (engine bug).
+exceeded, 4 contradiction with the closed form (engine bug), 141 (128 +
+SIGPIPE) the reader closed stdout early, as `| head` does; the run stops
+quietly, without a traceback.
 
 The TC_CACHE_DIR environment variable sets the default directory for
 structure-constant documents written by `export-algebra`.
@@ -41,6 +43,7 @@ EXIT_UNPINCHED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_CONTRADICTION = 4
+EXIT_PIPE = 141
 
 _EDGE_TOKEN = re.compile(r"^e_?(\d+)[_,](\d+)$|^e(\d)(\d)$")
 
@@ -435,10 +438,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a reader that closed stdout shows here, not in the interpreter's final flush
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the interpreter flushes stdout on exit: point it at devnull so the
+        # output still buffered cannot raise a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -15,10 +15,10 @@ cup-length, over every field.
 The bar span is built from labelled products: H (x) H is graded-commutative,
 so a product of barred generators depends only on the multiset S of its
 factors, up to sign, and V_k keeps one accepted vector bar(S) per basis
-element.  Multiplying by bar(g) uses precomputed right-multiplication
-operators R_g on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer
-arithmetic (the structure constants are integers); the echelon basis takes
-these integer vectors as they are.
+element.  Multiplying by bar(g) uses the right-multiplication operators R_g
+on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer arithmetic
+(the structure constants are integers), each row of R_g straightened on its
+first read; the echelon basis takes these integer vectors as they are.
 
 The echelon sees only half of each vector.  The Koszul swap
 tau(u (x) v) = (-1)^{|u||v|} v (x) u is an algebra automorphism of H (x) H
@@ -278,12 +278,15 @@ class TensorSquare:
     # -- products of barred generators ---------------------------------------
 
     def _bar_operators(self):
-        """(one, ops, times_bar): multiplying by bar(g) in integer flat coordinates.
+        """(one, gens, times_bar): multiplying by bar(g) in integer flat coordinates.
 
         u (x) v sits at iu * N + iv, over the full basis of H (N = n!) in
-        reverse, the unit last, so one = {N^2 - 1: 1} is 1 (x) 1.  ops is
-        `Presentation.right_operators()` (R_g, shared by every square over
-        the ring); times_bar(vec, ops[g]) is vec * bar(g) over Z.
+        reverse, the unit last, so one = {N^2 - 1: 1} is 1 (x) 1.  gens is
+        the range of generator indices, and times_bar(vec, g) is
+        vec * bar(g) over Z.  It reads the rows of R_g from
+        `Presentation.right_operators()`, shared by every square over the
+        ring, and has `Presentation.right_operator_row` fill a row on its
+        first read, so a product straightens only the words it meets.
         """
         if self._bar_ops is not None:
             return self._bar_ops
@@ -291,26 +294,34 @@ class TensorSquare:
         mons = pres.full_basis()[::-1]
         n_mons = len(mons)
         ops = pres.right_operators()
+        fill = pres.right_operator_row
         # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
         odd = [bool(pres.parity and len(w) & 1) for w in mons]
 
-        def times_bar(vec: Dict[int, int], op) -> Dict[int, int]:
+        def times_bar(vec: Dict[int, int], g: int) -> Dict[int, int]:
             # u (x) v -> (-1)^{parity |v|} ug (x) v - u (x) vg, over Z
+            op = ops[g]
             out: Dict[int, int] = {}
             get = out.get
             for f, c in vec.items():
                 iu, iv = divmod(f, n_mons)
                 cu = -c if odd[iv] else c
-                for iw, k in op[iu]:
+                row = op[iu]
+                if row is None:
+                    row = fill(g, iu)
+                for iw, k in row:
                     key = iw * n_mons + iv
                     out[key] = get(key, 0) + cu * k
                 base = iu * n_mons
-                for iw, k in op[iv]:
+                row = op[iv]
+                if row is None:
+                    row = fill(g, iv)
+                for iw, k in row:
                     key = base + iw
                     out[key] = get(key, 0) - c * k
             return {f: c for f, c in out.items() if c}
 
-        self._bar_ops = ({n_mons * n_mons - 1: 1}, ops, times_bar)
+        self._bar_ops = ({n_mons * n_mons - 1: 1}, range(len(ops)), times_bar)
         return self._bar_ops
 
     def _bar_span_levels(self, max_power: Optional[int]) -> List[List[Label]]:
@@ -341,8 +352,8 @@ class TensorSquare:
             # V_1 is always reported, as when the levels are computed
             return cached if max_power is None else cached[:max(max_power, 1)]
         pres, field = self.pres, self.field
-        one, ops, times_bar = self._bar_operators()
-        if not ops:
+        one, gens, times_bar = self._bar_operators()
+        if not gens:
             return []
         n_mons = len(pres.full_basis())
 
@@ -352,8 +363,8 @@ class TensorSquare:
 
         eb = EchelonBasis(field, self.dim(1))
         level: List[Tuple[Label, Dict[int, int]]] = []
-        for gi, op in enumerate(ops):
-            vec = times_bar(one, op)  # bar(g) = g (x) 1 - 1 (x) g
+        for gi in gens:
+            vec = times_bar(one, gi)  # bar(g) = g (x) 1 - 1 (x) g
             if eb.insert(half(vec)):
                 level.append(((gi,), vec))
         levels = [[label for label, _ in level]]
@@ -364,14 +375,14 @@ class TensorSquare:
             seen = set()
             nxt: List[Tuple[Label, Dict[int, int]]] = []
             for label, vec in level:
-                for gi, op in enumerate(ops):
+                for gi in gens:
                     if square_free and gi in label:
                         continue
                     new = tuple(sorted(label + (gi,)))
                     if new in seen:
                         continue
                     seen.add(new)
-                    prod = times_bar(vec, op)
+                    prod = times_bar(vec, gi)
                     if prod and eb.insert(half(prod)):
                         nxt.append((new, prod))
                         if eb.is_full():
@@ -421,15 +432,15 @@ class TensorSquare:
 
     def _square_free_products_vanish(self, k: int) -> bool:
         """Whether bar(S) vanishes in the field for each square-free k-subset S."""
-        one, ops, times_bar = self._bar_operators()
+        one, gens, times_bar = self._bar_operators()
         coerce = self.field.coerce
 
         def vanish(vec: Dict[int, int], start: int, depth: int) -> bool:
             # depth first over sorted S; a partial product 0 over Z stays 0
             if depth == k:
                 return not any(coerce(c) for c in vec.values())
-            for gi in range(start, len(ops) - (k - depth) + 1):
-                prod = times_bar(vec, ops[gi])
+            for gi in range(start, len(gens) - (k - depth) + 1):
+                prod = times_bar(vec, gi)
                 if prod and not vanish(prod, gi + 1, depth + 1):
                     return False
             return True
@@ -438,11 +449,11 @@ class TensorSquare:
 
     def bar_span_length_certified(self) -> int:
         """The bar-span length from the paper's witness and a top-weight check, else the span."""
-        one, ops, times_bar = self._bar_operators()
+        one, _, times_bar = self._bar_operators()
         word = self._witness_word()
         vec = one
         for gi in word:
-            vec = times_bar(vec, ops[gi])
+            vec = times_bar(vec, gi)
         top = self.top_weight
         # square-free S span V_top only when every bar(g)^2 vanishes in the field
         square_free = self.pres.parity or self.field.characteristic == 2

@@ -202,11 +202,11 @@ def test_sharpness_never_exceeds_connectivity():
 
 
 def test_report_builds_the_bar_operators_once(monkeypatch):
-    # over Z_p the report multiplies by bar(g) over Z_p and over Q; both squares
-    # share the ring's R_g, one straightened product per generator and basis
-    # word below the top weight (a top-weight word times g is zero by grading)
+    # over Z_p the report multiplies the witness, each bar(e_1j) squared, over
+    # Z_p and over Q; both squares share the ring's R_g, whose rows are
+    # straightened on first read: w * e_1(j+1) and w * e_1j for each prefix
+    # w = e_12...e_1j below the top weight, 2n - 3 words, none of them twice
     import tcbounds.algebra as algebra
-    from tcbounds.algebra import Presentation
 
     words = []
     straighten = algebra.straighten_word
@@ -216,8 +216,11 @@ def test_report_builds_the_bar_operators_once(monkeypatch):
         return straighten(word, parity)
 
     monkeypatch.setattr(algebra, "straighten_word", counting)
-    report = assemble_report(3, 6, field=PrimeField(3), caps=Caps(max_n=6))
+    n = 6
+    report = assemble_report(3, n, field=PrimeField(3), caps=Caps(max_n=n))
     assert report.pinched
-    pres = Presentation(6, 3)
-    below_top = len(pres.full_basis()) - len(pres.basis(pres.top_weight))
-    assert len(words) == len(set(words)) == below_top * len(pres.generators()) == 9000
+    prefixes = [tuple((1, i) for i in range(2, j + 1)) for j in range(1, n)]
+    expected = {w + ((1, len(w) + 2),) for w in prefixes}
+    expected |= {w + w[-1:] for w in prefixes if w}
+    assert len(words) == len(set(words)) == 2 * n - 3 == 9
+    assert set(words) == expected

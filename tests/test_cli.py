@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import tcbounds.cli
 from tcbounds.cli import (
     EXIT_CAP,
     EXIT_PINCHED,
+    EXIT_PIPE,
     EXIT_UNPINCHED,
     EXIT_USAGE,
     main,
@@ -338,3 +341,42 @@ def test_selftest_deterministic(capsys):
     _, out2, _ = run(capsys, "selftest", "--samples", "10", "--shuffles", "5",
                      "--seed", "42", "--output", "json")
     assert out1 == out2
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # a reader that stops after one line, as `| head -1` does, closes the pipe
+    # while the basis (about 240 kB, more than a pipe buffers) is still being
+    # written: no traceback, and not the "unpinched" exit code 1
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "tcbounds.cli", "basis", "--m", "2", "--n", "8", "--k", "5"]
+    with open(tmp_path / "stderr", "w+") as err:
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=err, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == EXIT_PIPE == 141
+        err.seek(0)
+        assert err.read() == ""
+    assert first == b"e_1_2*e_1_3*e_1_4*e_1_5*e_1_6\n"
+
+
+@pytest.mark.parametrize("field", ["q", "zp:3"])
+@pytest.mark.parametrize("n", [7, 8])
+def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, monkeypatch, n, field):
+    # the odd-m witness reads 2n - 3 rows of R_g, and each is straightened
+    # once: a report costs what its witness needs, not the n! basis words
+    import tcbounds.algebra as algebra
+
+    words = []
+    straighten = algebra.straighten_word
+
+    def counting(word, parity):
+        words.append(tuple(word))
+        return straighten(word, parity)
+
+    monkeypatch.setattr(algebra, "straighten_word", counting)
+    code, out, _ = run(capsys, "report", "--n", str(n), "--m", "3", "--max-n", "8",
+                       "--field", field, "--output", "json")
+    doc = json.loads(out)
+    assert code == EXIT_PINCHED
+    assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 1
+    assert len(words) == len(set(words)) == 2 * n - 3

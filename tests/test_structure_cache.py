@@ -302,8 +302,8 @@ def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight
 
 def test_report_from_a_cache_straightens_only_the_samples(tmp_path, monkeypatch, capsys):
     # R_g comes from the adopted rows: the 100 sampled re-derivations are the
-    # only straightenings, against one per generator and word below the top
-    # weight without the cache
+    # only straightenings.  Without the cache the report straightens only the
+    # R_g rows its witness reads, 2n - 3 words, none of them twice
     from tcbounds.cli import main
 
     path = tmp_path / "s.json"
@@ -313,4 +313,4 @@ def test_report_from_a_cache_straightens_only_the_samples(tmp_path, monkeypatch,
     assert len(words) == 100
     words.clear()
     assert main(["report", "--n", "5", "--m", "3"]) == 0
-    assert len(words) == (120 - 24) * 10
+    assert len(words) == len(set(words)) == 2 * 5 - 3 == 7

@@ -216,7 +216,7 @@ def test_bar_products_are_swap_eigenvectors(n, m):
     # tau(bar S) = (-1)^|S| bar S, read in the flat coordinates f = iu * N + iv:
     # the premise that lets the bar span row-reduce only the coordinates iu >= iv
     pres = Presentation(n, m)
-    one, ops, times_bar = TensorSquare(pres, QQ)._bar_operators()
+    one, gens, times_bar = TensorSquare(pres, QQ)._bar_operators()
     mons = pres.full_basis()[::-1]
     n_mons = len(mons)
     top = 2 * n - 2  # longer products vanish by grading
@@ -231,8 +231,8 @@ def test_bar_products_are_swap_eigenvectors(n, m):
             assert vec.get(iv * n_mons + iu, 0) == sign * c
         checked += len(vec)
         if length < top:
-            for gi in range(start, len(ops)):
-                prod = times_bar(vec, ops[gi])
+            for gi in range(start, len(gens)):
+                prod = times_bar(vec, gi)
                 if prod:
                     walk(prod, gi, length + 1)
 
