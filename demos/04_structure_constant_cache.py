@@ -1,9 +1,9 @@
 """Exporting and re-verifying structure-constant documents.
 
-Batch certification runs can reuse a ring's multiplication table instead of
-re-straightening every product.  The exported JSON document is versioned,
-checksummed, and re-verified against fresh computation when loaded, so a
-stale or hand-edited cache can never silently poison a certificate.
+A document is an export of a ring's multiplication table and an independent
+check of it; no certificate reads one.  It is versioned, checksummed, and
+re-verified against fresh computation when loaded, so a stale or hand-edited
+file is always caught.
 
 Run:  python demos/04_structure_constant_cache.py
 """
@@ -37,7 +37,7 @@ pres = Presentation(3, 2)
 load_structure_document(path, pres)
 print("reloaded and spot-verified against fresh straightening")
 
-# Re-exporting a verified cache reproduces the file byte for byte.
+# Re-exporting from the same ring reproduces the file byte for byte.
 again = write_structure_document(pres, workdir / "again.json")
 assert (workdir / "again.json").read_bytes() == path.read_bytes()
 print("re-export is byte-identical")

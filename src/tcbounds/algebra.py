@@ -27,12 +27,11 @@ read (`right_operator_row`), so a certificate that multiplies out one witness
 straightens only the words it meets; `row` completes them all before it
 folds.  A longer v is folded one generator at a time, u * (v' g) =
 (u * v') * g, over precomputed parent and last-generator index arrays, so no
-word is hashed.  Structure-constant documents store the rows as they are;
-once a document is adopted, R_g and `product` read its rows.
-`product(u, v)`, the word view for callers that hold elements as words, reads
-the row of u when the table holds it; a one-off product outside the table is
-folded the same way in words, so its cost grows with the length of v and never
-with the n! basis words.  Loaded documents are checked against the definition
+word is hashed.  Structure-constant documents store the rows as they are.
+`product(u, v)`, the word view for callers that hold elements as words, is
+the same fold in words, so its cost grows with the length of v and never with
+the n! basis words.  A document is an export and an independent check, never
+a source: loading one installs nothing, and checks it against the definition
 itself, so the fold is never its own oracle.
 
 Elements are sparse linear combinations over a field.  `SparseElement` holds
@@ -183,7 +182,7 @@ class Presentation:
     Instances memoize bases, the product rows (integer structure constants
     in full-basis index coordinates), the operators R_g and the products in
     words that `product` returns.  All methods are pure apart from filling
-    these caches and `adopt_products`, which installs verified rows.
+    these caches.
     """
 
     def __init__(self, n: int, m: int):
@@ -201,7 +200,7 @@ class Presentation:
         self._bases: Dict[int, Tuple[Word, ...]] = {}
         self._basis_index: Dict[int, Dict[Word, int]] = {}
         self._coords = None  # built once, by _coordinates
-        self._rows: Dict[int, List[Mapping[int, int]]] = {}  # by row or adopt_products
+        self._rows: Dict[int, List[Mapping[int, int]]] = {}  # by row
         self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # by product, in words
         self._right_ops = None  # the R_g lists, made once by right_operators
         self._ops_complete = False  # whether every R_g row is filled
@@ -295,23 +294,17 @@ class Presentation:
     def _fill_right_operator(self, g: int, ius: Iterable[int]) -> None:
         """Fill the rows ius of R_g, the one place they are computed.
 
-        Each is the definition, `straighten_word(u + (g,))`; after
-        `adopt_products` it is read from the adopted rows instead, so a
-        loaded document saves every straightening.
+        Each is the definition, `straighten_word(u + (g,))`: R_g has no other
+        source.
         """
         co = self._coordinates()
-        mons, index, parity, rows = co.mons, co.index, self.parity, self._rows
+        mons, index, parity = co.mons, co.index, self.parity
         flip = len(mons) - 1
         gen = mons[1 + g]  # the words of weight 1 follow the unit, in `generators()` order
         op = self._right_ops[g]
         for iu in ius:
-            ix = flip - iu
-            adopted = rows.get(ix)
-            if adopted is None:
-                terms = straighten_word(mons[ix] + gen, parity)
-                op[iu] = [(flip - index[w], k) for w, k in terms.items()]
-            else:
-                op[iu] = [(flip - iy, k) for iy, k in adopted[1 + g].items()]
+            terms = straighten_word(mons[flip - iu] + gen, parity)
+            op[iu] = [(flip - index[w], k) for w, k in terms.items()]
 
     def _complete_right_operators(self) -> List[List[List[Tuple[int, int]]]]:
         """R_g with every row filled, for callers that read the whole table."""
@@ -339,7 +332,7 @@ class Presentation:
         This holds because the ring is associative and the prefix v' of an
         admissible word is admissible, of lower weight and so earlier in the
         row; `parent` and `last` of `_Coordinates` index v' and g, so no word
-        is hashed.  `_check_products` compares loaded tables with the
+        is hashed.  `verify_structure_document` compares documents with the
         definition, not with this fold.
         """
         got = self._rows.get(iu)
@@ -367,28 +360,21 @@ class Presentation:
     def product(self, u: Word, v: Word) -> Dict[Word, int]:
         """Structure constants of the basis product u * v, in words (memoized).
 
-        u and v must be admissible.  When the table holds the row of u (built
-        by `row` or installed by `adopt_products`), this is the word view of
-        that row.  Otherwise it is the same fold in words, u * (v' g) =
-        (u * v') * g, over memoized prefixes and one-generator products
-        `straighten_word(w + (g,))`: a one-off product, as `multiply` makes,
-        costs in proportion to the length of v and never lists the n! basis
-        words that the rows are indexed by.  A product of more than
-        `top_weight` factors is zero by grading and is neither computed nor
-        memoized: admissible words have strictly increasing upper indices in
-        2..n, and every rewrite keeps the factor count.
+        u and v must be admissible.  This is the fold of `row` in words,
+        u * (v' g) = (u * v') * g, over memoized prefixes and one-generator
+        products `straighten_word(w + (g,))`: a product costs in proportion
+        to the length of v and never lists the n! basis words that the rows
+        are indexed by.  A product of more than `top_weight` factors is zero
+        by grading and is neither computed nor memoized: admissible words
+        have strictly increasing upper indices in 2..n, and every rewrite
+        keeps the factor count.
         """
         if len(u) + len(v) > self.top_weight:
             return {}
         key = (u, v)
         got = self._products.get(key)
         if got is None:
-            co = self._coords
-            row = self._rows.get(co.index[u]) if self._rows else None
-            if row is not None:
-                mons = co.mons
-                got = {mons[ix]: c for ix, c in row[co.index[v]].items()}
-            elif len(v) <= 1:
+            if len(v) <= 1:
                 got = straighten_word(u + v, self.parity)
             else:
                 g = v[-1:]
@@ -402,22 +388,6 @@ class Presentation:
                             del got[x]
             self._products[key] = got
         return got
-
-    def adopt_products(self, rows: List[List[Mapping[int, int]]]) -> None:
-        """Install verified product rows (see `load_structure_document`).
-
-        They replace every table derived so far: `row`, `product` and
-        `right_operators` read them from now on.  The R_g rows are emptied in
-        place, not replaced, so a tensor square that already holds the lists
-        refills them from the adopted rows.
-        """
-        self._rows = dict(enumerate(rows))
-        self._products = {}
-        if self._right_ops is not None:
-            top = len(self.basis(self.top_weight))
-            for op in self._right_ops:
-                op[top:] = [None] * (len(op) - top)
-            self._ops_complete = False
 
 
 class _Coordinates:
@@ -739,8 +709,14 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
         raise CacheError(f"document lacks {', '.join(missing)}")
     if doc.get("checksum") != _document_checksum({k: doc[k] for k in _CHECKED_KEYS}):
         raise CacheError("checksum mismatch: document corrupted or stale")
+    basis = doc["basis"]
+    # n! >= 2^(n-1) words: count them before the ring lists its own, so that a
+    # short document cannot make it list n!
+    if not (type(basis) is list and pres.n <= len(basis).bit_length()
+            and len(basis) == math.factorial(pres.n)):
+        raise CacheError(f"basis is not a list of {pres.n}! words")
     try:
-        mons = [tuple(tuple(e) for e in w) for w in doc["basis"]]
+        mons = [tuple(tuple(e) for e in w) for w in basis]
     except TypeError:
         raise CacheError("basis is not a list of edge lists") from None
     if mons != pres.full_basis():
@@ -799,12 +775,6 @@ def verify_structure_document(doc: dict, pres: Presentation, samples=100, rng=No
     from the checksum, so a given document is always probed the same way).
     Returns the number of products verified; raises CacheError on any
     mismatch.
-    """
-    return _check_products(doc, _parse_document(doc, pres), pres, samples, rng)
-
-
-def _check_products(doc: dict, rows, pres: Presentation, samples, rng) -> int:
-    """Re-derive the sampled (or all) products of parsed rows; returns their count.
 
     Each product is re-derived from the definition, `straighten_word(u + v)`,
     never through the generator fold of `Presentation.row`, so a fault in
@@ -814,6 +784,7 @@ def _check_products(doc: dict, rows, pres: Presentation, samples, rng) -> int:
     The full check counts all N^2 pairs; a sampled check draws uniformly
     among the pairs within the top weight.
     """
+    rows = _parse_document(doc, pres)
     mons, parity = pres.full_basis(), pres.parity
     if samples is None:
         pairs = ((i, j) for i, row in enumerate(rows) for j in range(len(row)))
@@ -835,10 +806,13 @@ def _check_products(doc: dict, rows, pres: Presentation, samples, rng) -> int:
 
 
 def load_structure_document(path, pres: Presentation, samples=100) -> dict:
-    """Read, validate and install a product table into `pres`; returns the document."""
+    """Read a document and check it against `pres`; returns the document.
+
+    The check is `verify_structure_document` with `samples` re-derivations.
+    Nothing is installed: no computation reads a document, which is an
+    export and an independent check of the ring's products.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    rows = _parse_document(doc, pres)
-    _check_products(doc, rows, pres, samples, None)
-    pres.adopt_products(rows)
+    verify_structure_document(doc, pres, samples)
     return doc

@@ -188,8 +188,7 @@ class BoundsReport:
         return lines
 
 
-def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps(),
-                    pres: Optional[Presentation] = None) -> BoundsReport:
+def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps()) -> BoundsReport:
     """Compute and cross-check TC bounds for F(R^m, n).
 
     The lower bound is the zero-divisor cup-length over the requested field,
@@ -200,8 +199,7 @@ def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps(),
     integral nonvanishing, which is what the sharpness criterion needs.  Over
     Q one length serves both bounds.  A modular field can only weaken the lower
     bound (recorded as a warning for characteristic 2), never the upper one.
-
-    `pres` may supply an already-built (e.g. cache-backed) presentation.
+    Both squares share one presentation, so they share its R_g rows.
 
     Raises ClosedFormContradiction if a pinched value disagrees with the closed
     form, and CapExceeded when (m, n) is beyond `caps`.
@@ -216,10 +214,7 @@ def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps(),
             "lower bounds for odd m can degrade below the rational value"
         )
 
-    if pres is None:
-        pres = Presentation(n, m)
-    elif (pres.n, pres.m) != (n, m):
-        raise ValueError(f"presentation is for (n={pres.n}, m={pres.m}), not (n={n}, m={m})")
+    pres = Presentation(n, m)
     zcl = TensorSquare(pres, field).bar_span_length_certified()
     report.lower = lower_from_zcl(zcl)
     report.lower_source = LOWER_TAG

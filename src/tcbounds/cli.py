@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 from .algebra import (
     AlgebraElement,
     Presentation,
-    load_structure_document,
     monomial_str,
     write_structure_document,
 )
@@ -35,7 +34,7 @@ from .bounds import (
     capped_report,
 )
 from .coeffs import QQ, parse_field
-from .selftest import run_all
+from .selftest import run_all, suite_cache
 from .tensor import TensorSquare
 
 EXIT_PINCHED = 0
@@ -93,17 +92,6 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
             print(line)
 
 
-def _load_cache(args, pres: Presentation) -> Optional[int]:
-    if getattr(args, "cache", None) is None:
-        return None
-    try:
-        load_structure_document(args.cache, pres)
-    except (OSError, ValueError) as exc:  # CacheError is a ValueError
-        print(f"error: cannot use cache {args.cache}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return None
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -117,13 +105,9 @@ def cmd_report(args) -> int:
         _emit(args, report.to_json_dict(), report.text_lines())
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    pres = Presentation(args.n, args.m)
-    rc = _load_cache(args, pres)
-    if rc is not None:
-        return rc
+    Presentation(args.n, args.m)  # a bad n or m fails here, with the ring's own message
     try:
-        report = assemble_report(args.m, args.n, field=field, caps=_caps(args),
-                                 pres=pres)
+        report = assemble_report(args.m, args.n, field=field, caps=_caps(args))
     except ClosedFormContradiction as exc:
         print(f"CONTRADICTION: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
@@ -225,9 +209,6 @@ def cmd_basis(args) -> int:
 
 def cmd_multiply(args) -> int:
     pres = Presentation(args.n, args.m)
-    rc = _load_cache(args, pres)
-    if rc is not None:
-        return rc
     field = parse_field(args.field)
     out = AlgebraElement.one(pres, field)
     for text in args.words:
@@ -247,7 +228,7 @@ def cmd_multiply(args) -> int:
 
 
 def _tensor_square(args) -> Tuple[Optional[TensorSquare], Optional[int]]:
-    """The tensor square for --n/--m/--field after the caps and --cache checks.
+    """The tensor square for --n/--m/--field after the caps check.
 
     Returns (square, None), or (None, exit code) when a check fails.
     """
@@ -257,11 +238,7 @@ def _tensor_square(args) -> Tuple[Optional[TensorSquare], Optional[int]]:
     except CapExceeded as exc:
         print(f"error: not computed: {exc}", file=sys.stderr)
         return None, EXIT_CAP
-    pres = Presentation(args.n, args.m)
-    rc = _load_cache(args, pres)
-    if rc is not None:
-        return None, rc
-    return TensorSquare(pres, field), None
+    return TensorSquare(Presentation(args.n, args.m), field), None
 
 
 def cmd_zcl(args) -> int:
@@ -307,12 +284,17 @@ def cmd_barspan(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = run_all(
-        seed=args.seed,
-        samples=args.samples,
-        shuffles=args.shuffles,
-        cache_path=args.cache,
-    )
+    if args.cache is not None:
+        # an unreadable file is an input error, found before any suite runs
+        try:
+            with open(args.cache) as fh:
+                document = json.load(fh)
+        except (OSError, ValueError) as exc:  # a JSON or UTF-8 decode error is a ValueError
+            print(f"error: cannot read document {args.cache}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+    results = run_all(seed=args.seed, samples=args.samples, shuffles=args.shuffles)
+    if args.cache is not None:
+        results.append(suite_cache(document))
     ok = all(r.passed for r in results)
     if args.output == "json":
         print(json.dumps({
@@ -358,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, field=True, caps=True, cache=False):
+    def add_common(p, field=True, caps=True):
         p.add_argument("--output", choices=("text", "json"), default="text")
         if field:
             p.add_argument("--field", default="q",
@@ -366,14 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
         if caps:
             p.add_argument("--max-n", type=int, default=Caps.max_n)
             p.add_argument("--max-m", type=int, default=Caps.max_m)
-        if cache:
-            p.add_argument("--cache", default=None,
-                           help="structure-constant document to load (verified)")
 
     p = sub.add_parser("report", help="certify TC(F(R^m, n))")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_common(p, cache=True)
+    add_common(p)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("grid", help="certify a rectangle of (m, n) values")
@@ -396,19 +375,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("words", nargs="+", metavar="WORD",
                    help="e.g. 'e12*e13' or 'e_1_2'")
-    add_common(p, caps=False, cache=True)
+    add_common(p, caps=False)
     p.set_defaults(func=cmd_multiply)
 
     p = sub.add_parser("zcl", help="zero-divisor cup-length")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_common(p, cache=True)
+    add_common(p)
     p.set_defaults(func=cmd_zcl)
 
     p = sub.add_parser("barspan", help="longest nonzero product of barred generators")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    add_common(p, cache=True)
+    add_common(p)
     p.set_defaults(func=cmd_barspan)
 
     p = sub.add_parser("selftest", help="run the invariant fuzz suites")

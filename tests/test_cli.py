@@ -1,5 +1,6 @@
-"""Command-line surface: output formats, exit codes, cache handling."""
+"""Command-line surface: options, output formats, exit codes, document checks."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -272,23 +273,6 @@ def test_export_respects_cache_dir_env(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "structure_n2_m3.json").exists()
 
 
-def test_report_with_cache(tmp_path, capsys):
-    path = tmp_path / "doc.json"
-    run(capsys, "export-algebra", "--n", "3", "--m", "2", "--out", str(path))
-    code, out, _ = run(capsys, "report", "--m", "2", "--n", "3",
-                       "--cache", str(path))
-    assert code == EXIT_PINCHED
-
-
-def test_cache_shape_mismatch_rejected(tmp_path, capsys):
-    path = tmp_path / "doc.json"
-    run(capsys, "export-algebra", "--n", "3", "--m", "2", "--out", str(path))
-    code, _, err = run(capsys, "report", "--m", "4", "--n", "3",
-                       "--cache", str(path))
-    assert code == EXIT_USAGE
-    assert "n=3, m=2" in err
-
-
 def test_corrupted_cache_detected_by_selftest(tmp_path, capsys):
     from tcbounds.algebra import _document_checksum
 
@@ -312,10 +296,82 @@ def test_broken_checksum_rejected_on_load(tmp_path, capsys):
     doc = json.loads(path.read_text())
     doc["products"][0][2][0][1] = "41"
     path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "report", "--m", "2", "--n", "3",
-                       "--cache", str(path))
+    code, out, err = run(capsys, "selftest", "--samples", "5", "--shuffles", "5",
+                         "--cache", str(path))
+    assert code == EXIT_UNPINCHED
+    # the whole message, spaces and colon included, which no test path contains
+    assert "    failing case: checksum mismatch: document corrupted or stale\n" in out
+    assert err == ""
+
+
+def _not_json(path):
+    path.write_text("{not json")
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe{}")
+
+
+def _a_directory(path):
+    path.mkdir()
+
+
+@pytest.mark.parametrize("make", [None, _not_json, _not_utf8, _a_directory],
+                         ids=["missing", "not-json", "not-utf8", "directory"])
+def test_selftest_unreadable_document_is_input_error(tmp_path, capsys, monkeypatch, make):
+    # the file is read before any suite runs; an unreadable one exits 2 quietly
+    def no_suites(**sizes):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(tcbounds.cli, "run_all", no_suites)
+    path = tmp_path / "doc.json"
+    if make:
+        make(path)
+    code, out, err = run(capsys, "selftest", "--cache", str(path))
     assert code == EXIT_USAGE
-    assert "checksum" in err
+    assert out == ""
+    assert err.startswith(f"error: cannot read document {path}: ")
+    assert err.count("\n") == 1
+
+
+# -- option surface ------------------------------------------------------------------
+
+# every option of every subcommand: a new or retired option shows here as a
+# reviewed change
+OPTIONS = {
+    "report": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n", "--max-m"],
+    "grid": ["-h", "--help", "--m", "--n", "--jobs", "--output", "--field", "--max-n", "--max-m"],
+    "basis": ["-h", "--help", "--m", "--n", "--k", "--output"],
+    "multiply": ["-h", "--help", "--m", "--n", "--output", "--field"],
+    "zcl": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n", "--max-m"],
+    "barspan": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n", "--max-m"],
+    "selftest": ["-h", "--help", "--seed", "--samples", "--shuffles", "--cache", "--output"],
+    "export-algebra": ["-h", "--help", "--m", "--n", "--out", "--output"],
+}
+
+
+def test_option_surface_is_pinned():
+    parser = tcbounds.cli.build_parser()
+    assert [s for a in parser._actions for s in a.option_strings] == ["-h", "--help"]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: [s for a in p._actions for s in a.option_strings]
+           for name, p in sub.choices.items()}
+    assert got == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--m", "3", "--n", "3"],
+    ["zcl", "--m", "3", "--n", "3"],
+    ["barspan", "--m", "3", "--n", "3"],
+    ["multiply", "--m", "3", "--n", "3", "e12"],
+], ids=lambda argv: argv[0])
+def test_retired_cache_option_is_rejected(capsys, tmp_path, argv):
+    path = tmp_path / "doc.json"
+    run(capsys, "export-algebra", "--n", "3", "--m", "3", "--out", str(path))
+    code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"unrecognized arguments: --cache {path}" in err
 
 
 # -- selftest ------------------------------------------------------------------------

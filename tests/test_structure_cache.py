@@ -70,31 +70,39 @@ def test_stale_content_with_fixed_checksum_detected():
         verify_structure_document(doc, Presentation(3, 2), samples=None)
 
 
-def test_loaded_table_is_used(tmp_path, monkeypatch):
-    path = tmp_path / "s.json"
-    write_structure_document(Presentation(3, 3), path)
-    pres = Presentation(3, 3)
-    load_structure_document(path, pres)
-    # the adopted rows are the whole table, and every view reads them
-    mons = pres.full_basis()
-    assert len(pres._rows) == len(mons)
-    assert pres._rows[1][1] == {}
-    words = _count_straightenings(monkeypatch)
-    assert all(pres.row(i) is pres._rows[i] for i in range(len(mons)))
-    assert pres.product(mons[1], mons[2]) == {mons[k]: c for k, c in pres._rows[1][2].items()}
-    assert pres.right_operators()
-    assert words == []
+def test_loaded_table_holds_exactly_the_pairs_within_the_top_weight():
+    from tcbounds.algebra import _parse_document
 
-
-def test_loaded_table_holds_exactly_the_pairs_within_the_top_weight(tmp_path):
-    path = tmp_path / "s.json"
-    write_structure_document(Presentation(4, 2), path)
     pres = Presentation(4, 2)
-    load_structure_document(path, pres)
+    rows = _parse_document(structure_document(Presentation(4, 2)), pres)
     mons = pres.full_basis()
     within = {(i, j) for i, u in enumerate(mons) for j, v in enumerate(mons)
               if len(u) + len(v) <= pres.top_weight}
-    assert {(i, j) for i, row in pres._rows.items() for j in range(len(row))} == within
+    assert {(i, j) for i, row in enumerate(rows) for j in range(len(row))} == within
+    assert all(rows[i][j] == pres.row(i)[j] for i, j in within)
+
+
+def test_short_document_never_lists_the_basis(tmp_path, monkeypatch, capsys):
+    # a 12-point document with an empty basis is rejected on its length
+    # before the ring lists its 12! basis words
+    import tcbounds.cli as cli
+    from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
+
+    def unlisted(self):
+        raise AssertionError("the full basis was listed")
+
+    monkeypatch.setattr(Presentation, "_coordinates", unlisted)
+    monkeypatch.setattr(cli, "run_all", lambda **sizes: [])  # the fuzz suites list bases
+    doc = {"schema_version": 1, "n": 12, "m": 2, "basis": [], "products": []}
+    doc["checksum"] = _document_checksum({k: doc[k] for k in _CHECKED_KEYS})
+    with pytest.raises(CacheError, match="basis"):
+        verify_structure_document(doc, Presentation(12, 2))
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["selftest", "--cache", str(path)]) == cli.EXIT_UNPINCHED
+    out, err = capsys.readouterr()
+    assert "failing case: basis is not a list of 12! words" in out
+    assert err == ""
 
 
 # sha256 of document_to_json(structure_document(Presentation(n, m))), recorded
@@ -230,22 +238,26 @@ def _above_top_weight(doc):
     pytest.param(_mis_graded_term, 4, 100, id="mis-graded-term"),
     pytest.param(_above_top_weight, 4, 100, id="above-top-weight"),
 ])
-def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, capsys):
+def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, monkeypatch, capsys):
     # every malformed shape is a CacheError, never a traceback; the checksum
-    # is recomputed so the malformation itself has to be caught
+    # is recomputed so the malformation itself has to be caught.  `selftest
+    # --cache` fails its document suite with the same message (the fuzz
+    # suites, which do not read the document, are left out to keep this fast)
+    import tcbounds.cli as cli
     from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
-    from tcbounds.cli import EXIT_USAGE, main
 
     doc = malform(structure_document(Presentation(n, 2)))
     if isinstance(doc, dict):
         doc["checksum"] = _document_checksum({k: doc[k] for k in _CHECKED_KEYS if k in doc})
     path = tmp_path / "f.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(CacheError):
+    with pytest.raises(CacheError) as rejected:
         load_structure_document(path, Presentation(n, 2), samples=samples)
-    code = main(["report", "--m", "2", "--n", str(n), "--cache", str(path)])
-    assert code == EXIT_USAGE
-    assert "cannot use cache" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "run_all", lambda **sizes: [])
+    assert cli.main(["selftest", "--cache", str(path)]) == cli.EXIT_UNPINCHED
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1:] == [f"    failing case: {rejected.value}", "SELFTEST FAILED"]
+    assert err == ""
 
 
 def test_load_parses_the_document_once(tmp_path, monkeypatch):
@@ -301,16 +313,16 @@ def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight
 
 
 def test_report_from_a_cache_straightens_only_the_samples(tmp_path, monkeypatch, capsys):
-    # R_g comes from the adopted rows: the 100 sampled re-derivations are the
-    # only straightenings.  Without the cache the report straightens only the
-    # R_g rows its witness reads, 2n - 3 words, none of them twice
+    # a report straightens only the R_g rows its witness reads, 2n - 3 words,
+    # none of them twice, and loading a document only its 100 samples: no
+    # report reads a document, so loading one saves a report nothing
     from tcbounds.cli import main
 
     path = tmp_path / "s.json"
     write_structure_document(Presentation(5, 3), path)
     words = _count_straightenings(monkeypatch)
-    assert main(["report", "--n", "5", "--m", "3", "--cache", str(path)]) == 0
-    assert len(words) == 100
-    words.clear()
     assert main(["report", "--n", "5", "--m", "3"]) == 0
     assert len(words) == len(set(words)) == 2 * 5 - 3 == 7
+    words.clear()
+    load_structure_document(path, Presentation(5, 3))
+    assert len(words) == 100
