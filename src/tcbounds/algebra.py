@@ -17,22 +17,19 @@ applies the same local rules in an arbitrary order and is kept as an
 independent confluence oracle.
 
 `straighten_word` is also the definition of the product of basis words:
-u * v is the normal form of the word u + v.  `Presentation` holds one product
-table, integer rows in the index coordinates of `full_basis()`: row(iu)[iv]
-is {ix: c}, one slot for each pair within the top weight, since every longer
-product is zero by grading.  Only the products by one generator g are
-straightened: the operators R_g of `right_operators`, over the reversed basis
-that `tensor` multiplies by.  Their rows are memo entries filled on first
-read (`right_operator_row`), so a certificate that multiplies out one witness
-straightens only the words it meets; `row` completes them all before it
-folds.  A longer v is folded one generator at a time, u * (v' g) =
+u * v is the normal form of the word u + v.  `Presentation.product(u, v)`
+is that definition, memoized, for callers that hold elements as words; it
+never lists the n! basis words.  The ring has one coordinate system, the
+indices of `full_basis()`, and holds two tables in it.  The operators R_g
+of `right_operators` are the products by one generator g, each row
+straightened on its first read (`right_operator_row`), so a certificate that
+multiplies out one witness straightens only the words it meets.  The
+product rows of `row` fold R_g one generator at a time, u * (v' g) =
 (u * v') * g, over precomputed parent and last-generator index arrays, so no
-word is hashed.  Structure-constant documents store the rows as they are.
-`product(u, v)`, the word view for callers that hold elements as words, is
-the same fold in words, so its cost grows with the length of v and never with
-the n! basis words.  A document is an export and an independent check, never
-a source: loading one installs nothing, and checks it against the definition
-itself, so the fold is never its own oracle.
+word is hashed; row(iu)[1 + g] is R_g's row iu.  Structure-constant
+documents store the rows as they are.  A document is an export and an
+independent check, never a source: loading one installs nothing, and checks
+it against the definition itself, so the fold is never its own oracle.
 
 Elements are sparse linear combinations over a field.  `SparseElement` holds
 the linear structure that ring and tensor elements share: sums, scaling,
@@ -176,6 +173,16 @@ def straighten_word_shuffled(word: Iterable[Edge], parity: int, rng) -> Dict[Wor
     return out
 
 
+def check_configuration(n: int, m: int) -> None:
+    """Raise ValueError unless F(R^m, n) is a configuration space the ring models."""
+    if n < 1:
+        raise ValueError(f"point count n={n} must be >= 1")
+    if m < 2:
+        raise ValueError(
+            f"ambient dimension m={m} must be >= 2 (points on a line cannot be permuted)"
+        )
+
+
 class Presentation:
     """Presentation of H*(F(R^m, n)): n points in R^m, generators in degree m-1.
 
@@ -186,24 +193,17 @@ class Presentation:
     """
 
     def __init__(self, n: int, m: int):
-        if n < 1:
-            raise ValueError(f"point count n={n} must be >= 1")
-        if m < 2:
-            raise ValueError(
-                f"ambient dimension m={m} must be >= 2 (points on a line cannot be permuted)"
-            )
+        check_configuration(n, m)
         self.n = n
         self.m = m
         self.degree = m - 1        # cohomological degree of each generator
         self.parity = (m - 1) % 2  # 0: generators commute, 1: anticommute
         self.top_weight = n - 1    # largest factor count of a nonzero monomial
         self._bases: Dict[int, Tuple[Word, ...]] = {}
-        self._basis_index: Dict[int, Dict[Word, int]] = {}
         self._coords = None  # built once, by _coordinates
         self._rows: Dict[int, List[Mapping[int, int]]] = {}  # by row
         self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # by product, in words
         self._right_ops = None  # the R_g lists, made once by right_operators
-        self._ops_complete = False  # whether every R_g row is filled
 
     def __repr__(self):
         return f"Presentation(n={self.n}, m={self.m})"
@@ -230,13 +230,6 @@ class Presentation:
                 cached = tuple(words)
             self._bases[k] = cached
         return cached
-
-    def basis_index(self, k: int) -> Dict[Word, int]:
-        idx = self._basis_index.get(k)
-        if idx is None:
-            idx = {w: i for i, w in enumerate(self.basis(k))}
-            self._basis_index[k] = idx
-        return idx
 
     def full_basis(self) -> List[Word]:
         """All admissible monomials, weight by weight; total length is n!.
@@ -268,11 +261,11 @@ class Presentation:
         return co.ends[self.top_weight - co.weights[iu]]
 
     def right_operators(self) -> List[List[Optional[List[Tuple[int, int]]]]]:
-        """R_g for each generator g, in integer coordinates over the reversed full basis.
+        """R_g for each generator g, in the index coordinates of `full_basis()`.
 
-        The basis is `full_basis()[::-1]`: the top weight first, the unit
-        last.  ops[g][iu] lists (iw, k) with u * g = sum k * w, where u and w
-        sit at iu and iw.  A top-weight u times g is zero, so its row is [];
+        ops[g][iu] lists (iw, k) with u * g = sum k * w, where u and w sit at
+        iu and iw; read as a dict it is row(iu)[1 + g].  A top-weight u
+        times g is zero, so the last rows, those of the top weight, are [];
         every other row is None until `right_operator_row` fills it on first
         read.  The lists are made once per ring and filled in place, so every
         tensor square over it, whatever its field, shares what any of them
@@ -281,39 +274,22 @@ class Presentation:
         if self._right_ops is None:
             size = len(self._coordinates().mons)
             top = len(self.basis(self.top_weight))
-            self._right_ops = [[[]] * top + [None] * (size - top) for _ in self.generators()]
+            self._right_ops = [[None] * (size - top) + [[]] * top for _ in self.generators()]
         return self._right_ops
 
     def right_operator_row(self, g: int, iu: int) -> List[Tuple[int, int]]:
-        """Row iu of R_g (see `right_operators`), filled on first read."""
+        """Row iu of R_g (see `right_operators`), filled on first read.
+
+        This is the one place R_g is computed, and it is the definition,
+        `straighten_word(u + (g,))`: R_g has no other source.
+        """
         op = self.right_operators()[g]
         if op[iu] is None:
-            self._fill_right_operator(g, (iu,))
+            co = self._coordinates()
+            # the words of weight 1 follow the unit, in `generators()` order
+            terms = straighten_word(co.mons[iu] + co.mons[1 + g], self.parity)
+            op[iu] = [(co.index[w], k) for w, k in terms.items()]
         return op[iu]
-
-    def _fill_right_operator(self, g: int, ius: Iterable[int]) -> None:
-        """Fill the rows ius of R_g, the one place they are computed.
-
-        Each is the definition, `straighten_word(u + (g,))`: R_g has no other
-        source.
-        """
-        co = self._coordinates()
-        mons, index, parity = co.mons, co.index, self.parity
-        flip = len(mons) - 1
-        gen = mons[1 + g]  # the words of weight 1 follow the unit, in `generators()` order
-        op = self._right_ops[g]
-        for iu in ius:
-            terms = straighten_word(mons[flip - iu] + gen, parity)
-            op[iu] = [(flip - index[w], k) for w, k in terms.items()]
-
-    def _complete_right_operators(self) -> List[List[List[Tuple[int, int]]]]:
-        """R_g with every row filled, for callers that read the whole table."""
-        ops = self.right_operators()
-        if not self._ops_complete:
-            for g, op in enumerate(ops):
-                self._fill_right_operator(g, [iu for iu, row in enumerate(op) if row is None])
-            self._ops_complete = True
-        return ops
 
     def row(self, iu: int) -> List[Mapping[int, int]]:
         """Products of the basis word u at iu, in full-basis index coordinates (memoized).
@@ -322,10 +298,9 @@ class Presentation:
         `width(iu)` words v within the top weight; every longer product is
         zero by grading and has no slot.  By definition u * v is
         `straighten_word(u + v)`, but only the products by one generator (the
-        operators R_g of `right_operators`) are straightened, each R_g row
-        once, and all of them before the first fold, so that the fold reads
-        filled lists.  The rest of the row is the fold, one generator at a
-        time: with v = v' g,
+        rows of the operators R_g of `right_operators`) are straightened,
+        each once, when the fold first reads it.  The rest of the row is the
+        fold, one generator at a time: with v = v' g,
 
             u * v = (u * v') * g = sum_x c_x * (x * g),  where u * v' = sum_x c_x * x.
 
@@ -338,16 +313,18 @@ class Presentation:
         got = self._rows.get(iu)
         if got is None:
             co = self._coordinates()
-            ops = self._complete_right_operators()
+            ops, fill = self.right_operators(), self.right_operator_row
             parent, last = co.parent, co.last
-            flip = len(co.mons) - 1  # R_g is over the reversed basis
             got = [{iu: 1}]
             for iv in range(1, self.width(iu)):
-                op = ops[last[iv]]
+                g = last[iv]
+                op = ops[g]
                 out: Dict[int, int] = {}
                 for ix, c in got[parent[iv]].items():
-                    for iw, k in op[flip - ix]:
-                        iy = flip - iw
+                    terms = op[ix]
+                    if terms is None:
+                        terms = fill(g, ix)
+                    for iy, k in terms:
                         total = out.get(iy, 0) + c * k
                         if total:
                             out[iy] = total
@@ -360,33 +337,19 @@ class Presentation:
     def product(self, u: Word, v: Word) -> Dict[Word, int]:
         """Structure constants of the basis product u * v, in words (memoized).
 
-        u and v must be admissible.  This is the fold of `row` in words,
-        u * (v' g) = (u * v') * g, over memoized prefixes and one-generator
-        products `straighten_word(w + (g,))`: a product costs in proportion
-        to the length of v and never lists the n! basis words that the rows
-        are indexed by.  A product of more than `top_weight` factors is zero
-        by grading and is neither computed nor memoized: admissible words
-        have strictly increasing upper indices in 2..n, and every rewrite
-        keeps the factor count.
+        u and v must be admissible.  This is the definition,
+        `straighten_word(u + v)`, so a product never lists the n! basis
+        words that the rows are indexed by.  A product of more than
+        `top_weight` factors is zero by grading and is neither computed nor
+        memoized: admissible words have strictly increasing upper indices in
+        2..n, and every rewrite keeps the factor count.
         """
         if len(u) + len(v) > self.top_weight:
             return {}
         key = (u, v)
         got = self._products.get(key)
         if got is None:
-            if len(v) <= 1:
-                got = straighten_word(u + v, self.parity)
-            else:
-                g = v[-1:]
-                got = {}
-                for w, c in self.product(u, v[:-1]).items():
-                    for x, k in self.product(w, g).items():
-                        total = got.get(x, 0) + c * k
-                        if total:
-                            got[x] = total
-                        else:
-                            del got[x]
-            self._products[key] = got
+            got = self._products[key] = straighten_word(u + v, self.parity)
         return got
 
 
@@ -592,10 +555,8 @@ def poincare_table(n: int) -> List[int]:
     Route one expands prod (1 + i*t); route two counts admissible monomials.
     The total must come to n!.
     """
-    if n < 1:
-        raise ValueError(f"point count n={n} must be >= 1")
-    expanded = rank_polynomial(n)
     pres = Presentation(n, 2)
+    expanded = rank_polynomial(n)
     counted = [len(pres.basis(k)) for k in range(n)]
     if expanded != counted:
         raise AssertionError(
@@ -767,12 +728,12 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
     return rows
 
 
-def verify_structure_document(doc: dict, pres: Presentation, samples=100, rng=None) -> int:
+def verify_structure_document(doc: dict, pres: Presentation, samples=100) -> int:
     """Validate a document against fresh computation.
 
     With samples=None every product is recomputed; otherwise `samples` random
-    pairs within the top weight are checked (the rng defaults to one seeded
-    from the checksum, so a given document is always probed the same way).
+    pairs within the top weight are checked, drawn by a generator seeded from
+    the checksum, so a given document is always probed the same way.
     Returns the number of products verified; raises CacheError on any
     mismatch.
 
@@ -792,8 +753,7 @@ def verify_structure_document(doc: dict, pres: Presentation, samples=100, rng=No
     else:
         import random
 
-        if rng is None:
-            rng = random.Random(int(doc["checksum"][:16], 16))
+        rng = random.Random(int(doc["checksum"][:16], 16))
         within = accumulate(len(row) for row in rows)
         firsts = rng.choices(range(len(rows)), cum_weights=list(within), k=samples)
         pairs = [(i, rng.randrange(len(rows[i]))) for i in firsts]

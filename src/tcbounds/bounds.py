@@ -29,10 +29,9 @@ dim = (m-1)(n-1) for m >= 3, dim = n-1 for m = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .algebra import Presentation
+from .algebra import Presentation, check_configuration
 from .coeffs import QQ
 from .tensor import TensorSquare
 
@@ -67,10 +66,7 @@ class Caps:
 
 def closed_form_tc(m: int, n: int) -> int:
     """The known value of TC(F(R^m, n)): 1 for n = 1, else 2n-1 (m odd) or 2n-2 (m even)."""
-    if m < 2:
-        raise ValueError(f"ambient dimension m={m} must be >= 2")
-    if n < 1:
-        raise ValueError(f"point count n={n} must be >= 1")
+    check_configuration(n, m)
     if n == 1:
         return 1
     return 2 * n - 1 if m % 2 else 2 * n - 2
@@ -85,17 +81,14 @@ def dimension_upper(dim: int) -> int:
 def connectivity_upper(dim: int, s: int) -> int:
     """Upper bound for an (s-1)-connected complex of dimension dim, s >= 2.
 
-    Divisible case 2*dim = r*s gives r + 1; otherwise the largest integer
-    strictly below (2*dim + 1)/s + 1.
+    The largest integer strictly below (2*dim + 1)/s + 1, which is
+    floor((2*dim + s)/s): r + 1 in the divisible case 2*dim = r*s.
     """
     if s <= 1:
         raise ValueError("connectivity bound needs s >= 2")
     if dim < 1:
         raise ValueError("connectivity bound needs dim >= 1")
-    if (2 * dim) % s == 0:
-        return 2 * dim // s + 1
-    b = Fraction(2 * dim + 1, s) + 1
-    return b.numerator // b.denominator if b.denominator > 1 else int(b) - 1
+    return (2 * dim + s) // s
 
 
 def sharpness_upper(dim: int, s: int, bar_len: int) -> int:

@@ -17,18 +17,19 @@ so a product of barred generators depends only on the multiset S of its
 factors, up to sign, and V_k keeps one accepted vector bar(S) per basis
 element.  Multiplying by bar(g) uses the right-multiplication operators R_g
 on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer arithmetic
-(the structure constants are integers), each row of R_g straightened on its
-first read; the echelon basis takes these integer vectors as they are.
+(the structure constants are integers), in the indices of
+`Presentation.full_basis()`, each row of R_g straightened on its first read;
+the echelon basis takes these integer vectors as they are.
 
 The echelon sees only half of each vector.  The Koszul swap
 tau(u (x) v) = (-1)^{|u||v|} v (x) u is an algebra automorphism of H (x) H
 with tau(bar g) = -bar g, so tau(bar S) = (-1)^{|S|} bar S: in the flat
-coordinates of `TensorSquare._bar_operators`,
+coordinates f = iu * N + iv of `TensorSquare._bar_operators`,
 
     x[iv * N + iu] = (-1)^{|S| + |u||v|} x[iu * N + iv].
 
 V_k lies in one tau-eigenspace, and a vector there that vanishes on the
-coordinates iu >= iv vanishes everywhere.  Projecting onto those coordinates
+coordinates iu <= iv vanishes everywhere.  Projecting onto those coordinates
 (the diagonal kept) is injective on V_k over every field, characteristic 2
 included, so ranks and acceptance are those of the full vectors.  The echelon
 width stays dim (H (x) H)_k, so `is_full` still means V_k is the whole piece
@@ -210,7 +211,8 @@ class TensorSquare:
         """Kernel of the diagonal restriction on the weight-w piece."""
         got = self._zkernels.get(w)
         if got is None:
-            alg_index = self.pres.basis_index(w)
+            # the RREF does not depend on how the image columns are labelled
+            alg_index = self.pres._coordinates().index
             images = []
             for u, v in self.basis(w):
                 images.append({alg_index[m]: c for m, c in self.pres.product(u, v).items()})
@@ -246,13 +248,13 @@ class TensorSquare:
                         break
         return {w: eb for w, eb in out.items() if eb.dim}
 
-    def zero_divisor_power_profile(self, max_power: Optional[int] = None) -> List[Dict[int, int]]:
+    def zero_divisor_power_profile(self) -> List[Dict[int, int]]:
         """Dimensions of the graded pieces of Z^1, Z^2, ... until the power dies.
 
         Entry k-1 maps weight -> dim of the weight piece of Z^k.  The list
-        stops at the last nonzero power (or at max_power), so its length is
-        the zero-divisor cup-length.  Only tests and the selftest call this:
-        reports take it from `bar_span_length_certified`.
+        stops at the last nonzero power, so its length is the zero-divisor
+        cup-length.  Only tests and the selftest call this: reports take it
+        from `bar_span_length_certified`.
         """
         if self.top_weight == 0:
             return []
@@ -267,7 +269,7 @@ class TensorSquare:
             return []
         profile = [{w: len(vs) for w, vs in z1.items()}]
         current = z1
-        while max_power is None or len(profile) < max_power:
+        while True:
             nxt = self._span_product(current, z1)
             if not nxt:
                 break
@@ -280,9 +282,9 @@ class TensorSquare:
     def _bar_operators(self):
         """(one, gens, times_bar): multiplying by bar(g) in integer flat coordinates.
 
-        u (x) v sits at iu * N + iv, over the full basis of H (N = n!) in
-        reverse, the unit last, so one = {N^2 - 1: 1} is 1 (x) 1.  gens is
-        the range of generator indices, and times_bar(vec, g) is
+        u (x) v sits at iu * N + iv, with iu and iv the indices of u and v in
+        `Presentation.full_basis()` (N = n!), so one = {0: 1} is 1 (x) 1.
+        gens is the range of generator indices, and times_bar(vec, g) is
         vec * bar(g) over Z.  It reads the rows of R_g from
         `Presentation.right_operators()`, shared by every square over the
         ring, and has `Presentation.right_operator_row` fill a row on its
@@ -291,12 +293,12 @@ class TensorSquare:
         if self._bar_ops is not None:
             return self._bar_ops
         pres = self.pres
-        mons = pres.full_basis()[::-1]
-        n_mons = len(mons)
+        weights = pres._coordinates().weights
+        n_mons = len(weights)
         ops = pres.right_operators()
         fill = pres.right_operator_row
         # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
-        odd = [bool(pres.parity and len(w) & 1) for w in mons]
+        odd = [bool(pres.parity and w & 1) for w in weights]
 
         def times_bar(vec: Dict[int, int], g: int) -> Dict[int, int]:
             # u (x) v -> (-1)^{parity |v|} ug (x) v - u (x) vg, over Z
@@ -321,10 +323,10 @@ class TensorSquare:
                     out[key] = get(key, 0) - c * k
             return {f: c for f, c in out.items() if c}
 
-        self._bar_ops = ({n_mons * n_mons - 1: 1}, range(len(ops)), times_bar)
+        self._bar_ops = ({0: 1}, range(len(ops)), times_bar)
         return self._bar_ops
 
-    def _bar_span_levels(self, max_power: Optional[int]) -> List[List[Label]]:
+    def _bar_span_levels(self) -> List[List[Label]]:
         """Labels of the accepted basis vectors of V_1, V_2, ..., level by level.
 
         A label is the sorted tuple of generator indices S, standing for the
@@ -333,33 +335,35 @@ class TensorSquare:
         spanned by bar(S + g) over the labels S of V_k, and each new label is
         multiplied out once.
 
-        The reversed basis order (top weight first, the lex-last admissible
-        monomial of a weight first) is chosen for fill-in only.  The echelon
-        pivots on the leftmost nonzero coordinate, so here it eliminates
-        high-weight, high-upper-index coordinates first, where products of
-        barred generators are sparse, and the accepted rows stay short.
-        Spans, labels and witnesses do not depend on it: the same labels are
-        offered in the same order and acceptance is span membership.
-
-        The echelon takes only the coordinates iu >= iv of each bar(S), the
+        The echelon takes only the coordinates iu <= iv of each bar(S), the
         diagonal kept: by the swap symmetry of the module docstring that
         projection is injective on V_k, so it halves every row without
         changing a rank.  `level` keeps the full integer vector, which the
         next multiplication by bar(g) needs.  The width stays dim (H (x) H)_k.
+
+        The echelon numbers the flat coordinate f as N^2 - 1 - f, which
+        reverses the basis of H: the top weight first, the lex-last
+        admissible monomial of a weight first.  That order is chosen for
+        fill-in only, and only here.  The echelon pivots on the leftmost
+        nonzero coordinate, so it eliminates high-weight, high-upper-index
+        coordinates first, where products of barred generators are sparse,
+        and the accepted rows stay short.  Spans, labels and witnesses do not
+        depend on it: the same labels are offered in the same order and
+        acceptance is span membership.
         """
-        cached = self._bar_levels
-        if cached is not None:
-            # V_1 is always reported, as when the levels are computed
-            return cached if max_power is None else cached[:max(max_power, 1)]
+        if self._bar_levels is not None:
+            return self._bar_levels
         pres, field = self.pres, self.field
         one, gens, times_bar = self._bar_operators()
         if not gens:
             return []
         n_mons = len(pres.full_basis())
+        last = n_mons * n_mons - 1
 
         def half(vec: Dict[int, int]) -> Dict[int, int]:
-            # the coordinates iu >= iv, diagonal kept: injective on V_k (see above)
-            return {f: c for f, c in vec.items() if f // n_mons >= f % n_mons}
+            # the coordinates iu <= iv, diagonal kept (injective on V_k), in
+            # the echelon's reversed numbering (see above)
+            return {last - f: c for f, c in vec.items() if f // n_mons <= f % n_mons}
 
         eb = EchelonBasis(field, self.dim(1))
         level: List[Tuple[Label, Dict[int, int]]] = []
@@ -370,7 +374,7 @@ class TensorSquare:
         levels = [[label for label, _ in level]]
         # bar(g)^2 = 0 when |g| is odd, so such labels never repeat a generator
         square_free = bool(pres.parity)
-        while len(levels) < self.top_weight and (max_power is None or len(levels) < max_power):
+        while len(levels) < self.top_weight:
             eb = EchelonBasis(field, self.dim(len(levels) + 1))
             seen = set()
             nxt: List[Tuple[Label, Dict[int, int]]] = []
@@ -393,23 +397,22 @@ class TensorSquare:
                 break
             levels.append([label for label, _ in nxt])
             level = nxt
-        if max_power is None:
-            self._bar_levels = levels
+        self._bar_levels = levels
         return levels
 
-    def bar_span_profile(self, max_power: Optional[int] = None) -> List[int]:
+    def bar_span_profile(self) -> List[int]:
         """Dimensions of V_1, V_2, ... where V_1 = span of barred generators.
 
-        The list stops at the last nonzero V_k (or at max_power).
+        The list stops at the last nonzero V_k.
         """
-        return [len(level) for level in self._bar_span_levels(max_power)]
+        return [len(level) for level in self._bar_span_levels()]
 
     def bar_span_witness(self) -> Word:
         """Generators g_1 <= ... <= g_L with bar(g_1) ... bar(g_L) != 0, L the bar-span length.
 
         Empty when there are no generators (n = 1).
         """
-        levels = self._bar_span_levels(None)
+        levels = self._bar_span_levels()
         if not levels:
             return ()
         gens = self.pres.generators()

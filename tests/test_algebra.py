@@ -157,14 +157,13 @@ def test_over_weight_products_are_zero(n, m):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("m", [2, 3])
 def test_folded_product_is_the_straightened_word(n, m):
-    # `product` folds v one generator at a time; the definition straightens u + v
+    # `row` folds v one generator at a time; the definition straightens u + v
     p = Presentation(n, m)
     mons = p.full_basis()
-    for u in mons:
-        for v in mons:
-            if len(u) + len(v) > p.top_weight:
-                break
-            assert p.product(u, v) == straighten_word(u + v, p.parity), (u, v)
+    for iu, u in enumerate(mons):
+        for iv, terms in enumerate(p.row(iu)):
+            v = mons[iv]
+            assert {mons[k]: c for k, c in terms.items()} == straighten_word(u + v, p.parity), (u, v)
 
 
 def test_mismatched_presentations_rejected():
@@ -304,22 +303,23 @@ def test_one_off_products_never_list_the_basis(monkeypatch, capsys):
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_lazy_right_operator_rows_match_the_completed_table(n, m):
-    # R_g rows read one at a time, in any order, are the rows that `row`
-    # completes before it folds, the products by one generator in the table
-    # and the definition straighten_word(u + (g,))
+    # R_g rows read one at a time, in any order, are the definition
+    # straighten_word(u + (g,)) and the products by one generator in the
+    # completed product table, row(iu)[1 + g], in the same full-basis indices
     lazy, full = Presentation(n, m), Presentation(n, m)
-    mons = full.full_basis()[::-1]
-    flip, top = len(mons) - 1, full.top_weight
+    mons = full.full_basis()
+    top = full.top_weight
     gen_words = [(g,) for g in full.generators()]
     cells = [(g, iu) for g in range(len(gen_words)) for iu in range(len(mons))]
     random.Random(10 * n + m).shuffle(cells)
     got = {cell: lazy.right_operator_row(*cell) for cell in cells}
 
-    full.row(0)
-    completed = full.right_operators()
     for (g, iu), row in got.items():
         u = mons[iu]
-        assert dict(row) == dict(completed[g][iu])
         assert {mons[iw]: k for iw, k in row} == straighten_word(u + gen_words[g], full.parity)
         if len(u) < top:
-            assert {flip - iw: k for iw, k in row} == full.row(flip - iu)[1 + g]
+            assert dict(row) == full.row(iu)[1 + g]
+            # the fold filled R_g's row iu of its own ring as it read it
+            assert dict(full.right_operators()[g][iu]) == full.row(iu)[1 + g]
+        else:
+            assert row == []

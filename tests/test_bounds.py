@@ -1,6 +1,8 @@
 """Bound formulas and report assembly."""
 
 import json
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +63,14 @@ def test_dimension_upper():
 ])
 def test_connectivity_upper(dim, s, expected):
     assert connectivity_upper(dim, s) == expected
+
+
+def test_connectivity_upper_is_the_definition():
+    # the largest integer strictly below (2*dim + 1)/s + 1, formed in Fraction
+    for dim in range(1, 200):
+        for s in range(2, 60):
+            bound = Fraction(2 * dim + 1, s) + 1
+            assert connectivity_upper(dim, s) == math.ceil(bound) - 1, (dim, s)
 
 
 def test_connectivity_upper_rejects_bad_input():

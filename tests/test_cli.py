@@ -92,6 +92,45 @@ def test_report_bad_parameters_usage_error(capsys):
     assert code == EXIT_USAGE
 
 
+BAD_M = "error: ambient dimension m=1 must be >= 2 (points on a line cannot be permuted)\n"
+BAD_N = "error: point count n=0 must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["report"],
+    ["zcl"],
+    ["barspan"],
+    ["grid"],
+    ["basis", "--k", "1"],
+    ["multiply", "e12"],
+    ["export-algebra", "--out", "unwritten.json"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("m,n,message", [("1", "2", BAD_M), ("2", "0", BAD_N)], ids=["m", "n"])
+def test_bad_configuration_has_one_message(capsys, tmp_path, monkeypatch, argv, m, n, message):
+    # one check for every subcommand, before any cap and any output
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv[0], "--m", m, "--n", n, *argv[1:])
+    assert (code, out, err) == (EXIT_USAGE, "", message)
+    assert not (tmp_path / "unwritten.json").exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--m", "1", "--n", "9"], BAD_M),                  # past --max-n
+    (["--m", "2", "--n", "0", "--max-m", "1"], BAD_N),  # past --max-m
+], ids=["m", "n"])
+@pytest.mark.parametrize("command", ["report", "zcl", "barspan", "grid"])
+def test_bad_configuration_is_checked_before_the_caps(capsys, command, argv, message):
+    code, out, err = run(capsys, command, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", message)
+
+
+@pytest.mark.parametrize("command", ["report", "zcl", "barspan"])
+def test_cap_message_is_shared(capsys, command):
+    code, _, err = run(capsys, command, "--m", "3", "--n", "6")
+    assert code == EXIT_CAP
+    assert err == "error: not computed: (m=3, n=6) exceeds caps (max_m=9, max_n=5)\n"
+
+
 def test_report_cap_exceeded(capsys):
     code, out, err = run(capsys, "report", "--m", "3", "--n", "6")
     assert code == EXIT_CAP
