@@ -2,7 +2,8 @@
 
 Exit codes: 0 pinched certificate matching the closed form, 1 unpinched
 bounds (or failed selftest), 2 usage or input-file error, 3 resource cap
-exceeded, 4 contradiction with the closed form (engine bug), 141 (128 +
+exceeded or out of memory (`error: not computed: out of memory`, no
+traceback), 4 contradiction with the closed form (engine bug), 141 (128 +
 SIGPIPE) the reader closed stdout early, as `| head` does; the run stops
 quietly, without a traceback.
 
@@ -404,6 +405,9 @@ def main(argv=None) -> int:
         return code
     except CapExceeded as exc:
         print(f"error: not computed: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: not computed: out of memory", file=sys.stderr)
         return EXIT_CAP
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

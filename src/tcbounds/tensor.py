@@ -21,19 +21,20 @@ on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer arithmetic
 `Presentation.full_basis()`, each row of R_g straightened on its first read;
 the echelon basis takes these integer vectors as they are.
 
-The echelon sees only half of each vector.  The Koszul swap
+Every bar(S) in the package is held by its half.  The Koszul swap
 tau(u (x) v) = (-1)^{|u||v|} v (x) u is an algebra automorphism of H (x) H
 with tau(bar g) = -bar g, so tau(bar S) = (-1)^{|S|} bar S: in the flat
 coordinates f = iu * N + iv of `TensorSquare._bar_operators`,
 
-    x[iv * N + iu] = (-1)^{|S| + |u||v|} x[iu * N + iv].
+    x[iv * N + iu] = mirror * x[iu * N + iv],  mirror = (-1)^{|S| + |u||v|},
 
-V_k lies in one tau-eigenspace, and a vector there that vanishes on the
-coordinates iu <= iv vanishes everywhere.  Projecting onto those coordinates
-(the diagonal kept) is injective on V_k over every field, characteristic 2
-included, so ranks and acceptance are those of the full vectors.  The echelon
-width stays dim (H (x) H)_k, so `is_full` still means V_k is the whole piece
-(as at n = 2, odd m, where V_2 = (H (x) H)_2 is spanned by a diagonal vector).
+a sign fixed by the weights of u and v (|S| is their sum).  A vector in that
+tau-eigenspace that vanishes on the coordinates iu <= iv vanishes everywhere,
+over every field, characteristic 2 included.  So bar(S) is stored, multiplied
+and tested for zero by that half alone (the diagonal kept), and the echelon's
+ranks and acceptance are those of the full vectors.  The echelon width stays
+dim (H (x) H)_k, so `is_full` still means V_k is the whole piece (as at n = 2,
+odd m, where V_2 = (H (x) H)_2 is spanned by a diagonal vector).
 
 Reports do not build the span: `TensorSquare.bar_span_length_certified`
 uses the same integer multiply-by-bar.  The paper's witness word, multiplied
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .algebra import AlgebraElement, Presentation, SparseElement, Word, monomial_str
+from .algebra import AlgebraElement, Presentation, SparseElement, Word, monomial_str, rank_polynomial
 from .linalg import EchelonBasis, Vec, kernel_basis
 
 Pair = Tuple[Word, Word]
@@ -188,7 +189,8 @@ class TensorSquare:
         return got
 
     def dim(self, w: int) -> int:
-        return len(self.basis(w))
+        r = rank_polynomial(self.pres.n)  # the ranks of H: no pair is listed
+        return sum(r[k] * r[w - k] for k in range(len(r)) if 0 <= w - k < len(r))
 
     def coords(self, x: TensorElement, weight: Optional[int] = None) -> Vec:
         w = x.weight if weight is None else weight
@@ -280,15 +282,18 @@ class TensorSquare:
     # -- products of barred generators ---------------------------------------
 
     def _bar_operators(self):
-        """(one, gens, times_bar): multiplying by bar(g) in integer flat coordinates.
+        """(one, gens, times_bar): multiplying by bar(g) on halves, over Z.
 
-        u (x) v sits at iu * N + iv, with iu and iv the indices of u and v in
-        `Presentation.full_basis()` (N = n!), so one = {0: 1} is 1 (x) 1.
-        gens is the range of generator indices, and times_bar(vec, g) is
-        vec * bar(g) over Z.  It reads the rows of R_g from
-        `Presentation.right_operators()`, shared by every square over the
-        ring, and has `Presentation.right_operator_row` fill a row on its
-        first read, so a product straightens only the words it meets.
+        u (x) v sits at f = iu * N + iv, with iu and iv the indices of u and v
+        in `Presentation.full_basis()` (N = n!), so one = {0: 1} is 1 (x) 1.
+        gens is the range of generator indices, and times_bar(vec, g) maps the
+        half of bar(S) (its coordinates iu <= iv, module docstring) to the
+        half of bar(S) * bar(g).  An entry c at iu < iv also stands for
+        mirror * c at (iv, iu): a term w of u * g goes to (iw, iv) with the
+        Koszul sign when iw <= iv, and to (iv, iw) with -mirror * c when
+        iw >= iv.  The rows of R_g come from `Presentation.right_operators()`,
+        shared by every square over the ring, and each is filled by
+        `Presentation.right_operator_row` on its first read.
         """
         if self._bar_ops is not None:
             return self._bar_ops
@@ -299,21 +304,16 @@ class TensorSquare:
         fill = pres.right_operator_row
         # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
         odd = [bool(pres.parity and w & 1) for w in weights]
+        # mirror[len(u)][len(v)]: whether (iv, iu) holds -1 times (iu, iv)
+        mirror = [[(a + b + pres.parity * a * b) & 1 for b in range(pres.n)] for a in range(pres.n)]
 
         def times_bar(vec: Dict[int, int], g: int) -> Dict[int, int]:
-            # u (x) v -> (-1)^{parity |v|} ug (x) v - u (x) vg, over Z
+            # u (x) v -> (-1)^{parity |v|} ug (x) v - u (x) vg, on halves
             op = ops[g]
             out: Dict[int, int] = {}
             get = out.get
             for f, c in vec.items():
                 iu, iv = divmod(f, n_mons)
-                cu = -c if odd[iv] else c
-                row = op[iu]
-                if row is None:
-                    row = fill(g, iu)
-                for iw, k in row:
-                    key = iw * n_mons + iv
-                    out[key] = get(key, 0) + cu * k
                 base = iu * n_mons
                 row = op[iv]
                 if row is None:
@@ -321,6 +321,21 @@ class TensorSquare:
                 for iw, k in row:
                     key = base + iw
                     out[key] = get(key, 0) - c * k
+                if iu == iv:  # no mirror, and ug (x) u lies below the diagonal
+                    continue
+                cu = -c if odd[iv] else c
+                cm = c if mirror[weights[iu]][weights[iv]] else -c
+                base = iv * n_mons
+                row = op[iu]
+                if row is None:
+                    row = fill(g, iu)
+                for iw, k in row:
+                    if iw <= iv:
+                        key = iw * n_mons + iv
+                        out[key] = get(key, 0) + cu * k
+                    if iw >= iv:
+                        key = base + iw
+                        out[key] = get(key, 0) + cm * k
             return {f: c for f, c in out.items() if c}
 
         self._bar_ops = ({0: 1}, range(len(ops)), times_bar)
@@ -335,11 +350,11 @@ class TensorSquare:
         spanned by bar(S + g) over the labels S of V_k, and each new label is
         multiplied out once.
 
-        The echelon takes only the coordinates iu <= iv of each bar(S), the
-        diagonal kept: by the swap symmetry of the module docstring that
-        projection is injective on V_k, so it halves every row without
-        changing a rank.  `level` keeps the full integer vector, which the
-        next multiplication by bar(g) needs.  The width stays dim (H (x) H)_k.
+        Each bar(S) is its half, the coordinates iu <= iv with the diagonal
+        kept, as `times_bar` returns it: by the swap symmetry of the module
+        docstring that half determines it, so the echelon reduces half rows
+        without changing a rank, and `level` keeps the same half for the
+        next multiplication.  The width stays dim (H (x) H)_k.
 
         The echelon numbers the flat coordinate f as N^2 - 1 - f, which
         reverses the basis of H: the top weight first, the lex-last
@@ -360,16 +375,15 @@ class TensorSquare:
         n_mons = len(pres.full_basis())
         last = n_mons * n_mons - 1
 
-        def half(vec: Dict[int, int]) -> Dict[int, int]:
-            # the coordinates iu <= iv, diagonal kept (injective on V_k), in
+        def rev(vec: Dict[int, int]) -> Dict[int, int]:
             # the echelon's reversed numbering (see above)
-            return {last - f: c for f, c in vec.items() if f // n_mons <= f % n_mons}
+            return {last - f: c for f, c in vec.items()}
 
         eb = EchelonBasis(field, self.dim(1))
         level: List[Tuple[Label, Dict[int, int]]] = []
         for gi in gens:
             vec = times_bar(one, gi)  # bar(g) = g (x) 1 - 1 (x) g
-            if eb.insert(half(vec)):
+            if eb.insert(rev(vec)):
                 level.append(((gi,), vec))
         levels = [[label for label, _ in level]]
         # bar(g)^2 = 0 when |g| is odd, so such labels never repeat a generator
@@ -387,7 +401,7 @@ class TensorSquare:
                         continue
                     seen.add(new)
                     prod = times_bar(vec, gi)
-                    if prod and eb.insert(half(prod)):
+                    if prod and eb.insert(rev(prod)):
                         nxt.append((new, prod))
                         if eb.is_full():
                             break

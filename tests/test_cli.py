@@ -454,6 +454,27 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert first == b"e_1_2*e_1_3*e_1_4*e_1_5*e_1_6\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["export-algebra", "--n", "11", "--m", "2", "--out", "doc.json"],
+    ["basis", "--n", "40", "--m", "2", "--k", "20"],
+], ids=["export-algebra", "basis"])
+def test_out_of_memory_is_not_computed(tmp_path, argv):
+    # the child alone runs under a 128 MB address-space limit; running out is
+    # a resource cap (exit 3, one line), not a traceback and exit 1
+    resource = pytest.importorskip("resource")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "tcbounds.cli", *argv], cwd=tmp_path,
+                          env=env, preexec_fn=limit, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == EXIT_CAP == 3
+    assert proc.stderr == "error: not computed: out of memory\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("field", ["q", "zp:3"])
 @pytest.mark.parametrize("n", [7, 8])
 def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, monkeypatch, n, field):

@@ -213,31 +213,71 @@ def test_barspan_parity_law(n):
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_bar_products_are_swap_eigenvectors(n, m):
-    # tau(bar S) = (-1)^|S| bar S, read in the flat coordinates f = iu * N + iv:
-    # the premise that lets the bar span row-reduce only the coordinates iu >= iv
+    # tau(bar S) = (-1)^|S| bar S for the Koszul product of barred generators,
+    # the premise that lets every bar(S) be held by its coordinates iu <= iv;
+    # times_bar must return exactly that half, in flat keys f = iu * N + iv
     pres = Presentation(n, m)
     one, gens, times_bar = TensorSquare(pres, QQ)._bar_operators()
-    mons = pres.full_basis()
-    n_mons = len(mons)
+    bars = [bar(generator(pres, i, j)) for i, j in pres.generators()]
+    index = {w: i for i, w in enumerate(pres.full_basis())}
+    n_mons = len(index)
     top = 2 * n - 2  # longer products vanish by grading
     checked = 0
 
-    def walk(vec, start, length):
+    def half(x):
+        flat = ((index[u], index[v], c) for (u, v), c in x.terms.items())
+        return {iu * n_mons + iv: c for iu, iv, c in flat if iu <= iv}
+
+    def walk(x, vec, start, length):
         # every multiset S of at most top generators, as sorted indices
         nonlocal checked
-        for f, c in vec.items():
-            iu, iv = divmod(f, n_mons)
-            sign = (-1) ** (length + pres.parity * len(mons[iu]) * len(mons[iv]))
-            assert vec.get(iv * n_mons + iu, 0) == sign * c
+        assert koszul_swap(x) == (x if length % 2 == 0 else -x)
+        assert vec == half(x)
         checked += len(vec)
         if length < top:
             for gi in range(start, len(gens)):
-                prod = times_bar(vec, gi)
-                if prod:
-                    walk(prod, gi, length + 1)
+                prod = x * bars[gi]
+                if not prod.is_zero():
+                    walk(prod, times_bar(vec, gi), gi, length + 1)
+                else:
+                    assert not times_bar(vec, gi)
 
-    walk(one, 0, 0)
+    walk(TensorElement.one(pres, QQ), one, 0, 0)
     assert checked > 1
+
+
+@pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (5, 2), (5, 3)])
+def test_times_bar_returns_only_the_half(n, m):
+    # every key of a product has iu <= iv, on the witness words and beyond
+    pres = Presentation(n, m)
+    one, gens, times_bar = TensorSquare(pres, QQ)._bar_operators()
+    n_mons = len(pres.full_basis())
+    vec, seen = one, 0
+    for gi in list(gens) + list(gens):
+        prod = times_bar(vec, gi)
+        if not prod:
+            continue
+        assert all(f // n_mons <= f % n_mons for f in prod)
+        seen += len(prod)
+        vec = prod
+    assert seen > len(gens)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_dim_counts_the_pairs(n):
+    sq = TensorSquare(Presentation(n, 2), QQ)
+    for w in range(-1, sq.top_weight + 2):
+        assert sq.dim(w) == len(sq.basis(w))
+
+
+def test_bar_span_never_lists_the_pairs(monkeypatch):
+    # the span sizes its echelons by dim, not by the N^2 pairs (u, v)
+    def listing(self, w):
+        raise AssertionError("the bar span listed the basis pairs")
+
+    monkeypatch.setattr(TensorSquare, "basis", listing)
+    dims = TensorSquare(Presentation(5, 2), PrimeField(3)).bar_span_profile()
+    assert dims == [10, 45, 120, 210, 246, 180, 60]
 
 
 @pytest.mark.parametrize("n,m,dims", [(2, 3, [1, 1]), (3, 3, [3, 6, 6, 3])])
