@@ -22,11 +22,8 @@ from .algebra import (
 )
 from .bounds import (
     BoundsReport,
-    Caps,
-    CapExceeded,
     ClosedFormContradiction,
     assemble_report,
-    capped_report,
     closed_form_tc,
     connectivity_upper,
     dimension_upper,
@@ -43,8 +40,6 @@ __all__ = [
     "AlgebraElement",
     "BoundsReport",
     "CacheError",
-    "CapExceeded",
-    "Caps",
     "Presentation",
     "PrimeField",
     "QQ",
@@ -54,7 +49,6 @@ __all__ = [
     "ClosedFormContradiction",
     "assemble_report",
     "bar",
-    "capped_report",
     "closed_form_tc",
     "connectivity_upper",
     "diagonal_restriction",

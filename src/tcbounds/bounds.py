@@ -20,7 +20,9 @@ fallback and test oracle).  Upper bounds come from four sources:
   TC <= (2(n-2) + 1) + 2 - 1 = 2n - 2.
 
 `assemble_report` combines these for F(R^m, n) and compares the pinched value
-against the known closed form (2n - 1 for m odd, 2n - 2 for m even).
+against the known closed form (2n - 1 for m odd, 2n - 2 for m even).  A
+`BoundsReport` with no bounds is the one the command line prints for a run
+past its `--max-n`.
 
 Homotopy-dimension inputs are taken as facts, recorded in the diagnostics:
 dim = (m-1)(n-1) for m >= 3, dim = n-1 for m = 2.
@@ -46,22 +48,6 @@ UPPER_TAGS = {
 
 class ClosedFormContradiction(AssertionError):
     """A pinched report disagreed with the closed form; the engine is broken."""
-
-
-class CapExceeded(ValueError):
-    """Requested size is beyond the configured resource caps."""
-
-
-@dataclass(frozen=True)
-class Caps:
-    max_n: int = 5
-    max_m: int = 9
-
-    def check(self, m: int, n: int) -> None:
-        if n > self.max_n or m > self.max_m:
-            raise CapExceeded(
-                f"(m={m}, n={n}) exceeds caps (max_m={self.max_m}, max_n={self.max_n})"
-            )
 
 
 def closed_form_tc(m: int, n: int) -> int:
@@ -181,7 +167,7 @@ class BoundsReport:
         return lines
 
 
-def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps()) -> BoundsReport:
+def assemble_report(m: int, n: int, field=QQ) -> BoundsReport:
     """Compute and cross-check TC bounds for F(R^m, n).
 
     The lower bound is the zero-divisor cup-length over the requested field,
@@ -194,13 +180,15 @@ def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps()) -> BoundsRepo
     bound (recorded as a warning for characteristic 2), never the upper one.
     Both squares share one presentation, so they share its R_g rows.
 
-    Raises ClosedFormContradiction if a pinched value disagrees with the closed
-    form, and CapExceeded when (m, n) is beyond `caps`.
+    Every input reads m only through its parity or in O(1) integer
+    arithmetic, so the cost grows with n alone; the library sets no size cap
+    (the command line's `--max-n` does).  Raises ValueError for a
+    configuration the ring does not model, and ClosedFormContradiction if a
+    pinched value disagrees with the closed form.
     """
     report = BoundsReport(
         m=m, n=n, closed_form=closed_form_tc(m, n), field_used=field.describe()
     )
-    caps.check(m, n)
     if field.characteristic == 2:
         report.warnings.append(
             "characteristic 2 kills the doubled square of barred even-degree classes; "
@@ -250,15 +238,3 @@ def assemble_report(m: int, n: int, field=QQ, caps: Caps = Caps()) -> BoundsRepo
             f"for (m={m}, n={n})"
         )
     return report
-
-
-def capped_report(m: int, n: int, field=QQ, caps: Caps = Caps()) -> BoundsReport:
-    """Like `assemble_report`, but a cap overflow yields an unknown-bounds report."""
-    try:
-        return assemble_report(m, n, field=field, caps=caps)
-    except CapExceeded as exc:
-        report = BoundsReport(
-            m=m, n=n, closed_form=closed_form_tc(m, n), field_used=field.describe()
-        )
-        report.warnings.append(f"not computed: {exc}")
-        return report

@@ -1,8 +1,8 @@
 """Command-line interface for batch certification runs.
 
 Exit codes: 0 pinched certificate matching the closed form, 1 unpinched
-bounds (or failed selftest), 2 usage or input-file error, 3 resource cap
-exceeded or out of memory (`error: not computed: out of memory`, no
+bounds (or failed selftest), 2 usage or input-file error, 3 not computed:
+n past --max-n or out of memory (`error: not computed: out of memory`, no
 traceback), 4 contradiction with the closed form (engine bug), 141 (128 +
 SIGPIPE) the reader closed stdout early, as `| head` does; the run stops
 quietly, without a traceback.
@@ -18,21 +18,16 @@ import json
 import os
 import re
 import sys
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .algebra import (
     AlgebraElement,
     Presentation,
+    check_configuration,
     monomial_str,
     write_structure_document,
 )
-from .bounds import (
-    CapExceeded,
-    Caps,
-    ClosedFormContradiction,
-    assemble_report,  # unused here: the name the certbench tracer wraps
-    capped_report,
-)
+from .bounds import BoundsReport, ClosedFormContradiction, assemble_report, closed_form_tc
 from .coeffs import parse_field
 from .selftest import run_all, suite_cache
 from .tensor import TensorSquare
@@ -80,8 +75,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _caps(args) -> Caps:
-    return Caps(max_n=args.max_n, max_m=args.max_m)
+def _over_cap(m: int, n: int, max_n: int) -> Optional[str]:
+    """Why (m, n) is not computed, or None; a bad (n, m) raises ValueError first.
+
+    Every computation reads m only through its parity, so n alone is capped.
+    """
+    check_configuration(n, m)
+    if n > max_n:
+        return f"(m={m}, n={n}) exceeds caps (max_n={max_n})"
+    return None
+
+
+def _report(m: int, n: int, field, max_n: int) -> BoundsReport:
+    """The report for (m, n), with no bounds when n is past max_n."""
+    over = _over_cap(m, n, max_n)
+    if over is None:
+        return assemble_report(m, n, field=field)
+    return BoundsReport(m=m, n=n, closed_form=closed_form_tc(m, n),
+                        field_used=field.describe(), warnings=[f"not computed: {over}"])
 
 
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
@@ -99,7 +110,7 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 def cmd_report(args) -> int:
     field = parse_field(args.field)
     try:
-        report = capped_report(args.m, args.n, field=field, caps=_caps(args))
+        report = _report(args.m, args.n, field, args.max_n)
     except ClosedFormContradiction as exc:
         print(f"CONTRADICTION: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
@@ -111,10 +122,10 @@ def cmd_report(args) -> int:
 
 
 def _grid_cell(task):
-    m, n, field_text, max_n, max_m = task
+    m, n, field_text, max_n = task
     field = parse_field(field_text)
     try:
-        return ("ok", capped_report(m, n, field=field, caps=Caps(max_n=max_n, max_m=max_m)))
+        return ("ok", _report(m, n, field, max_n))
     except ClosedFormContradiction as exc:
         return ("contradiction", str(exc))
 
@@ -130,7 +141,7 @@ def cmd_grid(args) -> int:
     if not cells:
         print(f"error: empty grid: --m {args.m} --n {args.n} has no cells", file=sys.stderr)
         return EXIT_USAGE
-    tasks = [(m, n, args.field, args.max_n, args.max_m) for m, n in cells]
+    tasks = [(m, n, args.field, args.max_n) for m, n in cells]
     # the pool starts all its workers at once: never more than there are cells
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
@@ -219,16 +230,20 @@ def cmd_multiply(args) -> int:
     return 0
 
 
-def _tensor_square(args) -> TensorSquare:
-    """The tensor square for --n/--m/--field, after the ring's and the caps' checks."""
+def _tensor_square(args) -> Optional[TensorSquare]:
+    """The tensor square for --n/--m/--field, or None (reported) past --max-n."""
     field = parse_field(args.field)
-    pres = Presentation(args.n, args.m)
-    _caps(args).check(args.m, args.n)
-    return TensorSquare(pres, field)
+    over = _over_cap(args.m, args.n, args.max_n)
+    if over is not None:
+        print(f"error: not computed: {over}", file=sys.stderr)
+        return None
+    return TensorSquare(Presentation(args.n, args.m), field)
 
 
 def cmd_zcl(args) -> int:
     square = _tensor_square(args)
+    if square is None:
+        return EXIT_CAP
     # the zero-divisor lemma: the cup-length is the bar-span length
     zcl = square.bar_span_length_certified()
     payload = {
@@ -247,6 +262,8 @@ def cmd_zcl(args) -> int:
 
 def cmd_barspan(args) -> int:
     square = _tensor_square(args)
+    if square is None:
+        return EXIT_CAP
     dims = square.bar_span_profile()
     witness = square.bar_span_witness()
     payload = {
@@ -328,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", default="q",
                            help="coefficients: q (default) or zp:P for a prime P")
         if caps:
-            p.add_argument("--max-n", type=int, default=Caps.max_n)
-            p.add_argument("--max-m", type=int, default=Caps.max_m)
+            p.add_argument("--max-n", type=int, default=5)
 
     p = sub.add_parser("report", help="certify TC(F(R^m, n))")
     p.add_argument("--m", type=int, required=True)
@@ -403,9 +419,6 @@ def main(argv=None) -> int:
         # a reader that closed stdout shows here, not in the interpreter's final flush
         sys.stdout.flush()
         return code
-    except CapExceeded as exc:
-        print(f"error: not computed: {exc}", file=sys.stderr)
-        return EXIT_CAP
     except MemoryError:
         print("error: not computed: out of memory", file=sys.stderr)
         return EXIT_CAP

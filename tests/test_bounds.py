@@ -8,10 +8,7 @@ import pytest
 
 from tcbounds.bounds import (
     BoundsReport,
-    CapExceeded,
-    Caps,
     assemble_report,
-    capped_report,
     closed_form_tc,
     connectivity_upper,
     dimension_upper,
@@ -19,6 +16,7 @@ from tcbounds.bounds import (
     product_upper_m2,
     sharpness_upper,
 )
+from tcbounds.cli import EXIT_CAP, main
 from tcbounds.coeffs import QQ, PrimeField
 
 
@@ -173,33 +171,26 @@ def test_report_mod3_sphere_pinches():
 
 
 def test_report_n6_certifies_past_the_default_cap():
-    r = assemble_report(3, 6, caps=Caps(max_n=6))
+    r = assemble_report(3, 6)
     assert (r.lower, r.upper, r.closed_form, r.pinched) == (11, 11, 11, True)
 
 
-def test_caps_give_unknown_report():
-    r = capped_report(4, 7, caps=Caps(max_n=5))
+def test_caps_give_unknown_report(capsys):
+    # the library sets no cap; the command line's --max-n (default 5) does
+    assert main(["report", "--m", "4", "--n", "7", "--output", "json"]) == EXIT_CAP
+    data = json.loads(capsys.readouterr().out)
+    r = BoundsReport.from_json_dict(data)
     assert r.lower is None and r.upper is None and not r.computed
     assert not r.pinched
     assert r.closed_form == 12
-    assert any("not computed" in w for w in r.warnings)
-
-
-def test_caps_raise_in_strict_mode():
-    with pytest.raises(CapExceeded):
-        assemble_report(2, 9, caps=Caps(max_n=5))
-    with pytest.raises(CapExceeded):
-        assemble_report(11, 2, caps=Caps(max_m=9))
+    assert r.warnings == ["not computed: (m=4, n=7) exceeds caps (max_n=5)"]
+    assert r.to_json_dict() == data
 
 
 def test_report_json_roundtrip():
     r = assemble_report(4, 3)
     data = json.loads(json.dumps(r.to_json_dict()))
     assert BoundsReport.from_json_dict(data) == r
-
-    r2 = capped_report(4, 7, caps=Caps(max_n=5))
-    data2 = json.loads(json.dumps(r2.to_json_dict()))
-    assert BoundsReport.from_json_dict(data2) == r2
 
 
 def test_sharpness_never_exceeds_connectivity():
@@ -227,7 +218,7 @@ def test_report_builds_the_bar_operators_once(monkeypatch):
 
     monkeypatch.setattr(algebra, "straighten_word", counting)
     n = 6
-    report = assemble_report(3, n, field=PrimeField(3), caps=Caps(max_n=n))
+    report = assemble_report(3, n, field=PrimeField(3))
     assert report.pinched
     prefixes = [tuple((1, i) for i in range(2, j + 1)) for j in range(1, n)]
     expected = {w + ((1, len(w) + 2),) for w in prefixes}

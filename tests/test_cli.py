@@ -115,8 +115,8 @@ def test_bad_configuration_has_one_message(capsys, tmp_path, monkeypatch, argv, 
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--m", "1", "--n", "9"], BAD_M),                  # past --max-n
-    (["--m", "2", "--n", "0", "--max-m", "1"], BAD_N),  # past --max-m
+    (["--m", "1", "--n", "9"], BAD_M),                   # past --max-n
+    (["--m", "2", "--n", "0", "--max-n", "-1"], BAD_N),  # past a negative --max-n
 ], ids=["m", "n"])
 @pytest.mark.parametrize("command", ["report", "zcl", "barspan", "grid"])
 def test_bad_configuration_is_checked_before_the_caps(capsys, command, argv, message):
@@ -128,7 +128,7 @@ def test_bad_configuration_is_checked_before_the_caps(capsys, command, argv, mes
 def test_cap_message_is_shared(capsys, command):
     code, _, err = run(capsys, command, "--m", "3", "--n", "6")
     assert code == EXIT_CAP
-    assert err == "error: not computed: (m=3, n=6) exceeds caps (max_m=9, max_n=5)\n"
+    assert err == "error: not computed: (m=3, n=6) exceeds caps (max_n=5)\n"
 
 
 def test_report_cap_exceeded(capsys):
@@ -139,6 +139,35 @@ def test_report_cap_exceeded(capsys):
     assert code == EXIT_PINCHED
     code, _, _ = run(capsys, "report", "--m", "3", "--n", "3", "--max-n", "2")
     assert code == EXIT_CAP
+
+
+def test_large_m_is_computed(capsys):
+    # every computation reads m only through its parity: m is never capped
+    code, out, _ = run(capsys, "report", "--m", "10", "--n", "3", "--output", "json")
+    data = json.loads(out)
+    assert code == EXIT_PINCHED
+    assert data["pinched"] and data["lower"] == data["upper"] == 4
+    code, out, _ = run(capsys, "grid", "--m", "2..11", "--n", "2..3")
+    assert code == EXIT_PINCHED
+    assert "pinched 20/20" in out
+
+
+def test_reports_call_assemble_report_once_per_cell(capsys, monkeypatch):
+    # the benchmark tracer counts reports by wrapping `tcbounds.cli.assemble_report`
+    calls = []
+    assemble = tcbounds.cli.assemble_report
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(tcbounds.cli, "assemble_report", counting)
+    assert run(capsys, "report", "--m", "3", "--n", "3")[0] == EXIT_PINCHED
+    assert len(calls) == 1
+    assert run(capsys, "grid", "--m", "2..3", "--n", "2", "--jobs", "1")[0] == EXIT_PINCHED
+    assert len(calls) == 3
+    assert run(capsys, "report", "--m", "3", "--n", "6")[0] == EXIT_CAP
+    assert len(calls) == 3
 
 
 # -- grid ---------------------------------------------------------------------------
@@ -378,12 +407,12 @@ def test_selftest_unreadable_document_is_input_error(tmp_path, capsys, monkeypat
 # every option of every subcommand: a new or retired option shows here as a
 # reviewed change
 OPTIONS = {
-    "report": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n", "--max-m"],
-    "grid": ["-h", "--help", "--m", "--n", "--jobs", "--output", "--field", "--max-n", "--max-m"],
+    "report": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n"],
+    "grid": ["-h", "--help", "--m", "--n", "--jobs", "--output", "--field", "--max-n"],
     "basis": ["-h", "--help", "--m", "--n", "--k", "--output"],
     "multiply": ["-h", "--help", "--m", "--n", "--output", "--field"],
-    "zcl": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n", "--max-m"],
-    "barspan": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n", "--max-m"],
+    "zcl": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n"],
+    "barspan": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n"],
     "selftest": ["-h", "--help", "--seed", "--samples", "--shuffles", "--cache", "--output"],
     "export-algebra": ["-h", "--help", "--m", "--n", "--out", "--output"],
 }

@@ -11,8 +11,7 @@ from tcbounds import algebra, bounds
 from tcbounds.tensor import TensorSquare
 
 PARAMETERS = {
-    "assemble_report": ["m", "n", "field", "caps"],
-    "capped_report": ["m", "n", "field", "caps"],
+    "assemble_report": ["m", "n", "field"],
     "TensorSquare.bar_span_profile": ["self"],
     "TensorSquare.zero_divisor_power_profile": ["self"],
     "TensorSquare.bar_span_length_certified": ["self"],
@@ -26,7 +25,6 @@ PARAMETERS = {
 def test_parameter_surface_is_pinned():
     functions = [
         bounds.assemble_report,
-        bounds.capped_report,
         TensorSquare.bar_span_profile,
         TensorSquare.zero_divisor_power_profile,
         TensorSquare.bar_span_length_certified,
