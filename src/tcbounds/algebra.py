@@ -20,16 +20,18 @@ independent confluence oracle.
 u * v is the normal form of the word u + v.  `Presentation.product(u, v)`
 is that definition, memoized, for callers that hold elements as words; it
 never lists the n! basis words.  The ring has one coordinate system, the
-indices of `full_basis()`, and holds two tables in it.  The operators R_g
-of `right_operators` are the products by one generator g, each row
-straightened on its first read (`right_operator_row`), so a certificate that
-multiplies out one witness straightens only the words it meets.  The
-product rows of `row` fold R_g one generator at a time, u * (v' g) =
-(u * v') * g, over precomputed parent and last-generator index arrays, so no
-word is hashed; row(iu)[1 + g] is R_g's row iu.  Structure-constant
-documents store the rows as they are.  A document is an export and an
-independent check, never a source: loading one installs nothing, and checks
-it against the definition itself, so the fold is never its own oracle.
+indices of `full_basis()`.  The operators R_g of `right_operators` are the
+products by one generator g, each row filled on its first read
+(`right_operator_row`) from rows of the word's prefix by the Arnold relation
+on its last letter, with no word rewritten, so a certificate that multiplies
+out one witness fills only the rows it meets.  The product rows of `row`
+fold R_g one generator at a time, u * (v' g) = (u * v') * g, over
+precomputed parent and last-generator index arrays, so no word is hashed;
+row(iu)[1 + g] is R_g's row iu.  Only R_g is kept: a product row is built
+on each call.  Structure-constant documents store the rows as they are.  A
+document is an export and an independent check, never a source: loading one
+installs nothing, and checks it against the definition itself, so neither
+the recursion nor the fold is ever its own oracle.
 
 Elements are sparse linear combinations over a field.  `SparseElement` holds
 the linear structure that ring and tensor elements share: sums, scaling,
@@ -186,10 +188,9 @@ def check_configuration(n: int, m: int) -> None:
 class Presentation:
     """Presentation of H*(F(R^m, n)): n points in R^m, generators in degree m-1.
 
-    Instances memoize bases, the product rows (integer structure constants
-    in full-basis index coordinates), the operators R_g and the products in
-    words that `product` returns.  All methods are pure apart from filling
-    these caches.
+    Instances memoize bases, the operators R_g (integer structure constants
+    in full-basis index coordinates) and the products in words that `product`
+    returns.  All methods are pure apart from filling these caches.
     """
 
     def __init__(self, n: int, m: int):
@@ -201,7 +202,6 @@ class Presentation:
         self.top_weight = n - 1    # largest factor count of a nonzero monomial
         self._bases: Dict[int, Tuple[Word, ...]] = {}
         self._coords = None  # built once, by _coordinates
-        self._rows: Dict[int, List[Mapping[int, int]]] = {}  # by row
         self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # by product, in words
         self._right_ops = None  # the R_g lists, made once by right_operators
 
@@ -267,9 +267,10 @@ class Presentation:
         iu and iw; read as a dict it is row(iu)[1 + g].  A top-weight u
         times g is zero, so the last rows, those of the top weight, are [];
         every other row is None until `right_operator_row` fills it on first
-        read.  The lists are made once per ring and filled in place, so every
-        tensor square over it, whatever its field, shares what any of them
-        has read, and so does the fold of `row`.
+        read, with the rows of the word's prefix that it needs.  The lists are
+        made once per ring and filled in place, so every tensor square over
+        it, whatever its field, shares what any of them has read, and so does
+        the fold of `row`.
         """
         if self._right_ops is None:
             size = len(self._coordinates().mons)
@@ -280,58 +281,101 @@ class Presentation:
     def right_operator_row(self, g: int, iu: int) -> List[Tuple[int, int]]:
         """Row iu of R_g (see `right_operators`), filled on first read.
 
-        This is the one place R_g is computed, and it is the definition,
-        `straighten_word(u + (g,))`: R_g has no other source.
+        The row is u * g for the word u at iu, built from rows of the prefix
+        u' of u = u' h, where h = (a, c) is the last letter of u, and never
+        rewritten.  With g = (b, d):
+
+        - u = 1:          1 * g = g, the base case;
+        - d > c:          u * g = u + g, an admissible word;
+        - d < c:          u * g = (-1)^parity * sum k_w (w + h),
+                          where sum k_w w = R_g(u');
+        - g = h:          u * g = 0;
+        - d = c, b != a:  u * g = s * sum k_w ((w + p) - (w + q)),
+                          where sum k_w w = R_x(u'), x = e_{min(a,b) max(a,b)},
+                          and (p, q, s) = ((b,c), (a,c), 1) for a < b,
+                          ((a,c), (b,c), (-1)^parity) for a > b.
+
+        Proof.  The ring is associative, so u * g = u' * (h * g).  For d < c,
+        h * g = (-1)^parity g * h (one swap of two generators), so u * g =
+        (-1)^parity (u' * g) * h.  For d = c the rule of `straighten_word`
+        (after one swap when a > b) rewrites h * g as s * (x * p - x * q),
+        so u * g = s * ((u' * x) * p - (u' * x) * q).  g * g = 0 settles
+        g = h.  No word w + letter needs rewriting: u' and x (or g, when
+        d < c) have all their upper indices below c, no rewrite raises an
+        upper index, so every w has all its uppers below c and w + letter,
+        whose last upper is c, is admissible.  Distinct w give distinct
+        w + p, and w + p is never w' + q, the last letters differing, so the
+        row needs no summing.  Coordinates are read through `_Coordinates`
+        alone (`mons`, `index` and `parent`).  `straighten_word(u + (g,))`
+        stays the definition, against which the tests check every row.
         """
         op = self.right_operators()[g]
-        if op[iu] is None:
+        row = op[iu]
+        if row is None:
             co = self._coordinates()
+            mons, index = co.mons, co.index
+            u = mons[iu]
             # the words of weight 1 follow the unit, in `generators()` order
-            terms = straighten_word(co.mons[iu] + co.mons[1 + g], self.parity)
-            op[iu] = [(co.index[w], k) for w, k in terms.items()]
-        return op[iu]
+            letter = mons[1 + g][0]
+            b, d = letter
+            a, c = u[-1] if u else (0, 0)  # the unit is below every generator
+            sign = -1 if self.parity else 1
+            if d > c:
+                row = [(index[u + (letter,)], 1)]
+            elif d < c:
+                h = u[-1]
+                row = [(index[mons[iw] + (h,)], sign * k)
+                       for iw, k in self.right_operator_row(g, co.parent[iu])]
+            elif b == a:
+                row = []
+            else:
+                x = index[((min(a, b), max(a, b)),)] - 1
+                p, q, s = ((b, c), (a, c), 1) if a < b else ((a, c), (b, c), sign)
+                row = []
+                for iw, k in self.right_operator_row(x, co.parent[iu]):
+                    w = mons[iw]
+                    row.append((index[w + (p,)], s * k))
+                    row.append((index[w + (q,)], -s * k))
+            op[iu] = row
+        return row
 
-    def row(self, iu: int) -> List[Mapping[int, int]]:
-        """Products of the basis word u at iu, in full-basis index coordinates (memoized).
+    def row(self, iu: int) -> List[Dict[int, int]]:
+        """Products of the basis word u at iu, in full-basis index coordinates.
 
         row(iu)[iv] is {ix: c} with u * v = sum c * x, for each of the
         `width(iu)` words v within the top weight; every longer product is
         zero by grading and has no slot.  By definition u * v is
-        `straighten_word(u + v)`, but only the products by one generator (the
-        rows of the operators R_g of `right_operators`) are straightened,
-        each once, when the fold first reads it.  The rest of the row is the
-        fold, one generator at a time: with v = v' g,
+        `straighten_word(u + v)`, but the row is the fold of the operators
+        R_g of `right_operators`, one generator at a time: with v = v' g,
 
             u * v = (u * v') * g = sum_x c_x * (x * g),  where u * v' = sum_x c_x * x.
 
         This holds because the ring is associative and the prefix v' of an
         admissible word is admissible, of lower weight and so earlier in the
         row; `parent` and `last` of `_Coordinates` index v' and g, so no word
-        is hashed.  `verify_structure_document` compares documents with the
-        definition, not with this fold.
+        is hashed.  The row is built on each call and not kept: the R_g rows
+        it reads are.  `verify_structure_document` compares documents with
+        the definition, not with this fold.
         """
-        got = self._rows.get(iu)
-        if got is None:
-            co = self._coordinates()
-            ops, fill = self.right_operators(), self.right_operator_row
-            parent, last = co.parent, co.last
-            got = [{iu: 1}]
-            for iv in range(1, self.width(iu)):
-                g = last[iv]
-                op = ops[g]
-                out: Dict[int, int] = {}
-                for ix, c in got[parent[iv]].items():
-                    terms = op[ix]
-                    if terms is None:
-                        terms = fill(g, ix)
-                    for iy, k in terms:
-                        total = out.get(iy, 0) + c * k
-                        if total:
-                            out[iy] = total
-                        else:
-                            del out[iy]
-                got.append(out)
-            self._rows[iu] = got
+        co = self._coordinates()
+        ops, fill = self.right_operators(), self.right_operator_row
+        parent, last = co.parent, co.last
+        got = [{iu: 1}]
+        for iv in range(1, self.width(iu)):
+            g = last[iv]
+            op = ops[g]
+            out: Dict[int, int] = {}
+            for ix, c in got[parent[iv]].items():
+                terms = op[ix]
+                if terms is None:
+                    terms = fill(g, ix)
+                for iy, k in terms:
+                    total = out.get(iy, 0) + c * k
+                    if total:
+                        out[iy] = total
+                    else:
+                        del out[iy]
+            got.append(out)
         return got
 
     def product(self, u: Word, v: Word) -> Dict[Word, int]:
@@ -596,19 +640,27 @@ def stability_check(n: int, m_even: int) -> bool:
 _CHECKED_KEYS = ("schema_version", "n", "m", "basis", "products")
 
 
+def _canonical_json(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 def _document_checksum(payload: dict) -> str:
-    data = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(data).hexdigest()
+    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
-def structure_document(pres: Presentation) -> dict:
-    """Versioned JSON-ready dump of the full product table.
+def _document_and_text(pres: Presentation) -> Tuple[dict, str]:
+    """The structure document of `pres` and its file text, serialized once.
 
     Coefficients are serialized as decimal strings; `basis` lists monomials as
     edge lists in the canonical weight-by-weight order.  Only pairs within the
-    top weight can be nonzero; `Presentation.row` holds exactly those, in the
+    top weight can be nonzero; `Presentation.row` gives exactly those, in the
     index coordinates of the document, so its nonzero entries are emitted as
-    they are.
+    they are, each row read once.
+
+    The keys sort as basis, checksum, m, n, products, schema_version, so the
+    text the checksum covers, `_canonical_json` of the `_CHECKED_KEYS`, is
+    the file text without its `"checksum":"...",` member: both are made from
+    the same two pieces, the basis member and the rest.
     """
     mons = pres.full_basis()
     products = []
@@ -616,25 +668,32 @@ def structure_document(pres: Presentation) -> dict:
         for j, p in enumerate(pres.row(i)):
             if p:
                 products.append([i, j, [[k, str(c)] for k, c in sorted(p.items())]])
-    payload = {
-        "schema_version": STRUCTURE_SCHEMA_VERSION,
-        "n": pres.n,
-        "m": pres.m,
-        "basis": [[list(e) for e in w] for w in mons],
-        "products": products,
-    }
-    payload["checksum"] = _document_checksum({k: payload[k] for k in _CHECKED_KEYS})
-    return payload
+    basis = [[list(e) for e in w] for w in mons]
+    rest = {"m": pres.m, "n": pres.n, "products": products,
+            "schema_version": STRUCTURE_SCHEMA_VERSION}
+    head = '{"basis":' + _canonical_json(basis) + ","
+    tail = _canonical_json(rest)[1:]
+    digest = hashlib.sha256(head.encode())
+    digest.update(tail.encode())
+    checksum = digest.hexdigest()
+    doc = {"basis": basis, "checksum": checksum, **rest}
+    return doc, f'{head}"checksum":"{checksum}",{tail}\n'
+
+
+def structure_document(pres: Presentation) -> dict:
+    """Versioned JSON-ready dump of the full product table (see `_document_and_text`)."""
+    return _document_and_text(pres)[0]
 
 
 def document_to_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return _canonical_json(doc) + "\n"
 
 
 def write_structure_document(pres: Presentation, path) -> dict:
-    doc = structure_document(pres)
+    """Write the structure document of `pres` to `path`; returns the document."""
+    doc, text = _document_and_text(pres)
     with open(path, "w") as fh:
-        fh.write(document_to_json(doc))
+        fh.write(text)
     return doc
 
 
@@ -738,8 +797,8 @@ def verify_structure_document(doc: dict, pres: Presentation, samples=100) -> int
     mismatch.
 
     Each product is re-derived from the definition, `straighten_word(u + v)`,
-    never through the generator fold of `Presentation.row`, so a fault in
-    the fold cannot vouch for itself.  Only pairs within the top weight are
+    never through the generator fold of `Presentation.row` or the R_g rows
+    it folds, so a fault in either cannot vouch for itself.  Only pairs within the top weight are
     re-derived: `_parse_document` has already rejected every entry above it,
     so every other pair is absent from the rows, zero as grading requires.
     The full check counts all N^2 pairs; a sampled check draws uniformly

@@ -420,8 +420,10 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except MemoryError:
-        print("error: not computed: out of memory", file=sys.stderr)
-        return EXIT_CAP
+        # reported below: inside this clause the traceback still holds the
+        # failed frames and the memory they filled, so printing could run
+        # out of memory a second time
+        pass
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -430,6 +432,8 @@ def main(argv=None) -> int:
         # output still buffered cannot raise a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PIPE
+    print("error: not computed: out of memory", file=sys.stderr)
+    return EXIT_CAP
 
 
 if __name__ == "__main__":

@@ -18,8 +18,9 @@ factors, up to sign, and V_k keeps one accepted vector bar(S) per basis
 element.  Multiplying by bar(g) uses the right-multiplication operators R_g
 on H, u (x) v -> (-1)^{|v||g|} ug (x) v - u (x) vg, in integer arithmetic
 (the structure constants are integers), in the indices of
-`Presentation.full_basis()`, each row of R_g straightened on its first read;
-the echelon basis takes these integer vectors as they are.
+`Presentation.full_basis()`, each row of R_g filled on its first read from
+the Arnold relation; the echelon basis takes these integer vectors as they
+are.
 
 Every bar(S) in the package is held by its half.  The Koszul swap
 tau(u (x) v) = (-1)^{|u||v|} v (x) u is an algebra automorphism of H (x) H
@@ -293,7 +294,8 @@ class TensorSquare:
         Koszul sign when iw <= iv, and to (iv, iw) with -mirror * c when
         iw >= iv.  The rows of R_g come from `Presentation.right_operators()`,
         shared by every square over the ring, and each is filled by
-        `Presentation.right_operator_row` on its first read.
+        `Presentation.right_operator_row` on its first read, from rows of the
+        word's prefix and with no word rewritten.
         """
         if self._bar_ops is not None:
             return self._bar_ops

@@ -272,28 +272,19 @@ def test_stability_rejects_odd_m():
         stability_check(3, 5)
 
 
-def test_one_off_products_never_list_the_basis(monkeypatch, capsys):
+def test_one_off_products_never_list_the_basis(monkeypatch, capsys, straightened_words):
     # `multiply` folds each product in words, straightening a handful of short
     # words, and never builds the n! basis words the product rows are indexed
     # by (10! = 3,628,800 here)
-    import tcbounds.algebra as algebra
     from tcbounds.cli import main
 
     def unlisted(self):
         raise AssertionError("the full basis was listed")
 
-    words = []
-    straighten = algebra.straighten_word
-
-    def counting(word, parity):
-        words.append(tuple(word))
-        return straighten(word, parity)
-
     monkeypatch.setattr(Presentation, "_coordinates", unlisted)
-    monkeypatch.setattr(algebra, "straighten_word", counting)
     factors = ["e_2_5*e_1_3", "e_3_4", "e_4_5*e_1_10"]
     assert main(["multiply", "--n", "10", "--m", "3", *factors]) == 0
-    assert len(words) <= 40
+    assert len(straightened_words) <= 40
     whole = [(2, 5), (1, 3), (3, 4), (4, 5), (1, 10)]
     expected = AlgebraElement.from_word(Presentation(10, 3), QQ, whole)
     assert not expected.is_zero()
@@ -301,7 +292,7 @@ def test_one_off_products_never_list_the_basis(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_lazy_right_operator_rows_match_the_completed_table(n, m):
     # R_g rows read one at a time, in any order, are the definition
     # straighten_word(u + (g,)) and the products by one generator in the
@@ -314,12 +305,15 @@ def test_lazy_right_operator_rows_match_the_completed_table(n, m):
     random.Random(10 * n + m).shuffle(cells)
     got = {cell: lazy.right_operator_row(*cell) for cell in cells}
 
-    for (g, iu), row in got.items():
-        u = mons[iu]
-        assert {mons[iw]: k for iw, k in row} == straighten_word(u + gen_words[g], full.parity)
-        if len(u) < top:
-            assert dict(row) == full.row(iu)[1 + g]
-            # the fold filled R_g's row iu of its own ring as it read it
-            assert dict(full.right_operators()[g][iu]) == full.row(iu)[1 + g]
-        else:
-            assert row == []
+    for iu, u in enumerate(mons):
+        # `row` is built on each call, so it is read once per iu
+        products = full.row(iu) if len(u) < top else None
+        for g, gen in enumerate(gen_words):
+            row = got[g, iu]
+            assert {mons[iw]: k for iw, k in row} == straighten_word(u + gen, full.parity)
+            if products is not None:
+                assert dict(row) == products[1 + g]
+                # the fold filled R_g's row iu of its own ring as it read it
+                assert dict(full.right_operators()[g][iu]) == products[1 + g]
+            else:
+                assert row == []

@@ -202,26 +202,18 @@ def test_sharpness_never_exceeds_connectivity():
                 assert sharpness_upper(dim, s, bar_len) <= connectivity_upper(dim, s)
 
 
-def test_report_builds_the_bar_operators_once(monkeypatch):
+def test_report_builds_the_bar_operators_once(filled_rows, straightened_words):
     # over Z_p the report multiplies the witness, each bar(e_1j) squared, over
-    # Z_p and over Q; both squares share the ring's R_g, whose rows are
-    # straightened on first read: w * e_1(j+1) and w * e_1j for each prefix
-    # w = e_12...e_1j below the top weight, 2n - 3 words, none of them twice
-    import tcbounds.algebra as algebra
-
-    words = []
-    straighten = algebra.straighten_word
-
-    def counting(word, parity):
-        words.append(tuple(word))
-        return straighten(word, parity)
-
-    monkeypatch.setattr(algebra, "straighten_word", counting)
+    # Z_p and over Q; both squares share the ring's R_g, whose rows are filled
+    # on first read, from the Arnold relation and with no word rewritten:
+    # w * e_1(j+1) and w * e_1j for each prefix w = e_12...e_1j below the top
+    # weight, 2n - 3 rows, none of them twice
     n = 6
     report = assemble_report(3, n, field=PrimeField(3))
     assert report.pinched
     prefixes = [tuple((1, i) for i in range(2, j + 1)) for j in range(1, n)]
-    expected = {w + ((1, len(w) + 2),) for w in prefixes}
-    expected |= {w + w[-1:] for w in prefixes if w}
-    assert len(words) == len(set(words)) == 2 * n - 3 == 9
-    assert set(words) == expected
+    expected = {((1, len(w) + 2), w) for w in prefixes}
+    expected |= {(w[-1], w) for w in prefixes if w}
+    assert len(filled_rows) == len(set(filled_rows)) == 2 * n - 3 == 9
+    assert set(filled_rows) == expected
+    assert straightened_words == []

@@ -506,22 +506,15 @@ def test_out_of_memory_is_not_computed(tmp_path, argv):
 
 @pytest.mark.parametrize("field", ["q", "zp:3"])
 @pytest.mark.parametrize("n", [7, 8])
-def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, monkeypatch, n, field):
-    # the odd-m witness reads 2n - 3 rows of R_g, and each is straightened
-    # once: a report costs what its witness needs, not the n! basis words
-    import tcbounds.algebra as algebra
-
-    words = []
-    straighten = algebra.straighten_word
-
-    def counting(word, parity):
-        words.append(tuple(word))
-        return straighten(word, parity)
-
-    monkeypatch.setattr(algebra, "straighten_word", counting)
+def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, filled_rows,
+                                                                straightened_words, n, field):
+    # the odd-m witness reads 2n - 3 rows of R_g, and each is filled once,
+    # with no word rewritten: a report costs what its witness needs, not the
+    # n! basis words
     code, out, _ = run(capsys, "report", "--n", str(n), "--m", "3", "--max-n", "8",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
     assert code == EXIT_PINCHED
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 1
-    assert len(words) == len(set(words)) == 2 * n - 3
+    assert len(filled_rows) == len(set(filled_rows)) == 2 * n - 3
+    assert straightened_words == []

@@ -79,7 +79,8 @@ def test_loaded_table_holds_exactly_the_pairs_within_the_top_weight():
     within = {(i, j) for i, u in enumerate(mons) for j, v in enumerate(mons)
               if len(u) + len(v) <= pres.top_weight}
     assert {(i, j) for i, row in enumerate(rows) for j in range(len(row))} == within
-    assert all(rows[i][j] == pres.row(i)[j] for i, j in within)
+    # `row` is built on each call, so it is read once per i
+    assert all(row == pres.row(i) for i, row in enumerate(rows))
 
 
 def test_short_document_never_lists_the_basis(tmp_path, monkeypatch, capsys):
@@ -128,6 +129,26 @@ GOLDEN_SHA256 = {
 def test_export_matches_recorded_document(n, m):
     text = document_to_json(structure_document(Presentation(n, m)))
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[(n, m)]
+
+
+@pytest.mark.parametrize("n,m", sorted(GOLDEN_SHA256))
+def test_written_file_matches_recorded_document(tmp_path, n, m):
+    # the file text is serialized once, apart from the dict: both must agree
+    path = tmp_path / "s.json"
+    doc = write_structure_document(Presentation(n, m), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[(n, m)]
+    assert path.read_text() == document_to_json(doc)
+
+
+def test_export_straightens_no_word(tmp_path, capsys, straightened_words):
+    # the export fills every R_g row from the Arnold relation and folds the
+    # product rows from them: `straighten_word` stays for the checks alone
+    from tcbounds.cli import main
+
+    path = tmp_path / "s.json"
+    assert main(["export-algebra", "--n", "6", "--m", "3", "--out", str(path)]) == 0
+    assert straightened_words == []
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[(6, 3)]
 
 
 def test_full_check_does_not_trust_the_product_fold(monkeypatch):
@@ -278,51 +299,41 @@ def test_load_parses_the_document_once(tmp_path, monkeypatch):
     assert calls == [pres]
 
 
-def _count_straightenings(monkeypatch):
-    import tcbounds.algebra as algebra
-
-    words = []
-    straighten = algebra.straighten_word
-
-    def counting(word, parity):
-        words.append(tuple(word))
-        return straighten(word, parity)
-
-    monkeypatch.setattr(algebra, "straighten_word", counting)
-    return words
-
-
-def test_sampled_load_re_derives_only_pairs_within_the_top_weight(tmp_path, monkeypatch):
+def test_sampled_load_re_derives_only_pairs_within_the_top_weight(tmp_path, straightened_words):
     # every sample is a product that can be nonzero, not one zero by grading
     path = tmp_path / "s.json"
     write_structure_document(Presentation(5, 2), path)
-    words = _count_straightenings(monkeypatch)
+    straightened_words.clear()
     load_structure_document(path, Presentation(5, 2), samples=100)
-    assert len(words) == 100
-    assert all(len(w) <= 4 for w in words)
+    assert len(straightened_words) == 100
+    assert all(len(w) <= 4 for w in straightened_words)
 
 
-def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight(monkeypatch):
+def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight(
+        straightened_words):
     pres = Presentation(4, 2)
     doc = structure_document(pres)
     mons = pres.full_basis()
     within = sum(1 for u in mons for v in mons if len(u) + len(v) <= pres.top_weight)
-    words = _count_straightenings(monkeypatch)
+    straightened_words.clear()
     assert verify_structure_document(doc, Presentation(4, 2), samples=None) == len(mons) ** 2
-    assert len(words) == within
+    assert len(straightened_words) == within
 
 
-def test_report_from_a_cache_straightens_only_the_samples(tmp_path, monkeypatch, capsys):
-    # a report straightens only the R_g rows its witness reads, 2n - 3 words,
-    # none of them twice, and loading a document only its 100 samples: no
-    # report reads a document, so loading one saves a report nothing
+def test_report_from_a_cache_straightens_only_the_samples(tmp_path, capsys, filled_rows,
+                                                         straightened_words):
+    # a report fills only the R_g rows its witness reads, 2n - 3 rows, none of
+    # them twice and with no word rewritten, and loading a document
+    # straightens only its 100 samples: no report reads a document, so
+    # loading one saves a report nothing
     from tcbounds.cli import main
 
     path = tmp_path / "s.json"
     write_structure_document(Presentation(5, 3), path)
-    words = _count_straightenings(monkeypatch)
+    filled_rows.clear()
+    straightened_words.clear()
     assert main(["report", "--n", "5", "--m", "3"]) == 0
-    assert len(words) == len(set(words)) == 2 * 5 - 3 == 7
-    words.clear()
+    assert len(filled_rows) == len(set(filled_rows)) == 2 * 5 - 3 == 7
+    assert straightened_words == []
     load_structure_document(path, Presentation(5, 3))
-    assert len(words) == 100
+    assert len(straightened_words) == 100
