@@ -28,18 +28,18 @@ with tempfile.TemporaryDirectory(prefix="tcbounds-demo-") as tmp:
     # export and reload
     # -----------------------------------------------------------------------
 
-    doc = write_structure_document(Presentation(3, 2), path)
+    # The writer returns the checksum; the loader returns the checked document.
+    write_structure_document(Presentation(3, 2), path)
     print(f"wrote {path}")
+    pres = Presentation(3, 2)
+    doc = load_structure_document(path, pres)
     print(f"  schema v{doc['schema_version']}, {len(doc['basis'])} basis monomials, "
           f"{len(doc['products'])} nonzero products")
     print(f"  checksum {doc['checksum'][:16]}...")
-
-    pres = Presentation(3, 2)
-    load_structure_document(path, pres)
     print("reloaded and spot-verified against fresh straightening")
 
     # Re-exporting from the same ring reproduces the file byte for byte.
-    again = write_structure_document(pres, workdir / "again.json")
+    write_structure_document(pres, workdir / "again.json")
     assert (workdir / "again.json").read_bytes() == path.read_bytes()
     print("re-export is byte-identical")
 

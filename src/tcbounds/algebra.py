@@ -28,7 +28,9 @@ out one witness fills only the rows it meets.  The product rows of `row`
 fold R_g one generator at a time, u * (v' g) = (u * v') * g, over
 precomputed parent and last-generator index arrays, so no word is hashed;
 row(iu)[1 + g] is R_g's row iu.  Only R_g is kept: a product row is built
-on each call.  Structure-constant documents store the rows as they are.  A
+on each call.  Structure-constant documents store the rows as they are; a
+document is its file text, built once with its checksum and encoded straight
+from the rows, and `structure_document` is that text parsed back.  A
 document is an export and an independent check, never a source: loading one
 installs nothing, and checks it against the definition itself, so neither
 the recursion nor the fold is ever its own oracle.
@@ -641,21 +643,24 @@ _CHECKED_KEYS = ("schema_version", "n", "m", "basis", "products")
 
 
 def _canonical_json(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    # a document is built here or parsed from JSON, so it is never cyclic
+    return json.dumps(value, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
 def _document_checksum(payload: dict) -> str:
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
-def _document_and_text(pres: Presentation) -> Tuple[dict, str]:
-    """The structure document of `pres` and its file text, serialized once.
+def _document_text(pres: Presentation) -> Tuple[str, str]:
+    """The file text of the structure document of `pres`, and its checksum.
 
-    Coefficients are serialized as decimal strings; `basis` lists monomials as
-    edge lists in the canonical weight-by-weight order.  Only pairs within the
-    top weight can be nonzero; `Presentation.row` gives exactly those, in the
-    index coordinates of the document, so its nonzero entries are emitted as
-    they are, each row read once.
+    The text is the document: `structure_document` parses it and
+    `write_structure_document` writes it.  Coefficients are serialized as
+    decimal strings; `basis` lists monomials as edge lists in the canonical
+    weight-by-weight order.  Only pairs within the top weight can be
+    nonzero; `Presentation.row` gives exactly those, in the index
+    coordinates of the document, so its nonzero entries are emitted as they
+    are, each row read once.  Entries are tuples, which encode as arrays.
 
     The keys sort as basis, checksum, m, n, products, schema_version, so the
     text the checksum covers, `_canonical_json` of the `_CHECKED_KEYS`, is
@@ -667,34 +672,32 @@ def _document_and_text(pres: Presentation) -> Tuple[dict, str]:
     for i in range(len(mons)):
         for j, p in enumerate(pres.row(i)):
             if p:
-                products.append([i, j, [[k, str(c)] for k, c in sorted(p.items())]])
-    basis = [[list(e) for e in w] for w in mons]
+                products.append((i, j, tuple((k, str(c)) for k, c in sorted(p.items()))))
     rest = {"m": pres.m, "n": pres.n, "products": products,
             "schema_version": STRUCTURE_SCHEMA_VERSION}
-    head = '{"basis":' + _canonical_json(basis) + ","
+    head = '{"basis":' + _canonical_json(mons) + ","
     tail = _canonical_json(rest)[1:]
     digest = hashlib.sha256(head.encode())
     digest.update(tail.encode())
     checksum = digest.hexdigest()
-    doc = {"basis": basis, "checksum": checksum, **rest}
-    return doc, f'{head}"checksum":"{checksum}",{tail}\n'
+    return f'{head}"checksum":"{checksum}",{tail}\n', checksum
 
 
 def structure_document(pres: Presentation) -> dict:
-    """Versioned JSON-ready dump of the full product table (see `_document_and_text`)."""
-    return _document_and_text(pres)[0]
+    """The structure document of `pres`, parsed from its file text (see `_document_text`)."""
+    return json.loads(_document_text(pres)[0])
 
 
 def document_to_json(doc: dict) -> str:
     return _canonical_json(doc) + "\n"
 
 
-def write_structure_document(pres: Presentation, path) -> dict:
-    """Write the structure document of `pres` to `path`; returns the document."""
-    doc, text = _document_and_text(pres)
+def write_structure_document(pres: Presentation, path) -> str:
+    """Write the structure document of `pres` to `path`; returns its checksum."""
+    text, checksum = _document_text(pres)
     with open(path, "w") as fh:
         fh.write(text)
-    return doc
+    return checksum
 
 
 # the slot of every pair within the top weight that a document leaves out: a
@@ -746,6 +749,7 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
     weights, ends = co.weights, co.ends
     starts = [0] + ends[:-1]  # a term of weight w has its index in starts[w]..ends[w]-1
     rows = [[_NO_TERMS] * pres.width(i) for i in range(n_mons)]
+    checked: Dict[str, int] = {}  # the coefficient strings that passed, by value
 
     def malformed(what):
         return CacheError(f"malformed product entry ({what})")
@@ -769,13 +773,16 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
             lo, hi = starts[weight], ends[weight]
             got = {}
             for k, c in terms:
-                if not (type(k) is int and 0 <= k < n_mons):
-                    raise malformed(f"term index {k!r} not in range({n_mons})")
-                if not lo <= k < hi:
+                if not (type(k) is int and lo <= k < hi):
+                    if not (type(k) is int and 0 <= k < n_mons):
+                        raise malformed(f"term index {k!r} not in range({n_mons})")
                     raise CacheError(f"entry for {pair(i, j)} has a term of weight other than {weight}")
-                value = int(c) if type(c) is str else 0
-                if not value or str(value) != c:
-                    raise malformed(f"coefficient {c!r} is not a nonzero decimal string")
+                value = checked.get(c, 0) if type(c) is str else 0
+                if not value:
+                    value = int(c) if type(c) is str else 0
+                    if not value or str(value) != c:
+                        raise malformed(f"coefficient {c!r} is not a nonzero decimal string")
+                    checked[c] = value
                 got[k] = value
             if len(got) != len(terms):
                 raise malformed(f"a repeated term in {pair(i, j)}")

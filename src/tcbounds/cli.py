@@ -1,11 +1,11 @@
 """Command-line interface for batch certification runs.
 
 Exit codes: 0 pinched certificate matching the closed form, 1 unpinched
-bounds (or failed selftest), 2 usage or input-file error, 3 not computed:
-n past --max-n or out of memory (`error: not computed: out of memory`, no
-traceback), 4 contradiction with the closed form (engine bug), 141 (128 +
-SIGPIPE) the reader closed stdout early, as `| head` does; the run stops
-quietly, without a traceback.
+bounds (or failed selftest), 2 usage or input-file error (a document that
+cannot be read or written), 3 not computed: n past --max-n or out of memory
+(`error: not computed: out of memory`, no traceback), 4 contradiction with
+the closed form (engine bug), 141 (128 + SIGPIPE) the reader closed stdout
+early, as `| head` does; the run stops quietly, without a traceback.
 
 The TC_CACHE_DIR environment variable sets the default directory for
 structure-constant documents written by `export-algebra`.
@@ -314,17 +314,23 @@ def cmd_selftest(args) -> int:
 def cmd_export_algebra(args) -> int:
     pres = Presentation(args.n, args.m)
     path = args.out
-    if path is None:
-        base = os.environ.get("TC_CACHE_DIR", ".")
-        os.makedirs(base, exist_ok=True)
-        path = os.path.join(base, f"structure_n{args.n}_m{args.m}.json")
-    doc = write_structure_document(pres, path)
+    # a path that cannot be written is an input error, like an unreadable --cache
+    try:
+        if path is None:
+            base = os.environ.get("TC_CACHE_DIR", ".")
+            path = os.path.join(base, f"structure_n{args.n}_m{args.m}.json")
+            os.makedirs(base, exist_ok=True)
+        checksum = write_structure_document(pres, path)
+    except OSError as exc:
+        print(f"error: cannot write document {path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    basis_size = len(pres.full_basis())
     if args.output == "json":
-        print(json.dumps({"path": path, "basis_size": len(doc["basis"]),
-                          "checksum": doc["checksum"]}, sort_keys=True))
+        print(json.dumps({"path": path, "basis_size": basis_size,
+                          "checksum": checksum}, sort_keys=True))
     else:
-        print(f"wrote {path} ({len(doc['basis'])} basis monomials, "
-              f"checksum {doc['checksum'][:12]}...)")
+        print(f"wrote {path} ({basis_size} basis monomials, "
+              f"checksum {checksum[:12]}...)")
     return 0
 
 

@@ -402,6 +402,29 @@ def test_selftest_unreadable_document_is_input_error(tmp_path, capsys, monkeypat
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "cache-dir-under-a-file"])
+def test_export_unwritable_document_is_input_error(tmp_path, capsys, monkeypatch, where):
+    # a document that cannot be written exits 2 with one line, never a traceback
+    # (exit 1 means unpinched)
+    argv = ["export-algebra", "--n", "3", "--m", "2"]
+    if where == "missing-directory":
+        path = tmp_path / "missing" / "doc.json"
+        argv += ["--out", str(path)]
+    elif where == "directory":
+        path = tmp_path
+        argv += ["--out", str(path)]
+    else:
+        (tmp_path / "file").write_text("")
+        base = tmp_path / "file" / "cache"
+        monkeypatch.setenv("TC_CACHE_DIR", str(base))
+        path = base / "structure_n3_m2.json"
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write document {path}: ")
+    assert err.count("\n") == 1
+
+
 # -- option surface ------------------------------------------------------------------
 
 # every option of every subcommand: a new or retired option shows here as a

@@ -133,11 +133,14 @@ def test_export_matches_recorded_document(n, m):
 
 @pytest.mark.parametrize("n,m", sorted(GOLDEN_SHA256))
 def test_written_file_matches_recorded_document(tmp_path, n, m):
-    # the file text is serialized once, apart from the dict: both must agree
+    # the file text is the document: the dict is parsed from it, and the
+    # checksum returned is the file's
     path = tmp_path / "s.json"
-    doc = write_structure_document(Presentation(n, m), path)
+    checksum = write_structure_document(Presentation(n, m), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[(n, m)]
-    assert path.read_text() == document_to_json(doc)
+    text = path.read_text()
+    assert text == document_to_json(structure_document(Presentation(n, m)))
+    assert checksum == json.loads(text)["checksum"]
 
 
 def test_export_straightens_no_word(tmp_path, capsys, straightened_words):
@@ -206,6 +209,16 @@ def _zero_coefficient(doc):
     return doc
 
 
+def _coefficient(text):
+    # the last entry follows the unit's square, whose coefficient is "1", so
+    # the parse meets the bad string after it has accepted a valid "1"
+    def malform(doc):
+        assert doc["products"][0][2] == [[0, "1"]]
+        doc["products"][-1][2][0][1] = text
+        return doc
+    return malform
+
+
 def _duplicate_pair(doc):
     doc["products"].append(json.loads(json.dumps(doc["products"][-1])))
     return doc
@@ -252,6 +265,9 @@ def _above_top_weight(doc):
     pytest.param(_negative_index, 3, 0, id="negative-index"),
     pytest.param(_float_coefficient, 3, 0, id="float-coefficient"),
     pytest.param(_zero_coefficient, 3, 0, id="zero-coefficient"),
+    *(pytest.param(_coefficient(text), 3, 0, id=f"coefficient-{name}")
+      for text, name in [("+1", "plus-sign"), ("01", "leading-zero"), ("-0", "minus-zero"),
+                         (" 1", "leading-space"), ("1 ", "trailing-space")]),
     pytest.param(_duplicate_pair, 3, 0, id="duplicate-pair"),
     pytest.param(_empty_terms, 3, 0, id="empty-terms"),
     pytest.param(_scalar_basis, 3, 100, id="scalar-basis"),
