@@ -29,11 +29,11 @@ fold R_g one generator at a time, u * (v' g) = (u * v') * g, over
 precomputed parent and last-generator index arrays, so no word is hashed;
 row(iu)[1 + g] is R_g's row iu.  Only R_g is kept: a product row is built
 on each call.  Structure-constant documents store the rows as they are; a
-document is its file text, built once with its checksum and encoded straight
-from the rows, and `structure_document` is that text parsed back.  A
-document is an export and an independent check, never a source: loading one
-installs nothing, and checks it against the definition itself, so neither
-the recursion nor the fold is ever its own oracle.
+document is its file text, built once with its checksum and written row by
+row as text straight from the rows, and `structure_document` is that text
+parsed back.  A document is an export and an independent check, never a
+source: loading one installs nothing, and checks it against the definition
+itself, so neither the recursion nor the fold is ever its own oracle.
 
 Elements are sparse linear combinations over a field.  `SparseElement` holds
 the linear structure that ring and tensor elements share: sums, scaling,
@@ -660,23 +660,28 @@ def _document_text(pres: Presentation) -> Tuple[str, str]:
     weight-by-weight order.  Only pairs within the top weight can be
     nonzero; `Presentation.row` gives exactly those, in the index
     coordinates of the document, so its nonzero entries are emitted as they
-    are, each row read once.  Entries are tuples, which encode as arrays.
+    are, each row read once and each entry written as its text
+    `[i,j,[[k,"c"],...]]`, terms by increasing k, before the next row is
+    read.  These are `_canonical_json`'s exact bytes: i, j and k are ints
+    and each c is the decimal string of an int, so JSON writes their own
+    characters, with no escape.
 
-    The keys sort as basis, checksum, m, n, products, schema_version, so the
-    text the checksum covers, `_canonical_json` of the `_CHECKED_KEYS`, is
-    the file text without its `"checksum":"...",` member: both are made from
-    the same two pieces, the basis member and the rest.
+    The keys sort as basis, checksum, m, n, products, schema_version, the
+    order the rest is written in, so the text the checksum covers,
+    `_canonical_json` of the `_CHECKED_KEYS`, is the file text without its
+    `"checksum":"...",` member: both are made from the same two pieces, the
+    basis member and the rest.
     """
     mons = pres.full_basis()
-    products = []
+    entries = []
     for i in range(len(mons)):
         for j, p in enumerate(pres.row(i)):
             if p:
-                products.append((i, j, tuple((k, str(c)) for k, c in sorted(p.items()))))
-    rest = {"m": pres.m, "n": pres.n, "products": products,
-            "schema_version": STRUCTURE_SCHEMA_VERSION}
+                terms = ",".join([f'[{k},"{c}"]' for k, c in sorted(p.items())])
+                entries.append(f"[{i},{j},[{terms}]]")
     head = '{"basis":' + _canonical_json(mons) + ","
-    tail = _canonical_json(rest)[1:]
+    tail = (f'"m":{pres.m},"n":{pres.n},"products":[{",".join(entries)}],'
+            f'"schema_version":{STRUCTURE_SCHEMA_VERSION}}}')
     digest = hashlib.sha256(head.encode())
     digest.update(tail.encode())
     checksum = digest.hexdigest()
