@@ -127,6 +127,12 @@ GOLDEN_SHA256 = {
 
 
 @pytest.mark.parametrize("n,m", sorted(GOLDEN_SHA256))
+def test_export_matches_recorded_document(n, m):
+    text = document_to_json(structure_document(Presentation(n, m)))
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[(n, m)]
+
+
+@pytest.mark.parametrize("n,m", sorted(GOLDEN_SHA256))
 def test_written_file_matches_recorded_document(tmp_path, n, m):
     # the file text is the document, written row by row: the dict is parsed
     # from it, re-encoding that dict gives the text back byte for byte, and
