@@ -50,7 +50,6 @@ True
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from itertools import accumulate, combinations, product as iproduct
@@ -648,6 +647,8 @@ def _canonical_json(value) -> str:
 
 
 def _document_checksum(payload: dict) -> str:
+    import hashlib  # only documents need it; a report never loads it
+
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
@@ -682,6 +683,8 @@ def _document_text(pres: Presentation) -> Tuple[str, str]:
     head = '{"basis":' + _canonical_json(mons) + ","
     tail = (f'"m":{pres.m},"n":{pres.n},"products":[{",".join(entries)}],'
             f'"schema_version":{STRUCTURE_SCHEMA_VERSION}}}')
+    import hashlib
+
     digest = hashlib.sha256(head.encode())
     digest.update(tail.encode())
     checksum = digest.hexdigest()

@@ -30,7 +30,6 @@ dim = (m-1)(n-1) for m >= 3, dim = n-1 for m = 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
 from typing import List, Optional, Tuple
 
 from .algebra import Presentation, check_configuration
@@ -100,19 +99,67 @@ def lower_from_zcl(zcl: int) -> int:
     return zcl + 1
 
 
-@dataclass
 class BoundsReport:
-    m: int
-    n: int
-    closed_form: int
-    field_used: str
-    lower: Optional[int] = None
-    lower_source: Optional[str] = None
-    upper: Optional[int] = None
-    upper_source: Optional[str] = None
-    pinched: bool = False
-    diagnostics: List[Tuple[str, int]] = dataclass_field(default_factory=list)
-    warnings: List[str] = dataclass_field(default_factory=list)
+    """The certificate for F(R^m, n): its bounds, how they were found, and why.
+
+    Fields, with their keys in `to_json_dict`:
+
+    * ``m``, ``n`` (``"m"``, ``"n"``): the configuration space F(R^m, n);
+    * ``closed_form`` (``"closed_form"``): the known value of TC;
+    * ``field_used`` (``"field"``): the coefficient field, as `describe()` names it;
+    * ``lower``, ``lower_source`` (``"lower"``, ``"lower_source"``): the lower
+      bound and its tag, None when not computed;
+    * ``upper``, ``upper_source`` (``"upper"``, ``"upper_source"``): the upper
+      bound and its tag, None when not computed;
+    * ``pinched`` (``"pinched"``): lower == upper;
+    * ``diagnostics`` (``"diagnostics"``): (tag, value) pairs, written as
+      two-element lists;
+    * ``warnings`` (``"warnings"``): free-text warnings.
+
+    Reports compare equal when every field does.  A plain class, not a
+    dataclass, so that no report loads `dataclasses` and what it imports.
+    """
+
+    _FIELDS = ("m", "n", "closed_form", "field_used", "lower", "lower_source",
+               "upper", "upper_source", "pinched", "diagnostics", "warnings")
+
+    def __init__(
+        self,
+        m: int,
+        n: int,
+        closed_form: int,
+        field_used: str,
+        lower: Optional[int] = None,
+        lower_source: Optional[str] = None,
+        upper: Optional[int] = None,
+        upper_source: Optional[str] = None,
+        pinched: bool = False,
+        diagnostics: Optional[List[Tuple[str, int]]] = None,
+        warnings: Optional[List[str]] = None,
+    ) -> None:
+        self.m = m
+        self.n = n
+        self.closed_form = closed_form
+        self.field_used = field_used
+        self.lower = lower
+        self.lower_source = lower_source
+        self.upper = upper
+        self.upper_source = upper_source
+        self.pinched = pinched
+        # a fresh list per report when none is given, never one shared default
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.warnings = [] if warnings is None else warnings
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self._FIELDS)
+
+    __hash__ = None  # mutable, so unhashable, as an eq dataclass is
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{self.__class__.__qualname__}({fields})"
 
     @property
     def computed(self) -> bool:

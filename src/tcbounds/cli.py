@@ -29,7 +29,6 @@ from .algebra import (
 )
 from .bounds import BoundsReport, ClosedFormContradiction, assemble_report, closed_form_tc
 from .coeffs import parse_field
-from .selftest import run_all, suite_cache
 from .tensor import TensorSquare
 
 EXIT_PINCHED = 0
@@ -283,6 +282,9 @@ def cmd_barspan(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # loaded here, so no other command compiles the fuzz suites
+    from . import selftest
+
     if args.cache is not None:
         # an unreadable file is an input error, found before any suite runs
         try:
@@ -291,9 +293,9 @@ def cmd_selftest(args) -> int:
         except (OSError, ValueError) as exc:  # a JSON or UTF-8 decode error is a ValueError
             print(f"error: cannot read document {args.cache}: {exc}", file=sys.stderr)
             return EXIT_USAGE
-    results = run_all(seed=args.seed, samples=args.samples, shuffles=args.shuffles)
+    results = selftest.run_all(seed=args.seed, samples=args.samples, shuffles=args.shuffles)
     if args.cache is not None:
-        results.append(suite_cache(document))
+        results.append(selftest.suite_cache(document))
     ok = all(r.passed for r in results)
     if args.output == "json":
         print(json.dumps({

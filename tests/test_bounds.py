@@ -193,6 +193,32 @@ def test_report_json_roundtrip():
     assert BoundsReport.from_json_dict(data) == r
 
 
+def test_default_reports_share_no_lists():
+    a, b = BoundsReport(3, 2, 3, "Q"), BoundsReport(3, 2, 3, "Q")
+    assert a == b
+    a.diagnostics.append(("homotopy_dimension", 2))
+    a.warnings.append("w")
+    assert b.diagnostics == [] and b.warnings == []
+    assert a.diagnostics is not b.diagnostics and a.warnings is not b.warnings
+
+
+def test_reports_differing_only_in_warnings_are_unequal():
+    r = assemble_report(4, 3)
+    other = BoundsReport.from_json_dict(r.to_json_dict())
+    assert other == r
+    other.warnings.append("not computed")
+    assert other != r and r != other
+    assert r != r.to_json_dict()
+
+
+def test_report_repr_lists_every_field():
+    assert repr(BoundsReport(3, 2, 3, "Q", warnings=["w"])) == (
+        "BoundsReport(m=3, n=2, closed_form=3, field_used='Q', lower=None, "
+        "lower_source=None, upper=None, upper_source=None, pinched=False, "
+        "diagnostics=[], warnings=['w'])"
+    )
+
+
 def test_sharpness_never_exceeds_connectivity():
     for m in (3, 4, 5, 6, 7):
         for n in (2, 3):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tcbounds.cli
+import tcbounds.selftest
 from tcbounds.cli import (
     EXIT_CAP,
     EXIT_PINCHED,
@@ -391,7 +392,7 @@ def test_selftest_unreadable_document_is_input_error(tmp_path, capsys, monkeypat
     def no_suites(**sizes):
         raise AssertionError("a suite ran")
 
-    monkeypatch.setattr(tcbounds.cli, "run_all", no_suites)
+    monkeypatch.setattr(tcbounds.selftest, "run_all", no_suites)
     path = tmp_path / "doc.json"
     if make:
         make(path)
@@ -504,6 +505,35 @@ def test_closed_stdout_exits_quietly(tmp_path):
         err.seek(0)
         assert err.read() == ""
     assert first == b"e_1_2*e_1_3*e_1_4*e_1_5*e_1_6\n"
+
+
+# what a process loads is part of what it costs: `selftest` and the document
+# checksum load only on the commands that run them, and no report needs
+# dataclasses (nor inspect, which it imports)
+_LOADED_BY_COMMANDS = """
+import json, sys
+src, names = sys.argv[1], sys.argv[2:]
+sys.path.insert(0, src)
+import tcbounds.cli
+def loaded():
+    return [name for name in names if name in sys.modules]
+seen = {"import": loaded()}
+seen["report"] = [tcbounds.cli.main(["report", "--m", "4", "--n", "3"])] + loaded()
+seen["grid"] = [tcbounds.cli.main(["grid", "--m", "2..3", "--n", "2..3"])] + loaded()
+print(json.dumps(seen))
+"""
+
+
+def test_reports_load_no_selftest_dataclasses_or_hashlib():
+    # -I -S keep the environment and site-packages out of the child; -B keeps
+    # it from writing bytecode into src/, which -I alone would not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    names = ["tcbounds.selftest", "dataclasses", "inspect", "hashlib"]
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _LOADED_BY_COMMANDS,
+                           src, *names], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"import": [], "report": [EXIT_PINCHED], "grid": [EXIT_PINCHED]}
 
 
 @pytest.mark.parametrize("argv", [

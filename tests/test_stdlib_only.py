@@ -31,6 +31,11 @@ def test_package_imports_only_the_standard_library():
 
 
 def test_the_check_sees_a_foreign_import():
-    tree = ast.parse("import json\nfrom . import algebra\nimport numpy.linalg\nfrom sympy import Matrix\n")
+    # the package imports some modules inside the one function that needs
+    # them, so the check must see an import in a function body as well
+    tree = ast.parse(
+        "import json\nfrom . import algebra\nimport numpy.linalg\nfrom sympy import Matrix\n"
+        "def checksum():\n    import hashlib\n    import xxhash\n"
+    )
     roots = [root for _, root in _imported_roots(tree)]
-    assert roots == ["json", "numpy", "sympy"]
+    assert roots == ["json", "numpy", "sympy", "hashlib", "xxhash"]

@@ -87,13 +87,14 @@ def test_short_document_never_lists_the_basis(tmp_path, monkeypatch, capsys):
     # a 12-point document with an empty basis is rejected on its length
     # before the ring lists its 12! basis words
     import tcbounds.cli as cli
+    import tcbounds.selftest as selftest
     from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
 
     def unlisted(self):
         raise AssertionError("the full basis was listed")
 
     monkeypatch.setattr(Presentation, "_coordinates", unlisted)
-    monkeypatch.setattr(cli, "run_all", lambda **sizes: [])  # the fuzz suites list bases
+    monkeypatch.setattr(selftest, "run_all", lambda **sizes: [])  # the fuzz suites list bases
     doc = {"schema_version": 1, "n": 12, "m": 2, "basis": [], "products": []}
     doc["checksum"] = _document_checksum({k: doc[k] for k in _CHECKED_KEYS})
     with pytest.raises(CacheError, match="basis"):
@@ -303,6 +304,7 @@ def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, monkey
     # --cache` fails its document suite with the same message (the fuzz
     # suites, which do not read the document, are left out to keep this fast)
     import tcbounds.cli as cli
+    import tcbounds.selftest as selftest
     from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
 
     doc = malform(structure_document(Presentation(n, 2)))
@@ -312,7 +314,7 @@ def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, monkey
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheError) as rejected:
         load_structure_document(path, Presentation(n, 2), samples=samples)
-    monkeypatch.setattr(cli, "run_all", lambda **sizes: [])
+    monkeypatch.setattr(selftest, "run_all", lambda **sizes: [])
     assert cli.main(["selftest", "--cache", str(path)]) == cli.EXIT_UNPINCHED
     out, err = capsys.readouterr()
     assert out.splitlines()[1:] == [f"    failing case: {rejected.value}", "SELFTEST FAILED"]
