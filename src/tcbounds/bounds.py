@@ -20,9 +20,11 @@ fallback and test oracle).  Upper bounds come from four sources:
   TC <= (2(n-2) + 1) + 2 - 1 = 2n - 2.
 
 `assemble_report` combines these for F(R^m, n) and compares the pinched value
-against the known closed form (2n - 1 for m odd, 2n - 2 for m even).  A
-`BoundsReport` with no bounds is the one the command line prints for a run
-past its `--max-n`.
+against the known closed form (2n - 1 for m odd, 2n - 2 for m even).  It
+composes `certify_ring`, the ring work, which reads m only through its
+parity, and `report_from_ring`, the bounds of one cell, so a grid can
+certify each ring once.  A `BoundsReport` with no bounds is the one the
+command line prints for a run past its `--max-n`.
 
 Homotopy-dimension inputs are taken as facts, recorded in the diagnostics:
 dim = (m-1)(n-1) for m >= 3, dim = n-1 for m = 2.
@@ -214,24 +216,37 @@ class BoundsReport:
         return lines
 
 
-def assemble_report(m: int, n: int, field=QQ) -> BoundsReport:
-    """Compute and cross-check TC bounds for F(R^m, n).
+def certify_ring(n: int, m: int, field=QQ) -> Tuple[int, int]:
+    """The ring work of a report: (zero-divisor cup-length over field, bar-span length over Q).
 
-    The lower bound is the zero-divisor cup-length over the requested field,
-    the certified bar-span length over that field (the zero-divisor lemma
-    makes the two lengths equal).  The sharpness upper bound always consumes
-    the bar-span length over Q: the ring and its tensor square are free
-    Z-modules, so rational nonvanishing of a bar product is the same as
-    integral nonvanishing, which is what the sharpness criterion needs.  Over
-    Q one length serves both bounds.  A modular field can only weaken the lower
-    bound (recorded as a warning for characteristic 2), never the upper one.
-    Both squares share one presentation, so they share its R_g rows.
+    The cup-length is the certified bar-span length over the requested field
+    (the zero-divisor lemma makes the two lengths equal).  The second length
+    is the one the sharpness bound consumes: the ring and its tensor square
+    are free Z-modules, so rational nonvanishing of a bar product is the same
+    as integral nonvanishing, which is what the sharpness criterion needs.
+    Over Q one length serves both; otherwise both squares share one
+    presentation, so they share its R_g rows.
 
-    Every input reads m only through its parity or in O(1) integer
-    arithmetic, so the cost grows with n alone; the library sets no size cap
-    (the command line's `--max-n` does).  Raises ValueError for a
-    configuration the ring does not model, and ClosedFormContradiction if a
-    pinched value disagrees with the closed form.
+    The ring H*(F(R^m, n)) reads m only through its parity, so every m of
+    one parity gives the same pair: `grid` certifies each (n, m mod 2) once.
+    Raises ValueError for a configuration the ring does not model.
+    """
+    pres = Presentation(n, m)
+    zcl = TensorSquare(pres, field).bar_span_length_certified()
+    bar_len = zcl if field == QQ else TensorSquare(pres, QQ).bar_span_length_certified()
+    return zcl, bar_len
+
+
+def report_from_ring(m: int, n: int, field, zcl: int, bar_len: int) -> BoundsReport:
+    """The report for F(R^m, n) from its ring's `certify_ring` pair; no ring work.
+
+    Adds the upper-bound candidates, which read m in O(1) integer
+    arithmetic, pinches and checks the closed form.  A modular field can only
+    weaken the lower bound (recorded as a warning for characteristic 2),
+    never the upper one, which consumes the rational length.  Raises
+    ValueError for a configuration the ring does not model, and
+    ClosedFormContradiction if the lower bound exceeds the upper or a pinched
+    value disagrees with the closed form.
     """
     report = BoundsReport(
         m=m, n=n, closed_form=closed_form_tc(m, n), field_used=field.describe()
@@ -242,13 +257,9 @@ def assemble_report(m: int, n: int, field=QQ) -> BoundsReport:
             "lower bounds for odd m can degrade below the rational value"
         )
 
-    pres = Presentation(n, m)
-    zcl = TensorSquare(pres, field).bar_span_length_certified()
     report.lower = lower_from_zcl(zcl)
     report.lower_source = LOWER_TAG
     report.diagnostics.append(("zero_divisor_cuplength", zcl))
-
-    bar_len = zcl if field == QQ else TensorSquare(pres, QQ).bar_span_length_certified()
     report.diagnostics.append(("bar_span_length_over_Q", bar_len))
 
     candidates: List[Tuple[int, str]] = []
@@ -285,3 +296,17 @@ def assemble_report(m: int, n: int, field=QQ) -> BoundsReport:
             f"for (m={m}, n={n})"
         )
     return report
+
+
+def assemble_report(m: int, n: int, field=QQ) -> BoundsReport:
+    """Compute and cross-check TC bounds for F(R^m, n).
+
+    `certify_ring` does the ring work and `report_from_ring` the bounds, so
+    this is the one report `report` prints and each `grid` cell matches.
+    Every input reads m only through its parity or in O(1) integer
+    arithmetic, so the cost grows with n alone; the library sets no size cap
+    (the command line's `--max-n` does).  Raises ValueError for a
+    configuration the ring does not model, and ClosedFormContradiction if a
+    pinched value disagrees with the closed form.
+    """
+    return report_from_ring(m, n, field, *certify_ring(n, m, field))

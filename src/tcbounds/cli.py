@@ -27,7 +27,14 @@ from .algebra import (
     monomial_str,
     write_structure_document,
 )
-from .bounds import BoundsReport, ClosedFormContradiction, assemble_report, closed_form_tc
+from .bounds import (
+    BoundsReport,
+    ClosedFormContradiction,
+    assemble_report,
+    certify_ring,
+    closed_form_tc,
+    report_from_ring,
+)
 from .coeffs import parse_field
 from .tensor import TensorSquare
 
@@ -85,13 +92,18 @@ def _over_cap(m: int, n: int, max_n: int) -> Optional[str]:
     return None
 
 
+def _not_computed(m: int, n: int, field, over: str) -> BoundsReport:
+    """The report with no bounds for a cell past --max-n."""
+    return BoundsReport(m=m, n=n, closed_form=closed_form_tc(m, n),
+                        field_used=field.describe(), warnings=[f"not computed: {over}"])
+
+
 def _report(m: int, n: int, field, max_n: int) -> BoundsReport:
     """The report for (m, n), with no bounds when n is past max_n."""
     over = _over_cap(m, n, max_n)
     if over is None:
         return assemble_report(m, n, field=field)
-    return BoundsReport(m=m, n=n, closed_form=closed_form_tc(m, n),
-                        field_used=field.describe(), warnings=[f"not computed: {over}"])
+    return _not_computed(m, n, field, over)
 
 
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
@@ -120,16 +132,23 @@ def cmd_report(args) -> int:
     return EXIT_PINCHED if report.pinched else EXIT_UNPINCHED
 
 
-def _grid_cell(task):
-    m, n, field_text, max_n = task
-    field = parse_field(field_text)
-    try:
-        return ("ok", _report(m, n, field, max_n))
-    except ClosedFormContradiction as exc:
-        return ("contradiction", str(exc))
+def _grid_ring(task):
+    """The `certify_ring` pair of one ring task (n, m, field text), in-process or in a worker."""
+    n, m, field_text = task
+    return certify_ring(n, m, parse_field(field_text))
 
 
 def cmd_grid(args) -> int:
+    """Certify every (m, n) cell of a rectangle, each distinct ring once.
+
+    Every cell is checked, in sorted order, before any ring work, so a bad
+    cell fails first with the message `report` would print.  The ring reads
+    m only through its parity, so the cells with the same n and parity of m
+    share one `certify_ring` call, in-process or as one pool task, with at
+    most one worker per ring.  The memo of those pairs lives for this call
+    only.  Each cell's report is then assembled here, and a contradiction
+    with the closed form is reported per cell.
+    """
     try:
         m_values = _parse_range(args.m)
         n_values = _parse_range(args.n)
@@ -140,8 +159,15 @@ def cmd_grid(args) -> int:
     if not cells:
         print(f"error: empty grid: --m {args.m} --n {args.n} has no cells", file=sys.stderr)
         return EXIT_USAGE
-    tasks = [(m, n, args.field, args.max_n) for m, n in cells]
-    # the pool starts all its workers at once: never more than there are cells
+    field = parse_field(args.field)
+    over = {(m, n): _over_cap(m, n, args.max_n) for m, n in cells}
+    # ring (n, m mod 2) -> the first m that needs it
+    rings = {}
+    for (m, n), why in over.items():
+        if why is None:
+            rings.setdefault((n, m % 2), m)
+    tasks = [(n, m, args.field) for (n, _), m in rings.items()]
+    # the pool starts all its workers at once: never more than there are rings
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -149,20 +175,24 @@ def cmd_grid(args) -> int:
 
         try:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_grid_cell, tasks))
+                results = list(pool.map(_grid_ring, tasks))
         except BrokenProcessPool as exc:
-            # a worker killed (out of memory, a signal) takes its cells with it
+            # a worker killed (out of memory, a signal) takes its rings with it
             print(f"error: grid worker died: {exc}", file=sys.stderr)
             return EXIT_CAP
     else:
-        results = [_grid_cell(t) for t in tasks]
+        results = [_grid_ring(t) for t in tasks]
+    memo = dict(zip(rings, results))
 
     reports, contradictions = [], []
-    for (m, n), (status, payload) in zip(cells, results):
-        if status == "contradiction":
-            contradictions.append((m, n, payload))
-        else:
-            reports.append(payload)
+    for (m, n), why in over.items():
+        if why is not None:
+            reports.append(_not_computed(m, n, field, why))
+            continue
+        try:
+            reports.append(report_from_ring(m, n, field, *memo[n, m % 2]))
+        except ClosedFormContradiction as exc:
+            contradictions.append((m, n, str(exc)))
 
     pinched = sum(1 for r in reports if r.pinched)
     uncomputed = sum(1 for r in reports if not r.computed)
@@ -365,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", required=True, help="value or range (e.g. 2..5)")
     p.add_argument("--n", required=True, help="value or range (e.g. 2..3)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, at most one per cell (default 1)")
+                   help="worker processes, at most one per ring (default 1)")
     add_common(p)
     p.set_defaults(func=cmd_grid)
 
@@ -416,10 +446,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built by the first `main` call, not at import, and reused by every later one
+_PARSER: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -13,6 +13,7 @@ import tcbounds.cli
 import tcbounds.selftest
 from tcbounds.cli import (
     EXIT_CAP,
+    EXIT_CONTRADICTION,
     EXIT_PINCHED,
     EXIT_PIPE,
     EXIT_UNPINCHED,
@@ -20,6 +21,7 @@ from tcbounds.cli import (
     main,
     parse_generator_word,
 )
+from tcbounds.tensor import TensorSquare
 
 
 def run(capsys, *argv):
@@ -154,21 +156,52 @@ def test_large_m_is_computed(capsys):
 
 
 def test_reports_call_assemble_report_once_per_cell(capsys, monkeypatch):
-    # the benchmark tracer counts reports by wrapping `tcbounds.cli.assemble_report`
-    calls = []
-    assemble = tcbounds.cli.assemble_report
+    # the benchmark tracer counts reports by wrapping `tcbounds.cli.assemble_report`;
+    # `grid` assembles its cells from one `certify_ring` call per ring instead
+    calls, rings = [], []
+    assemble, certify = tcbounds.cli.assemble_report, tcbounds.cli.certify_ring
 
     def counting(*args, **kwargs):
         calls.append(args)
         return assemble(*args, **kwargs)
 
+    def counting_rings(*args):
+        rings.append(args)
+        return certify(*args)
+
     monkeypatch.setattr(tcbounds.cli, "assemble_report", counting)
+    monkeypatch.setattr(tcbounds.cli, "certify_ring", counting_rings)
     assert run(capsys, "report", "--m", "3", "--n", "3")[0] == EXIT_PINCHED
     assert len(calls) == 1
     assert run(capsys, "grid", "--m", "2..3", "--n", "2", "--jobs", "1")[0] == EXIT_PINCHED
-    assert len(calls) == 3
+    assert (len(calls), len(rings)) == (1, 2)
     assert run(capsys, "report", "--m", "3", "--n", "6")[0] == EXIT_CAP
-    assert len(calls) == 3
+    assert len(calls) == 1
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    builds = []
+    build = tcbounds.cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(tcbounds.cli, "build_parser", counting)
+    monkeypatch.setattr(tcbounds.cli, "_PARSER", None)
+    code, out, _ = run(capsys, "report", "--m", "3", "--n", "3", "--field", "zp:2",
+                       "--output", "json")
+    assert (code, json.loads(out)["field"]) == (EXIT_UNPINCHED, "Z_2")
+    code, out, err = run(capsys, "report", "--m", "3", "--field", "zp:3")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "the following arguments are required: --n" in err
+    # no option of an earlier call, failed or not, carries over
+    code, out, err = run(capsys, "report", "--m", "3", "--n", "3", "--output", "json")
+    assert (code, err) == (EXIT_PINCHED, "")
+    assert json.loads(out)["field"] == "Q"
+    code, out, _ = run(capsys, "zcl", "--m", "2", "--n", "3")
+    assert (code, out) == (0, "zero_divisor_cuplength = 3\nTC >= 4\n")
+    assert len(builds) == 1
 
 
 # -- grid ---------------------------------------------------------------------------
@@ -202,7 +235,9 @@ def test_grid_rejects_bad_jobs(capsys, jobs):
     assert "--jobs" in err
 
 
-def test_grid_jobs_clamped_to_cells(capsys, monkeypatch):
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """The max_workers of every process pool `grid` starts, in order."""
     import concurrent.futures
 
     workers = []
@@ -213,11 +248,44 @@ def test_grid_jobs_clamped_to_cells(capsys, monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return workers
+
+
+def test_grid_jobs_clamped_to_cells(capsys, pool_workers):
     code, out, _ = run(capsys, "grid", "--m", "2..3", "--n", "2", "--jobs", "8")
-    assert (code, workers) == (EXIT_PINCHED, [2])
+    assert (code, pool_workers) == (EXIT_PINCHED, [2])
     assert "pinched 2/2" in out
     code, _, _ = run(capsys, "grid", "--m", "2", "--n", "2", "--jobs", "8")
-    assert (code, workers) == (EXIT_PINCHED, [2])  # one cell runs in-process
+    assert (code, pool_workers) == (EXIT_PINCHED, [2])  # one cell runs in-process
+    # four cells, two rings: at most one worker per ring
+    code, out, _ = run(capsys, "grid", "--m", "2..5", "--n", "2", "--jobs", "8")
+    assert (code, pool_workers) == (EXIT_PINCHED, [2, 2])
+    assert "pinched 4/4" in out
+
+
+def test_grid_bad_cells_fail_before_any_work(capsys, monkeypatch, pool_workers):
+    rings = []
+    monkeypatch.setattr(tcbounds.cli, "certify_ring", lambda *args: rings.append(args))
+    code, out, err = run(capsys, "grid", "--m", "1..7", "--n", "2..5", "--jobs", "2")
+    assert (code, out, err) == (EXIT_USAGE, "", BAD_M)
+    assert (pool_workers, rings) == ([], [])
+
+
+@pytest.mark.parametrize("field,certified", [("q", 6), ("zp:3", 12)])
+def test_grid_certifies_each_ring_once(capsys, monkeypatch, field, certified):
+    # 18 cells, 6 rings (n, m mod 2); a modular field also certifies the Q square
+    calls = []
+    certify = TensorSquare.bar_span_length_certified
+
+    def counting(self):
+        calls.append((self.pres.n, self.pres.parity, self.field.describe()))
+        return certify(self)
+
+    monkeypatch.setattr(TensorSquare, "bar_span_length_certified", counting)
+    code, out, _ = run(capsys, "grid", "--m", "2..7", "--n", "2..4", "--field", field)
+    assert code == EXIT_PINCHED
+    assert "pinched 18/18" in out
+    assert len(calls) == len(set(calls)) == certified
 
 
 def test_grid_with_cap_cells(capsys):
@@ -228,10 +296,10 @@ def test_grid_with_cap_cells(capsys):
 
 
 def test_grid_parallel_matches_serial(capsys):
-    code1, out1, _ = run(capsys, "grid", "--m", "2..3", "--n", "2..3")
-    code2, out2, _ = run(capsys, "grid", "--m", "2..3", "--n", "2..3",
-                         "--jobs", "2")
-    assert (code1, out1) == (code2, out2)
+    for argv in (["--m", "2..3", "--n", "2..3"],
+                 ["--m", "2..7", "--n", "2..4", "--field", "zp:3"]):
+        serial = run(capsys, "grid", *argv)
+        assert serial == run(capsys, "grid", *argv, "--jobs", "2")
 
 
 def _worker_dies(task):
@@ -239,13 +307,38 @@ def _worker_dies(task):
 
 
 def test_grid_worker_crash_is_reported(capsys, monkeypatch):
-    # two cells on two workers, each of which dies: an error line, not a traceback
-    monkeypatch.setattr(tcbounds.cli, "_grid_cell", _worker_dies)
+    # two rings on two workers, each of which dies: an error line, not a traceback
+    monkeypatch.setattr(tcbounds.cli, "_grid_ring", _worker_dies)
     code, out, err = run(capsys, "grid", "--m", "2..3", "--n", "2", "--jobs", "2")
     assert code == EXIT_CAP
     assert out == ""
     assert err.startswith("error: grid worker died: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_grid_reports_each_contradicting_cell(capsys, monkeypatch, jobs):
+    # one ring, (n = 3, odd m), claims a cup-length past the upper bound
+    certify = tcbounds.cli.certify_ring
+
+    def contradicting(n, m, field):
+        zcl, bar_len = certify(n, m, field)
+        return (zcl + 1, bar_len) if (n, m % 2) == (3, 1) else (zcl, bar_len)
+
+    monkeypatch.setattr(tcbounds.cli, "certify_ring", contradicting)
+    code, out, err = run(capsys, "grid", "--m", "2..5", "--n", "2..3", "--jobs", jobs)
+    assert (code, err) == (EXIT_CONTRADICTION, "")
+    lines = out.splitlines()
+    assert [line for line in lines if "CONTRADICTION" in line] == [
+        f"m={m} n=3 CONTRADICTION: lower bound 6 exceeds upper bound 5 "
+        f"for (m={m}, n=3) over Q" for m in (3, 5)
+    ]
+    assert [line.split()[:2] for line in lines[:6]] == [
+        ["m=2", "n=2"], ["m=2", "n=3"], ["m=3", "n=2"],
+        ["m=4", "n=2"], ["m=4", "n=3"], ["m=5", "n=2"],
+    ]
+    assert all(line.endswith("pinched=yes") for line in lines[:6])
+    assert lines[-1] == "pinched 6/8"
 
 
 # -- small utilities -----------------------------------------------------------------

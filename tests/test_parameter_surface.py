@@ -12,6 +12,7 @@ from tcbounds.tensor import TensorSquare
 
 PARAMETERS = {
     "assemble_report": ["m", "n", "field"],
+    "certify_ring": ["n", "m", "field"],
     "TensorSquare.bar_span_profile": ["self"],
     "TensorSquare.zero_divisor_power_profile": ["self"],
     "TensorSquare.bar_span_length_certified": ["self"],
@@ -25,6 +26,7 @@ PARAMETERS = {
 def test_parameter_surface_is_pinned():
     functions = [
         bounds.assemble_report,
+        bounds.certify_ring,
         TensorSquare.bar_span_profile,
         TensorSquare.zero_divisor_power_profile,
         TensorSquare.bar_span_length_certified,
