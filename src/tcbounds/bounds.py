@@ -216,7 +216,7 @@ class BoundsReport:
         return lines
 
 
-def certify_ring(n: int, m: int, field=QQ) -> Tuple[int, int]:
+def certify_ring(m: int, n: int, field=QQ) -> Tuple[int, int]:
     """The ring work of a report: (zero-divisor cup-length over field, bar-span length over Q).
 
     The cup-length is the certified bar-span length over the requested field
@@ -309,4 +309,4 @@ def assemble_report(m: int, n: int, field=QQ) -> BoundsReport:
     configuration the ring does not model, and ClosedFormContradiction if a
     pinched value disagrees with the closed form.
     """
-    return report_from_ring(m, n, field, *certify_ring(n, m, field))
+    return report_from_ring(m, n, field, *certify_ring(m, n, field))

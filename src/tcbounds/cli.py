@@ -133,9 +133,9 @@ def cmd_report(args) -> int:
 
 
 def _grid_ring(task):
-    """The `certify_ring` pair of one ring task (n, m, field text), in-process or in a worker."""
-    n, m, field_text = task
-    return certify_ring(n, m, parse_field(field_text))
+    """The `certify_ring` pair of one ring task (m, n, field text), in-process or in a worker."""
+    m, n, field_text = task
+    return certify_ring(m, n, parse_field(field_text))
 
 
 def cmd_grid(args) -> int:
@@ -166,7 +166,7 @@ def cmd_grid(args) -> int:
     for (m, n), why in over.items():
         if why is None:
             rings.setdefault((n, m % 2), m)
-    tasks = [(n, m, args.field) for (n, _), m in rings.items()]
+    tasks = [(m, n, args.field) for (n, _), m in rings.items()]
     # the pool starts all its workers at once: never more than there are rings
     jobs = min(args.jobs, len(tasks))
     if jobs > 1:
@@ -446,16 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built by the first `main` call, not at import, and reused by every later one
-_PARSER: Optional[argparse.ArgumentParser] = None
-
-
 def main(argv=None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
+    parser = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

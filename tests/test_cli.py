@@ -157,51 +157,22 @@ def test_large_m_is_computed(capsys):
 
 def test_reports_call_assemble_report_once_per_cell(capsys, monkeypatch):
     # the benchmark tracer counts reports by wrapping `tcbounds.cli.assemble_report`;
-    # `grid` assembles its cells from one `certify_ring` call per ring instead
-    calls, rings = [], []
-    assemble, certify = tcbounds.cli.assemble_report, tcbounds.cli.certify_ring
+    # `report` calls it once per cell, `grid` never (it certifies rings and
+    # assembles each cell with `report_from_ring`)
+    calls = []
+    assemble = tcbounds.cli.assemble_report
 
     def counting(*args, **kwargs):
         calls.append(args)
         return assemble(*args, **kwargs)
 
-    def counting_rings(*args):
-        rings.append(args)
-        return certify(*args)
-
     monkeypatch.setattr(tcbounds.cli, "assemble_report", counting)
-    monkeypatch.setattr(tcbounds.cli, "certify_ring", counting_rings)
     assert run(capsys, "report", "--m", "3", "--n", "3")[0] == EXIT_PINCHED
     assert len(calls) == 1
     assert run(capsys, "grid", "--m", "2..3", "--n", "2", "--jobs", "1")[0] == EXIT_PINCHED
-    assert (len(calls), len(rings)) == (1, 2)
+    assert len(calls) == 1
     assert run(capsys, "report", "--m", "3", "--n", "6")[0] == EXIT_CAP
     assert len(calls) == 1
-
-
-def test_main_builds_its_parser_once(capsys, monkeypatch):
-    builds = []
-    build = tcbounds.cli.build_parser
-
-    def counting():
-        builds.append(1)
-        return build()
-
-    monkeypatch.setattr(tcbounds.cli, "build_parser", counting)
-    monkeypatch.setattr(tcbounds.cli, "_PARSER", None)
-    code, out, _ = run(capsys, "report", "--m", "3", "--n", "3", "--field", "zp:2",
-                       "--output", "json")
-    assert (code, json.loads(out)["field"]) == (EXIT_UNPINCHED, "Z_2")
-    code, out, err = run(capsys, "report", "--m", "3", "--field", "zp:3")
-    assert (code, out) == (EXIT_USAGE, "")
-    assert "the following arguments are required: --n" in err
-    # no option of an earlier call, failed or not, carries over
-    code, out, err = run(capsys, "report", "--m", "3", "--n", "3", "--output", "json")
-    assert (code, err) == (EXIT_PINCHED, "")
-    assert json.loads(out)["field"] == "Q"
-    code, out, _ = run(capsys, "zcl", "--m", "2", "--n", "3")
-    assert (code, out) == (0, "zero_divisor_cuplength = 3\nTC >= 4\n")
-    assert len(builds) == 1
 
 
 # -- grid ---------------------------------------------------------------------------
@@ -271,9 +242,12 @@ def test_grid_bad_cells_fail_before_any_work(capsys, monkeypatch, pool_workers):
     assert (pool_workers, rings) == ([], [])
 
 
-@pytest.mark.parametrize("field,certified", [("q", 6), ("zp:3", 12)])
-def test_grid_certifies_each_ring_once(capsys, monkeypatch, field, certified):
-    # 18 cells, 6 rings (n, m mod 2); a modular field also certifies the Q square
+@pytest.mark.parametrize("m,n,field,cells,certified", [
+    ("2..3", "2", "q", 2, 2),  # 2 rings
+    ("2..7", "2..4", "q", 18, 6),  # 6 rings (n, m mod 2)
+    ("2..7", "2..4", "zp:3", 18, 12),  # a modular field also certifies the Q square
+])
+def test_grid_certifies_each_ring_once(capsys, monkeypatch, m, n, field, cells, certified):
     calls = []
     certify = TensorSquare.bar_span_length_certified
 
@@ -282,9 +256,9 @@ def test_grid_certifies_each_ring_once(capsys, monkeypatch, field, certified):
         return certify(self)
 
     monkeypatch.setattr(TensorSquare, "bar_span_length_certified", counting)
-    code, out, _ = run(capsys, "grid", "--m", "2..7", "--n", "2..4", "--field", field)
+    code, out, _ = run(capsys, "grid", "--m", m, "--n", n, "--field", field)
     assert code == EXIT_PINCHED
-    assert "pinched 18/18" in out
+    assert out.splitlines()[-1] == f"pinched {cells}/{cells}"
     assert len(calls) == len(set(calls)) == certified
 
 
@@ -318,14 +292,17 @@ def test_grid_worker_crash_is_reported(capsys, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_grid_reports_each_contradicting_cell(capsys, monkeypatch, jobs):
-    # one ring, (n = 3, odd m), claims a cup-length past the upper bound
-    certify = tcbounds.cli.certify_ring
+    # the cells of one ring, (n = 3, odd m), claim a cup-length past the upper
+    # bound; reports are assembled in the parent, so the patch holds under any
+    # start method of the pool
+    report_from_ring = tcbounds.cli.report_from_ring
 
-    def contradicting(n, m, field):
-        zcl, bar_len = certify(n, m, field)
-        return (zcl + 1, bar_len) if (n, m % 2) == (3, 1) else (zcl, bar_len)
+    def contradicting(m, n, field, zcl, bar_len):
+        if (n, m % 2) == (3, 1):
+            zcl += 1
+        return report_from_ring(m, n, field, zcl, bar_len)
 
-    monkeypatch.setattr(tcbounds.cli, "certify_ring", contradicting)
+    monkeypatch.setattr(tcbounds.cli, "report_from_ring", contradicting)
     code, out, err = run(capsys, "grid", "--m", "2..5", "--n", "2..3", "--jobs", jobs)
     assert (code, err) == (EXIT_CONTRADICTION, "")
     lines = out.splitlines()

@@ -12,7 +12,7 @@ from tcbounds.tensor import TensorSquare
 
 PARAMETERS = {
     "assemble_report": ["m", "n", "field"],
-    "certify_ring": ["n", "m", "field"],
+    "certify_ring": ["m", "n", "field"],
     "TensorSquare.bar_span_profile": ["self"],
     "TensorSquare.zero_divisor_power_profile": ["self"],
     "TensorSquare.bar_span_length_certified": ["self"],
