@@ -37,11 +37,18 @@ ranks and acceptance are those of the full vectors.  The echelon width stays
 dim (H (x) H)_k, so `is_full` still means V_k is the whole piece (as at n = 2,
 odd m, where V_2 = (H (x) H)_2 is spanned by a diagonal vector).
 
+Where the ring splits at the decone (`TensorSquare._decone_splits`: even m
+over any field, odd m over Z_2, n >= 2), the span is built in the square of
+the quotient H/(e_12), a quarter as wide and with one generator fewer, and
+dim V_k = dim W_k + dim W_{k-1} gives its profile.  `barspan` prints that
+profile and the paper's witness word, multiplied out in H (x) H.  Odd m over
+Q or Z_p (p odd), and n = 1, build the span in full.
+
 Reports do not build the span: `TensorSquare.bar_span_length_certified`
-uses the same integer multiply-by-bar.  The paper's witness word, multiplied
-out over Z, bounds the length from below; below the top weight 2n - 2, a check
-that every bar(S) over square-free (2n - 2)-subsets S vanishes bounds it from
-above.  The span is the fallback and the tests' oracle; `barspan` prints it.
+multiplies out the paper's witness word over Z, which bounds the length from
+below; below the top weight 2n - 2, a check that every bar(S) over
+square-free (2n - 2)-subsets S vanishes bounds it from above.  The span is
+the fallback and the tests' oracle.
 
 `TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
 ideal Z from the diagonal kernels instead.  It is the reference oracle that
@@ -168,8 +175,10 @@ class TensorSquare:
         self._bases: Dict[int, List[Pair]] = {}
         self._index: Dict[int, Dict[Pair, int]] = {}
         self._zkernels: Dict[int, EchelonBasis] = {}
-        self._bar_levels: Optional[List[List[Label]]] = None
         self._bar_ops = None  # built once, by _bar_operators
+        self._splits: Optional[bool] = None  # by _decone_splits
+        self._full_levels: Optional[List[List[Label]]] = None  # V_k, by _full_span_levels
+        self._quotient_levels: Optional[List[List[Label]]] = None  # W_k, by _quotient_span_levels
 
     def basis(self, w: int) -> List[Pair]:
         got = self._bases.get(w)
@@ -190,8 +199,7 @@ class TensorSquare:
         return got
 
     def dim(self, w: int) -> int:
-        r = rank_polynomial(self.pres.n)  # the ranks of H: no pair is listed
-        return sum(r[k] * r[w - k] for k in range(len(r)) if 0 <= w - k < len(r))
+        return _square_dim(rank_polynomial(self.pres.n), w)  # the ranks of H: no pair is listed
 
     def coords(self, x: TensorElement, weight: Optional[int] = None) -> Vec:
         w = x.weight if weight is None else weight
@@ -289,74 +297,114 @@ class TensorSquare:
         in `Presentation.full_basis()` (N = n!), so one = {0: 1} is 1 (x) 1.
         gens is the range of generator indices, and times_bar(vec, g) maps the
         half of bar(S) (its coordinates iu <= iv, module docstring) to the
-        half of bar(S) * bar(g).  An entry c at iu < iv also stands for
-        mirror * c at (iv, iu): a term w of u * g goes to (iw, iv) with the
-        Koszul sign when iw <= iv, and to (iv, iw) with -mirror * c when
-        iw >= iv.  The rows of R_g come from `Presentation.right_operators()`,
-        shared by every square over the ring, and each is filled by
-        `Presentation.right_operator_row` on its first read, from rows of the
-        word's prefix and with no word rewritten.
+        half of bar(S) * bar(g) (see `_times_bar`).  The rows of R_g come from
+        `Presentation.right_operators()`, shared by every square over the
+        ring, and each is filled by `Presentation.right_operator_row` on its
+        first read, from rows of the word's prefix and with no word rewritten.
         """
-        if self._bar_ops is not None:
-            return self._bar_ops
-        pres = self.pres
-        weights = pres._coordinates().weights
-        n_mons = len(weights)
-        ops = pres.right_operators()
-        fill = pres.right_operator_row
-        # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
-        odd = [bool(pres.parity and w & 1) for w in weights]
-        # mirror[len(u)][len(v)]: whether (iv, iu) holds -1 times (iu, iv)
-        mirror = [[(a + b + pres.parity * a * b) & 1 for b in range(pres.n)] for a in range(pres.n)]
-
-        def times_bar(vec: Dict[int, int], g: int) -> Dict[int, int]:
-            # u (x) v -> (-1)^{parity |v|} ug (x) v - u (x) vg, on halves
-            op = ops[g]
-            out: Dict[int, int] = {}
-            get = out.get
-            for f, c in vec.items():
-                iu, iv = divmod(f, n_mons)
-                base = iu * n_mons
-                row = op[iv]
-                if row is None:
-                    row = fill(g, iv)
-                for iw, k in row:
-                    key = base + iw
-                    out[key] = get(key, 0) - c * k
-                if iu == iv:  # no mirror, and ug (x) u lies below the diagonal
-                    continue
-                cu = -c if odd[iv] else c
-                cm = c if mirror[weights[iu]][weights[iv]] else -c
-                base = iv * n_mons
-                row = op[iu]
-                if row is None:
-                    row = fill(g, iu)
-                for iw, k in row:
-                    if iw <= iv:
-                        key = iw * n_mons + iv
-                        out[key] = get(key, 0) + cu * k
-                    if iw >= iv:
-                        key = base + iw
-                        out[key] = get(key, 0) + cm * k
-            return {f: c for f, c in out.items() if c}
-
-        self._bar_ops = ({0: 1}, range(len(ops)), times_bar)
+        if self._bar_ops is None:
+            pres = self.pres
+            ops = pres.right_operators()
+            self._bar_ops = ({0: 1}, range(len(ops)), _times_bar(pres, ops, pres.right_operator_row))
         return self._bar_ops
 
-    def _bar_span_levels(self) -> List[List[Label]]:
-        """Labels of the accepted basis vectors of V_1, V_2, ..., level by level.
+    def _quotient_operators(self):
+        """(one, gens, times_bar, ranks) of the square of H/(x), x = e_12.
 
-        A label is the sorted tuple of generator indices S, standing for the
-        integer vector bar(S) in the flat coordinates of `_bar_operators`.
-        Since bar(S) depends on the multiset S only up to sign, V_{k+1} is
-        spanned by bar(S + g) over the labels S of V_k, and each new label is
-        multiplied out once.
+        In the coordinates of H (x) H: the quotient's basis is the admissible
+        words without e_12, and its R_g rows are those of H, filtered on first
+        read, with every term that holds e_12 dropped.  That drop is the
+        quotient map, an algebra map, so the products are exact.  gens omits
+        x; H = (1 + t) H/(x) as graded spaces gives the ranks.
+        """
+        pres = self.pres
+        ops, fill = pres.right_operators(), pres.right_operator_row
+        # e_12 is the one letter of upper index 2, so it leads a word that holds it
+        kept = [w[:1] != ((1, 2),) for w in pres.full_basis()]
+        rows = [[None] * len(op) for op in ops]
+
+        def quotient_row(g: int, iu: int) -> List[Tuple[int, int]]:
+            row = ops[g][iu]
+            if row is None:
+                row = fill(g, iu)
+            rows[g][iu] = got = [(iw, k) for iw, k in row if kept[iw]]
+            return got
+
+        ranks = [1]
+        for r in rank_polynomial(pres.n)[1:-1]:
+            ranks.append(r - ranks[-1])
+        return {0: 1}, range(1, len(ops)), _times_bar(pres, rows, quotient_row), ranks
+
+    def _decone_splits(self) -> bool:
+        """Whether the span splits at the decone, so it may be built in H/(e_12).
+
+        The check: NF(d w) = NF(d NF(w)) for all C(n, 2)^2 two-letter words w,
+        NF the normal form of `straighten_word`, over Z for even m and mod 2
+        for odd m over Z_2.  Other odd-m fields, and n = 1 (no generators: the
+        check would pass vacuously), give False unchecked.  d is the
+        contraction d e_ij = 1, extended as the derivation
+        d(uv) = du v + (-1)^{parity |u|} u dv of the free algebra, so d of a
+        word sums, with sign (-1)^{parity (i - 1)}, the word without letter i.
+
+        Proof.  (a) d is defined on H exactly when it maps the relation ideal
+        I into itself.  The rules of `straighten_word` rewrite adjacent pairs,
+        so the w - NF(w) generate I, and d(w - NF(w)) has weight 1, where I is
+        0: the check is that condition.  It holds over Z for odd generators
+        (even m); for even ones d(g g) = 2g, so at most mod 2.
+        (b) Where d is defined, take x = e_12: a = d(xa) + x da and dd = 0,
+        so H = B (+) xB with B = ker d a subalgebra, and x is injective on B.
+        xH = xB is an ideal, B maps isomorphically onto H/xH, and H/xH has the
+        admissible words without e_12 as its basis (those with it are x times
+        an admissible word, n!/2 = dim xB of them).
+        (c) For g != x, g - x lies in B and bar(g) = bar(g - x) + bar(x);
+        bar(x)^2 = 0 (x odd, or mod 2) and bar(x) graded-commutes with every
+        bar.  So V_k = W_k + bar(x) W_{k-1}, W_k spanned by the k-fold products
+        of bar(g - x), g != x, in B (x) B.  bar(x) W_{k-1} lies in
+        xB (x) B (+) B (x) xB, so the sum is direct, and bar(x) is injective on
+        B (x) B.  The quotient map sends W_k onto the span of the k-fold
+        products of bar(g), g != x, in the square of H/xH, isomorphically.
+        Hence dim V_k = dim W_k + dim W_{k-1}, with dim W_0 = 1.
+        """
+        if self._splits is None:
+            pres = self.pres
+            if pres.n < 2 or not (pres.parity or self.field.characteristic == 2):
+                self._splits = False
+            else:
+                p = 0 if pres.parity else 2  # even m: over Z, so in every field
+                sign = -1 if pres.parity else 1
+
+                def d(terms: Dict[Word, int]) -> Dict[Word, int]:
+                    out: Dict[Word, int] = {}
+                    for word, c in terms.items():
+                        for i in range(len(word)):
+                            key = word[:i] + word[i + 1:]
+                            out[key] = out.get(key, 0) + c * sign ** i
+                    if p:
+                        out = {key: c % p for key, c in out.items()}
+                    return {key: c for key, c in out.items() if c}
+
+                gens = pres.generators()
+                self._splits = all(d({(g, h): 1}) == d(pres.straighten((g, h)))
+                                   for g in gens for h in gens)
+        return self._splits
+
+    def _span_levels(self, one, gens, times_bar, ranks: List[int]) -> List[List[Label]]:
+        """Labels of the accepted basis vectors of the span, level by level.
+
+        V_1, V_2, ... with the operators of `_bar_operators`, W_1, W_2, ...
+        with those of `_quotient_operators`; ranks are those of the ring
+        squared.  A label is the sorted tuple of generator indices S, standing
+        for the integer vector bar(S) in the flat coordinates of
+        `_bar_operators`.  Since bar(S) depends on the multiset S only up to
+        sign, level k + 1 is spanned by bar(S + g) over the labels S of level
+        k, and each new label is multiplied out once.
 
         Each bar(S) is its half, the coordinates iu <= iv with the diagonal
         kept, as `times_bar` returns it: by the swap symmetry of the module
         docstring that half determines it, so the echelon reduces half rows
         without changing a rank, and `level` keeps the same half for the
-        next multiplication.  The width stays dim (H (x) H)_k.
+        next multiplication.  The width stays the dimension of the square's
+        weight-k piece.
 
         The echelon numbers the flat coordinate f as N^2 - 1 - f, which
         reverses the basis of H: the top weight first, the lex-last
@@ -368,20 +416,18 @@ class TensorSquare:
         depend on it: the same labels are offered in the same order and
         acceptance is span membership.
         """
-        if self._bar_levels is not None:
-            return self._bar_levels
-        pres, field = self.pres, self.field
-        one, gens, times_bar = self._bar_operators()
         if not gens:
             return []
+        pres, field = self.pres, self.field
         n_mons = len(pres.full_basis())
         last = n_mons * n_mons - 1
+        top = 2 * (len(ranks) - 1)
 
         def rev(vec: Dict[int, int]) -> Dict[int, int]:
             # the echelon's reversed numbering (see above)
             return {last - f: c for f, c in vec.items()}
 
-        eb = EchelonBasis(field, self.dim(1))
+        eb = EchelonBasis(field, _square_dim(ranks, 1))
         level: List[Tuple[Label, Dict[int, int]]] = []
         for gi in gens:
             vec = times_bar(one, gi)  # bar(g) = g (x) 1 - 1 (x) g
@@ -390,8 +436,8 @@ class TensorSquare:
         levels = [[label for label, _ in level]]
         # bar(g)^2 = 0 when |g| is odd, so such labels never repeat a generator
         square_free = bool(pres.parity)
-        while len(levels) < self.top_weight:
-            eb = EchelonBasis(field, self.dim(len(levels) + 1))
+        while len(levels) < top:
+            eb = EchelonBasis(field, _square_dim(ranks, len(levels) + 1))
             seen = set()
             nxt: List[Tuple[Label, Dict[int, int]]] = []
             for label, vec in level:
@@ -413,26 +459,45 @@ class TensorSquare:
                 break
             levels.append([label for label, _ in nxt])
             level = nxt
-        self._bar_levels = levels
         return levels
+
+    def _full_span_levels(self) -> List[List[Label]]:
+        """Labels of V_1, V_2, ..., built in H (x) H whether or not the decone splits."""
+        if self._full_levels is None:
+            self._full_levels = self._span_levels(*self._bar_operators(), rank_polynomial(self.pres.n))
+        return self._full_levels
+
+    def _quotient_span_levels(self) -> List[List[Label]]:
+        """Labels of W_1, W_2, ..., built in the square of H/(e_12) (`_decone_splits`)."""
+        if self._quotient_levels is None:
+            self._quotient_levels = self._span_levels(*self._quotient_operators())
+        return self._quotient_levels
 
     def bar_span_profile(self) -> List[int]:
         """Dimensions of V_1, V_2, ... where V_1 = span of barred generators.
 
-        The list stops at the last nonzero V_k.
+        The list stops at the last nonzero V_k.  Where the decone splits it is
+        dim W_k + dim W_{k-1} (`_decone_splits`).
         """
-        return [len(level) for level in self._bar_span_levels()]
+        if not self._decone_splits():
+            return [len(level) for level in self._full_span_levels()]
+        dims = [len(level) for level in self._quotient_span_levels()]
+        return [a + b for a, b in zip([1] + dims, dims + [0])]
 
     def bar_span_witness(self) -> Word:
         """Generators g_1 <= ... <= g_L with bar(g_1) ... bar(g_L) != 0, L the bar-span length.
 
-        Empty when there are no generators (n = 1).
+        Where the decone splits, the paper's word once it survives in the
+        field with length L; else the first label of the full span's last
+        level.  Empty when there are no generators (n = 1).
         """
-        levels = self._bar_span_levels()
-        if not levels:
-            return ()
         gens = self.pres.generators()
-        return tuple(gens[gi] for gi in levels[-1][0])
+        if self._decone_splits():
+            word = self._witness_word()
+            if len(word) == self.bar_span_length() and self._survives(word):
+                return tuple(gens[gi] for gi in word)
+        levels = self._full_span_levels()
+        return tuple(gens[gi] for gi in levels[-1][0]) if levels else ()
 
     def bar_span_length(self) -> int:
         """Largest k with V_k != 0: the zero-divisor cup-length over this field."""
@@ -448,6 +513,14 @@ class TensorSquare:
         if not self.pres.parity and self.field.characteristic != 2:
             return tuple(gi for gi, (i, _) in enumerate(gens) if i == 1 for _ in range(2))
         return tuple(gi for gi, (i, j) in enumerate(gens) if i == 1 or (i == 2 and j >= 3))
+
+    def _survives(self, word: Label) -> bool:
+        """Whether the product of bar(g) over the word, multiplied out over Z, is nonzero in the field."""
+        one, _, times_bar = self._bar_operators()
+        vec = one
+        for gi in word:
+            vec = times_bar(vec, gi)
+        return any(map(self.field.coerce, vec.values()))
 
     def _square_free_products_vanish(self, k: int) -> bool:
         """Whether bar(S) vanishes in the field for each square-free k-subset S."""
@@ -468,16 +541,66 @@ class TensorSquare:
 
     def bar_span_length_certified(self) -> int:
         """The bar-span length from the paper's witness and a top-weight check, else the span."""
-        one, _, times_bar = self._bar_operators()
         word = self._witness_word()
-        vec = one
-        for gi in word:
-            vec = times_bar(vec, gi)
         top = self.top_weight
         # square-free S span V_top only when every bar(g)^2 vanishes in the field
         square_free = self.pres.parity or self.field.characteristic == 2
-        if any(map(self.field.coerce, vec.values())) and (len(word) == top or (
+        if self._survives(word) and (len(word) == top or (
                 len(word) == top - 1 and square_free
                 and self._square_free_products_vanish(top))):
             return len(word)
         return self.bar_span_length()
+
+
+def _square_dim(ranks: List[int], w: int) -> int:
+    """Dimension of the weight-w piece of A (x) A, for A with the given ranks."""
+    return sum(r * ranks[w - k] for k, r in enumerate(ranks) if 0 <= w - k < len(ranks))
+
+
+def _times_bar(pres: Presentation, ops, fill):
+    """times_bar(vec, g): the half of bar(S) (module docstring) to the half of bar(S) * bar(g).
+
+    ops[g][iu] is R_g's row iu as (iw, k) pairs, or None until fill(g, iu)
+    fills it.  An entry c at iu < iv also stands for mirror * c at (iv, iu):
+    a term w of u * g goes to (iw, iv) with the Koszul sign when iw <= iv,
+    and to (iv, iw) with -mirror * c when iw >= iv.
+    """
+    weights = pres._coordinates().weights
+    n_mons = len(weights)
+    # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
+    odd = [bool(pres.parity and w & 1) for w in weights]
+    # mirror[len(u)][len(v)]: whether (iv, iu) holds -1 times (iu, iv)
+    mirror = [[(a + b + pres.parity * a * b) & 1 for b in range(pres.n)] for a in range(pres.n)]
+
+    def times_bar(vec: Dict[int, int], g: int) -> Dict[int, int]:
+        # u (x) v -> (-1)^{parity |v|} ug (x) v - u (x) vg, on halves
+        op = ops[g]
+        out: Dict[int, int] = {}
+        get = out.get
+        for f, c in vec.items():
+            iu, iv = divmod(f, n_mons)
+            base = iu * n_mons
+            row = op[iv]
+            if row is None:
+                row = fill(g, iv)
+            for iw, k in row:
+                key = base + iw
+                out[key] = get(key, 0) - c * k
+            if iu == iv:  # no mirror, and ug (x) u lies below the diagonal
+                continue
+            cu = -c if odd[iv] else c
+            cm = c if mirror[weights[iu]][weights[iv]] else -c
+            base = iv * n_mons
+            row = op[iu]
+            if row is None:
+                row = fill(g, iu)
+            for iw, k in row:
+                if iw <= iv:
+                    key = iw * n_mons + iv
+                    out[key] = get(key, 0) + cu * k
+                if iw >= iv:
+                    key = base + iw
+                    out[key] = get(key, 0) + cm * k
+        return {f: c for f, c in out.items() if c}
+
+    return times_bar

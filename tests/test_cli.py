@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -277,6 +278,9 @@ def test_grid_parallel_matches_serial(capsys):
 
 
 def _worker_dies(task):
+    # only a pool worker may die: in the test process the exit would end pytest
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("the grid worker ran in the test process")
     os._exit(1)
 
 

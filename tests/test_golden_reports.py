@@ -14,7 +14,10 @@ against a fault in it.  `data/barspan_n5_zp2.json` adds
 `tcbounds barspan --n 5 --m 3 --output json --field zp:2`, recorded from the
 echelon that reduced the full vectors bar(S): in characteristic 2 the two
 eigenspaces of the Koszul swap coincide, which the half-coordinate echelon
-must survive.
+must survive.  `data/barspan_n5_q.json` and `data/barspan_n5_zp3.json` hold
+`tcbounds barspan --n 5 --m 2 --output json --field F` over Q and Z_3,
+recorded from the span built in all of H (x) H, before it was split at the
+decone.
 """
 
 from pathlib import Path
@@ -54,4 +57,12 @@ def test_barspan_n5_char2_matches_recorded_output(capsys):
     expected = (DATA / "barspan_n5_zp2.json").read_text()
     assert main(["barspan", "--n", "5", "--m", "3", "--output", "json",
                  "--field", "zp:2"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("field", ["q", "zp:3"])
+def test_barspan_n5_even_m_matches_recorded_output(capsys, field):
+    expected = (DATA / f"barspan_n5_{field.replace(':', '')}.json").read_text()
+    assert main(["barspan", "--n", "5", "--m", "2", "--output", "json",
+                 "--field", field]) == 0
     assert capsys.readouterr().out == expected

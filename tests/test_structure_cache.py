@@ -127,14 +127,19 @@ GOLDEN_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("n,m", sorted(GOLDEN_SHA256))
-def test_export_matches_recorded_document(n, m):
-    text = document_to_json(structure_document(Presentation(n, m)))
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_SHA256[(n, m)]
+@pytest.fixture(scope="module")
+def recorded_text(n, m):
+    """document_to_json(structure_document(Presentation(n, m))), built once per (n, m)."""
+    return document_to_json(structure_document(Presentation(n, m)))
 
 
-@pytest.mark.parametrize("n,m", sorted(GOLDEN_SHA256))
-def test_written_file_matches_recorded_document(tmp_path, n, m):
+@pytest.mark.parametrize("n,m", sorted(GOLDEN_SHA256), scope="module")
+def test_export_matches_recorded_document(n, m, recorded_text):
+    assert hashlib.sha256(recorded_text.encode()).hexdigest() == GOLDEN_SHA256[(n, m)]
+
+
+@pytest.mark.parametrize("n,m", sorted(GOLDEN_SHA256), scope="module")
+def test_written_file_matches_recorded_document(tmp_path, n, m, recorded_text):
     # the file text is the document, written row by row: the dict is parsed
     # from it, re-encoding that dict gives the text back byte for byte, and
     # the checksum returned is the file's
@@ -142,7 +147,7 @@ def test_written_file_matches_recorded_document(tmp_path, n, m):
     checksum = write_structure_document(Presentation(n, m), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[(n, m)]
     text = path.read_text()
-    assert text == document_to_json(structure_document(Presentation(n, m)))
+    assert text == recorded_text
     assert checksum == json.loads(text)["checksum"]
 
 

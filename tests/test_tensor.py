@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import tcbounds.algebra as algebra
 from tcbounds.algebra import AlgebraElement, Presentation
 from tcbounds.coeffs import QQ, PrimeField
 from tcbounds.linalg import EchelonBasis
@@ -417,6 +418,104 @@ def test_route_falls_back_to_span(n, m, field, word, monkeypatch):
     pres = Presentation(n, m)
     assert TensorSquare(pres, field).bar_span_length_certified() == bar_span_length(pres, field)
     assert profile_calls
+
+
+# -- the span split at the decone ---------------------------------------------
+
+FIELDS = [QQ, PrimeField(2), PrimeField(3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_decone_check_truth_table(n, straightened_words):
+    # the contraction d is defined over Z for even m and mod 2 for odd m;
+    # odd m outside characteristic 2, and n = 1, are refused unchecked
+    for m in (2, 3, 4, 5):
+        for field in FIELDS:
+            straightened_words.clear()
+            splits = n >= 2 and (m % 2 == 0 or field.characteristic == 2)
+            assert TensorSquare(Presentation(n, m), field)._decone_splits() is splits, (m, field)
+            assert len(straightened_words) == ((n * (n - 1) // 2) ** 2 if splits else 0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("field", FIELDS, ids=["Q", "Z2", "Z3"])
+def test_barspan_is_empty_at_one_point(field, m):
+    # no generators: V_1 = 0, so the profile is [] and not the sum rule's [1]
+    sq = TensorSquare(Presentation(1, m), field)
+    assert sq.bar_span_profile() == []
+    assert sq.bar_span_witness() == ()
+
+
+def full_witness(sq):
+    levels = sq._full_span_levels()
+    gens = sq.pres.generators()
+    return tuple(gens[gi] for gi in levels[-1][0]) if levels else ()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_split_route_matches_full_route(n):
+    # wherever the check holds, the sum rule dim W_k + dim W_{k-1} and the
+    # paper's witness word equal the span built in all of H (x) H
+    split = 0
+    for m in (2, 3, 4, 5):
+        for field in FIELDS:
+            sq = TensorSquare(Presentation(n, m), field)
+            if not sq._decone_splits():
+                continue
+            split += 1
+            assert sq.bar_span_profile() == [len(level) for level in sq._full_span_levels()]
+            assert sq.bar_span_witness() == full_witness(sq)
+    assert split == 8  # even m over every field, odd m over Z_2
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_quotient_ranks_count_the_words_without_e12(n):
+    # the echelon widths of the split route are dims of the quotient's square
+    pres = Presentation(n, 2)
+    ranks = TensorSquare(pres, QQ)._quotient_operators()[3]
+    assert ranks == [sum((1, 2) not in w for w in pres.basis(k)) for k in range(n - 1)]
+
+
+@pytest.mark.parametrize("word", [(0, 0, 0), (0,)], ids=["vanishes", "too-short"])
+def test_witness_falls_back_to_full_levels(word, monkeypatch):
+    # bar(e_12)^3 = 0 has the span's length 3 but vanishes; bar(e_12) survives
+    # but is too short: either way the witness comes from the full span
+    monkeypatch.setattr(TensorSquare, "_witness_word", lambda self: word)
+    sq = TensorSquare(Presentation(3, 2), QQ)
+    assert sq.bar_span_length() == 3
+    assert sq.bar_span_witness() == full_witness(sq) == ((1, 2), (1, 3), (2, 3))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_broken_koszul_sign_takes_the_full_route(n, monkeypatch):
+    # e_13 e_12 straightened to +e_12 e_13 (the swap's sign dropped): d of the
+    # two sides differs, so the check fails and the span is built in full
+    straighten = algebra.straighten_word
+
+    def unsigned(word, parity):
+        got = straighten(word, parity)
+        if tuple(word) == ((1, 3), (1, 2)):
+            got = {w: -c for w, c in got.items()}
+        return got
+
+    full_calls = []
+    full_levels = TensorSquare._full_span_levels
+
+    def spy(self):
+        full_calls.append(self)
+        return full_levels(self)
+
+    def no_quotient(self):
+        raise AssertionError("the split route was taken")
+
+    expected = TensorSquare(Presentation(n, 2), QQ).bar_span_profile()
+    monkeypatch.setattr(algebra, "straighten_word", unsigned)
+    monkeypatch.setattr(TensorSquare, "_full_span_levels", spy)
+    monkeypatch.setattr(TensorSquare, "_quotient_operators", no_quotient)
+    sq = TensorSquare(Presentation(n, 2), QQ)
+    assert not sq._decone_splits()
+    assert sq.bar_span_profile() == expected
+    assert full_calls
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 5)])
