@@ -6,9 +6,9 @@ Lower bounds come from zero-divisor cup-lengths (a nonzero product of k
 zero-divisors forces TC > k).  The zero-divisor ideal is generated by the
 barred generators, so the cup-length is the bar-span length of
 `TensorSquare`, certified as in the paper: the witness product survives in
-the field, and below the top weight every product of 2n - 2 distinct barred
-generators vanishes (`bar_span_length_certified`, with the full bar span as
-fallback and test oracle).  Upper bounds come from four sources:
+the field, and below the top weight the ring splits at the decone, which
+kills every product of 2n - 2 barred generators (`bar_span_length_certified`,
+with the bar span as fallback).  Upper bounds come from four sources:
 
 * dimension: TC <= 2*dim + 1 for a complex of dimension dim;
 * connectivity: for an (s-1)-connected complex, TC < (2*dim + 1)/s + 1,

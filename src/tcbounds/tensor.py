@@ -46,9 +46,9 @@ Q or Z_p (p odd), and n = 1, build the span in full.
 
 Reports do not build the span: `TensorSquare.bar_span_length_certified`
 multiplies out the paper's witness word over Z, which bounds the length from
-below; below the top weight 2n - 2, a check that every bar(S) over
-square-free (2n - 2)-subsets S vanishes bounds it from above.  The span is
-the fallback and the tests' oracle.
+below.  Its length is the top weight 2n - 2, or else 2n - 3 where the ring
+splits at the decone, which kills every product of 2n - 2 barred generators
+and so bounds the length from above.  The span is the fallback.
 
 `TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
 ideal Z from the diagonal kernels instead.  It is the reference oracle that
@@ -336,15 +336,14 @@ class TensorSquare:
         return {0: 1}, range(1, len(ops)), _times_bar(pres, rows, quotient_row), ranks
 
     def _decone_splits(self) -> bool:
-        """Whether the span splits at the decone, so it may be built in H/(e_12).
+        """Whether the ring splits at the decone, so the span may be built in H/(e_12).
 
-        The check: NF(d w) = NF(d NF(w)) for all C(n, 2)^2 two-letter words w,
-        NF the normal form of `straighten_word`, over Z for even m and mod 2
-        for odd m over Z_2.  Other odd-m fields, and n = 1 (no generators: the
-        check would pass vacuously), give False unchecked.  d is the
-        contraction d e_ij = 1, extended as the derivation
-        d(uv) = du v + (-1)^{parity |u|} u dv of the free algebra, so d of a
-        word sums, with sign (-1)^{parity (i - 1)}, the word without letter i.
+        The check: d NF(w) = d w for all C(n, 2)^2 two-letter words w, NF the
+        normal form of `straighten_word`, over Z for even m and mod 2 for odd
+        m over Z_2.  Other odd-m fields, and n = 1 (no generators: the check
+        would pass vacuously), give False unchecked.  d is the contraction
+        d e_ij = 1, extended as the derivation d(uv) = du v + (-1)^{parity |u|}
+        u dv of the free algebra, so d(ab) = b + (-1)^parity a.
 
         Proof.  (a) d is defined on H exactly when it maps the relation ideal
         I into itself.  The rules of `straighten_word` rewrite adjacent pairs,
@@ -355,7 +354,8 @@ class TensorSquare:
         so H = B (+) xB with B = ker d a subalgebra, and x is injective on B.
         xH = xB is an ideal, B maps isomorphically onto H/xH, and H/xH has the
         admissible words without e_12 as its basis (those with it are x times
-        an admissible word, n!/2 = dim xB of them).
+        an admissible word, n!/2 = dim xB of them).  B is 0 in the top weight
+        n - 1: there a = d(xa) = 0, since xa has weight n.
         (c) For g != x, g - x lies in B and bar(g) = bar(g - x) + bar(x);
         bar(x)^2 = 0 (x odd, or mod 2) and bar(x) graded-commutes with every
         bar.  So V_k = W_k + bar(x) W_{k-1}, W_k spanned by the k-fold products
@@ -363,29 +363,29 @@ class TensorSquare:
         xB (x) B (+) B (x) xB, so the sum is direct, and bar(x) is injective on
         B (x) B.  The quotient map sends W_k onto the span of the k-fold
         products of bar(g), g != x, in the square of H/xH, isomorphically.
-        Hence dim V_k = dim W_k + dim W_{k-1}, with dim W_0 = 1.
+        Hence dim V_k = dim W_k + dim W_{k-1}, with dim W_0 = 1.  B (x) B is 0
+        above weight 2n - 4, so V_{2n-2} = 0: the bar-span length is at most
+        2n - 3.
         """
         if self._splits is None:
             pres = self.pres
             if pres.n < 2 or not (pres.parity or self.field.characteristic == 2):
                 self._splits = False
             else:
-                p = 0 if pres.parity else 2  # even m: over Z, so in every field
                 sign = -1 if pres.parity else 1
+                modulus = 0 if pres.parity else 2  # even m: over Z, so in every field
 
-                def d(terms: Dict[Word, int]) -> Dict[Word, int]:
-                    out: Dict[Word, int] = {}
-                    for word, c in terms.items():
-                        for i in range(len(word)):
-                            key = word[:i] + word[i + 1:]
-                            out[key] = out.get(key, 0) + c * sign ** i
-                    if p:
-                        out = {key: c % p for key, c in out.items()}
-                    return {key: c for key, c in out.items() if c}
+                def closes(g, h) -> bool:
+                    # d NF(gh) - d(gh), with d(ab) = b + sign a
+                    diff = {h: -1}
+                    diff[g] = diff.get(g, 0) - sign
+                    for (a, b), c in pres.straighten((g, h)).items():
+                        diff[b] = diff.get(b, 0) + c
+                        diff[a] = diff.get(a, 0) + sign * c
+                    return not any(c % modulus if modulus else c for c in diff.values())
 
                 gens = pres.generators()
-                self._splits = all(d({(g, h): 1}) == d(pres.straighten((g, h)))
-                                   for g in gens for h in gens)
+                self._splits = all(closes(g, h) for g in gens for h in gens)
         return self._splits
 
     def _span_levels(self, one, gens, times_bar, ranks: List[int]) -> List[List[Label]]:
@@ -522,32 +522,18 @@ class TensorSquare:
             vec = times_bar(vec, gi)
         return any(map(self.field.coerce, vec.values()))
 
-    def _square_free_products_vanish(self, k: int) -> bool:
-        """Whether bar(S) vanishes in the field for each square-free k-subset S."""
-        one, gens, times_bar = self._bar_operators()
-        coerce = self.field.coerce
-
-        def vanish(vec: Dict[int, int], start: int, depth: int) -> bool:
-            # depth first over sorted S; a partial product 0 over Z stays 0
-            if depth == k:
-                return not any(coerce(c) for c in vec.values())
-            for gi in range(start, len(gens) - (k - depth) + 1):
-                prod = times_bar(vec, gi)
-                if prod and not vanish(prod, gi + 1, depth + 1):
-                    return False
-            return True
-
-        return vanish(one, 0, 0)
-
     def bar_span_length_certified(self) -> int:
-        """The bar-span length from the paper's witness and a top-weight check, else the span."""
+        """The bar-span length from the paper's witness and the decone check, else the span.
+
+        The witness word, surviving in the field, bounds the length from
+        below.  At the top weight that closes it; one below, so does
+        `_decone_splits`, which puts every product of 2n - 2 barred
+        generators at 0.  Otherwise the span decides.
+        """
         word = self._witness_word()
         top = self.top_weight
-        # square-free S span V_top only when every bar(g)^2 vanishes in the field
-        square_free = self.pres.parity or self.field.characteristic == 2
         if self._survives(word) and (len(word) == top or (
-                len(word) == top - 1 and square_free
-                and self._square_free_products_vanish(top))):
+                len(word) == top - 1 and self._decone_splits())):
             return len(word)
         return self.bar_span_length()
 

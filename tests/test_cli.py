@@ -12,6 +12,7 @@ import pytest
 
 import tcbounds.cli
 import tcbounds.selftest
+from tcbounds.algebra import Presentation
 from tcbounds.cli import (
     EXIT_CAP,
     EXIT_CONTRADICTION,
@@ -645,3 +646,19 @@ def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, filled_r
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 1
     assert len(filled_rows) == len(set(filled_rows)) == 2 * n - 3
     assert straightened_words == []
+
+
+@pytest.mark.parametrize("field,squares", [("q", 1), ("zp:3", 2)])
+@pytest.mark.parametrize("n", [7, 8])
+def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, straightened_words,
+                                                                     n, field, squares):
+    # the even-m witness has length 2n - 3, and the decone check closes the top
+    # weight by straightening each two-letter word once per square that runs it
+    # (over Z_3 the field's and the rational one)
+    code, out, _ = run(capsys, "report", "--n", str(n), "--m", "4", "--max-n", "8",
+                       "--field", field, "--output", "json")
+    doc = json.loads(out)
+    assert code == EXIT_PINCHED
+    assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 2
+    gens = Presentation(n, 4).generators()
+    assert sorted(straightened_words) == sorted([(g, h) for g in gens for h in gens] * squares)

@@ -4,6 +4,10 @@ Each `data/grid_F.json` is the stdout of
 `tcbounds grid --m 2..7 --n 1..5 --output json --field F`, recorded from the
 bar-span engine: every report over Q, Z_2 and Z_3 up to n = 5, so any change
 in a bound, a diagnostic, a warning or the JSON layout shows here.
+Each `data/grid_n6_F.json` is the stdout of
+`tcbounds grid --m 2..7 --n 6 --max-n 6 --output json --field F`, recorded
+while reports still closed the top weight by searching every square-free
+product of 2n - 2 barred generators, before the decone check took that over.
 
 Each `data/barspan_F.jsonl` holds the stdout of
 `tcbounds barspan --n N --m M --output json --field F` for n = 1..4 and
@@ -37,6 +41,18 @@ DATA = Path(__file__).resolve().parent / "data"
 def test_grid_json_matches_recorded_output(capsys, field, code):
     expected = (DATA / f"grid_{field.replace(':', '')}.json").read_text()
     assert main(["grid", "--m", "2..7", "--n", "1..5", "--output", "json",
+                 "--field", field]) == code
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("field,code", [
+    ("q", EXIT_PINCHED),
+    ("zp:2", EXIT_UNPINCHED),
+    ("zp:3", EXIT_PINCHED),
+])
+def test_grid_n6_json_matches_recorded_output(capsys, field, code):
+    expected = (DATA / f"grid_n6_{field.replace(':', '')}.json").read_text()
+    assert main(["grid", "--m", "2..7", "--n", "6", "--max-n", "6", "--output", "json",
                  "--field", field]) == code
     assert capsys.readouterr().out == expected
 

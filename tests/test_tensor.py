@@ -354,7 +354,7 @@ def test_barspan_never_exceeds_cuplength(n, m):
         assert bar_span_length(pres, field) == cuplength(pres, field), field.describe()
 
 
-# -- the report route: the paper's witness and one top-weight check ---------------
+# -- the report route: the paper's witness and the decone check -----------------
 
 def route_length_without_span(pres, field, monkeypatch):
     """`bar_span_length_certified`, failing if it falls back to the span."""
@@ -364,6 +364,45 @@ def route_length_without_span(pres, field, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(TensorSquare, "bar_span_profile", no_span)
         return TensorSquare(pres, field).bar_span_length_certified()
+
+
+def square_free_products_vanish(sq, k):
+    """Whether bar(S) vanishes in the square's field for each square-free k-subset S.
+
+    The oracle for the decone check's upper bound: a depth-first search over
+    sorted S, multiplied out over Z with the square's own operators; a partial
+    product that is 0 over Z stays 0.
+    """
+    one, gens, times_bar = sq._bar_operators()
+    coerce = sq.field.coerce
+
+    def vanish(vec, start, depth):
+        if depth == k:
+            return not any(coerce(c) for c in vec.values())
+        for gi in range(start, len(gens) - (k - depth) + 1):
+            prod = times_bar(vec, gi)
+            if prod and not vanish(prod, gi + 1, depth + 1):
+                return False
+        return True
+
+    return vanish(one, 0, 0)
+
+
+def break_koszul_sign(monkeypatch):
+    """Straighten e_13 e_12 to +e_12 e_13, the swap's sign dropped.
+
+    The R_g rows never straighten a word, so only the decone check sees it:
+    d of the two sides differs.
+    """
+    straighten = algebra.straighten_word
+
+    def unsigned(word, parity):
+        got = straighten(word, parity)
+        if tuple(word) == ((1, 3), (1, 2)):
+            got = {w: -c for w, c in got.items()}
+        return got
+
+    monkeypatch.setattr(algebra, "straighten_word", unsigned)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "Z2", "Z3"])
@@ -376,8 +415,9 @@ def test_route_matches_span(n, m, field, monkeypatch):
 
 @pytest.mark.parametrize("m,field", [(2, PrimeField(3)), (3, PrimeField(2))], ids=["2-Z3", "3-Z2"])
 def test_route_matches_span_n5(m, field, monkeypatch):
-    # over Z_2 the odd-m witness has length 2n - 3 = 7, so the top check runs:
-    # its 45 square-free bar(S) of length 8 are nonzero over Z but vanish mod 2
+    # both witnesses have length 2n - 3 = 7, so the decone check closes the top
+    # weight; for odd m it holds mod 2 only, where the 45 square-free bar(S) of
+    # length 8, nonzero over Z, vanish
     pres = Presentation(5, m)
     assert route_length_without_span(pres, field, monkeypatch) == bar_span_length(pres, field) == 7
 
@@ -387,26 +427,47 @@ def test_top_check_sees_surviving_products(n):
     # odd m: bar(all six generators) survives over Q at n = 4, and 45 square-free
     # products of length 8 at n = 5; all of them vanish mod 2
     top = 2 * n - 2
-    assert not TensorSquare(Presentation(n, 3), QQ)._square_free_products_vanish(top)
-    assert TensorSquare(Presentation(n, 3), PrimeField(2))._square_free_products_vanish(top)
+    assert not square_free_products_vanish(TensorSquare(Presentation(n, 3), QQ), top)
+    assert square_free_products_vanish(TensorSquare(Presentation(n, 3), PrimeField(2)), top)
     # even m: the witness length 2n - 3 survives, the top weight does not
     sq = TensorSquare(Presentation(n, 2), QQ)
-    assert not sq._square_free_products_vanish(top - 1)
-    assert sq._square_free_products_vanish(top)
+    assert not square_free_products_vanish(sq, top - 1)
+    assert square_free_products_vanish(sq, top)
 
 
-@pytest.mark.parametrize("n,m,field,word", [
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_decone_check_kills_the_top_weight(n):
+    # wherever the check holds, every square-free product of 2n - 2 barred
+    # generators vanishes in the field, as its proof (c) says
+    split = 0
+    for m in (2, 3, 4, 5):
+        for field in (QQ, PrimeField(2), PrimeField(3)):
+            sq = TensorSquare(Presentation(n, m), field)
+            if sq._decone_splits():
+                split += 1
+                assert square_free_products_vanish(sq, 2 * n - 2), (m, field)
+    assert split == 8  # even m over every field, odd m over Z_2
+
+
+@pytest.mark.parametrize("n,m,field,word,broken", [
     # bar(e_12)^(2n-3) = 0 for n >= 3: bar(g)^2 is 0 or -2 g (x) g, and g^2 = 0
-    (3, 2, QQ, (0, 0, 0)),
-    (3, 3, QQ, (0, 0, 0)),
-    (4, 3, QQ, (0,) * 5),
+    (3, 2, QQ, (0, 0, 0), False),
+    (3, 3, QQ, (0, 0, 0), False),
+    (4, 3, QQ, (0,) * 5, False),
     # bar(e_12)^2 bar(e_13)^2 = 4 e12e13 (x) e12e13: nonzero over Z, 0 mod 2
-    (3, 3, PrimeField(2), (0, 0, 1, 1)),
-    # survives below the top, but bar(g)^2 != 0: square-free products do not span V_4
-    (3, 3, QQ, (0, 1, 2)),
-], ids=["even-m", "odd-m", "odd-m-n4", "dies-mod-2", "squares-survive"])
-def test_route_falls_back_to_span(n, m, field, word, monkeypatch):
-    monkeypatch.setattr(TensorSquare, "_witness_word", lambda self: word)
+    (3, 3, PrimeField(2), (0, 0, 1, 1), False),
+    # survives below the top, but odd m over Q does not split at the decone
+    (3, 3, QQ, (0, 1, 2), False),
+    # the paper's word survives below the top, but the decone check fails
+    (3, 2, QQ, None, True),
+], ids=["even-m", "odd-m", "odd-m-n4", "dies-mod-2", "squares-survive", "broken-koszul-sign"])
+def test_route_falls_back_to_span(n, m, field, word, broken, monkeypatch):
+    pres = Presentation(n, m)
+    expected = bar_span_length(pres, field)
+    if word is not None:
+        monkeypatch.setattr(TensorSquare, "_witness_word", lambda self: word)
+    if broken:
+        break_koszul_sign(monkeypatch)
     profile_calls = []
     span_profile = TensorSquare.bar_span_profile
 
@@ -415,8 +476,10 @@ def test_route_falls_back_to_span(n, m, field, word, monkeypatch):
         return span_profile(self)
 
     monkeypatch.setattr(TensorSquare, "bar_span_profile", spy)
-    pres = Presentation(n, m)
-    assert TensorSquare(pres, field).bar_span_length_certified() == bar_span_length(pres, field)
+    sq = TensorSquare(pres, field)
+    if broken:
+        assert sq._survives(sq._witness_word()) and not sq._decone_splits()
+    assert sq.bar_span_length_certified() == expected
     assert profile_calls
 
 
@@ -488,16 +551,7 @@ def test_witness_falls_back_to_full_levels(word, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_broken_koszul_sign_takes_the_full_route(n, monkeypatch):
-    # e_13 e_12 straightened to +e_12 e_13 (the swap's sign dropped): d of the
-    # two sides differs, so the check fails and the span is built in full
-    straighten = algebra.straighten_word
-
-    def unsigned(word, parity):
-        got = straighten(word, parity)
-        if tuple(word) == ((1, 3), (1, 2)):
-            got = {w: -c for w, c in got.items()}
-        return got
-
+    # with the swap's sign dropped the check fails, and the span is built in full
     full_calls = []
     full_levels = TensorSquare._full_span_levels
 
@@ -509,7 +563,7 @@ def test_broken_koszul_sign_takes_the_full_route(n, monkeypatch):
         raise AssertionError("the split route was taken")
 
     expected = TensorSquare(Presentation(n, 2), QQ).bar_span_profile()
-    monkeypatch.setattr(algebra, "straighten_word", unsigned)
+    break_koszul_sign(monkeypatch)
     monkeypatch.setattr(TensorSquare, "_full_span_levels", spy)
     monkeypatch.setattr(TensorSquare, "_quotient_operators", no_quotient)
     sq = TensorSquare(Presentation(n, 2), QQ)
