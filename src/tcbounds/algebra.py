@@ -205,6 +205,7 @@ class Presentation:
         self._coords = None  # built once, by _coordinates
         self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # by product, in words
         self._right_ops = None  # the R_g lists, made once by right_operators
+        self._decone = None  # by decone_splits
 
     def __repr__(self):
         return f"Presentation(n={self.n}, m={self.m})"
@@ -245,6 +246,35 @@ class Presentation:
             if j > self.n:
                 raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
         return straighten_word(word, self.parity)
+
+    def decone_splits(self) -> bool:
+        """Whether d, d e_ij = 1, is a derivation of the ring: over Z for even m, mod 2 for odd m.
+
+        The check: d NF(w) = d w for all C(n, 2)^2 two-letter words w, NF the
+        normal form of `straighten`, d(ab) = b + (-1)^parity a as for the free
+        derivation d(uv) = du v + (-1)^{parity |u|} u dv.  Run once per ring.
+
+        Proof (a).  d is defined on the ring exactly when it maps the relation
+        ideal I into itself.  The rules of `straighten_word` rewrite adjacent
+        pairs, so the w - NF(w) generate I, and d(w - NF(w)) has weight 1,
+        where I is 0: the check is that condition.  It holds over Z for odd
+        generators (even m); for even ones d(g g) = 2g, so at most mod 2.
+        """
+        if self._decone is None:
+            sign, modulus = (-1, 0) if self.parity else (1, 2)
+
+            def closes(g, h) -> bool:
+                # d NF(gh) - d(gh), with d(ab) = b + sign a
+                diff = {h: -1}
+                diff[g] = diff.get(g, 0) - sign
+                for (a, b), c in self.straighten((g, h)).items():
+                    diff[b] = diff.get(b, 0) + c
+                    diff[a] = diff.get(a, 0) + sign * c
+                return not any(c % modulus if modulus else c for c in diff.values())
+
+            gens = self.generators()
+            self._decone = all(closes(g, h) for g in gens for h in gens)
+        return self._decone
 
     def _coordinates(self) -> "_Coordinates":
         """Index data of the full basis, built once (see `_Coordinates`)."""

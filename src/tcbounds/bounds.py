@@ -225,7 +225,7 @@ def certify_ring(m: int, n: int, field=QQ) -> Tuple[int, int]:
     are free Z-modules, so rational nonvanishing of a bar product is the same
     as integral nonvanishing, which is what the sharpness criterion needs.
     Over Q one length serves both; otherwise both squares share one
-    presentation, so they share its R_g rows.
+    presentation, so they share its R_g rows and its decone check.
 
     The ring H*(F(R^m, n)) reads m only through its parity, so every m of
     one parity gives the same pair: `grid` certifies each (n, m mod 2) once.

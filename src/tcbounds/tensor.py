@@ -41,8 +41,8 @@ Where the ring splits at the decone (`TensorSquare._decone_splits`: even m
 over any field, odd m over Z_2, n >= 2), the span is built in the square of
 the quotient H/(e_12), a quarter as wide and with one generator fewer, and
 dim V_k = dim W_k + dim W_{k-1} gives its profile.  `barspan` prints that
-profile and the paper's witness word, multiplied out in H (x) H.  Odd m over
-Q or Z_p (p odd), and n = 1, build the span in full.
+profile and, as its witness, e_12 in front of the first label of the last
+level.  Odd m over Q or Z_p (p odd), and n = 1, build the span in full.
 
 Reports do not build the span: `TensorSquare.bar_span_length_certified`
 multiplies out the paper's witness word over Z, which bounds the length from
@@ -176,9 +176,7 @@ class TensorSquare:
         self._index: Dict[int, Dict[Pair, int]] = {}
         self._zkernels: Dict[int, EchelonBasis] = {}
         self._bar_ops = None  # built once, by _bar_operators
-        self._splits: Optional[bool] = None  # by _decone_splits
-        self._full_levels: Optional[List[List[Label]]] = None  # V_k, by _full_span_levels
-        self._quotient_levels: Optional[List[List[Label]]] = None  # W_k, by _quotient_span_levels
+        self._levels_cache: Optional[List[List[Label]]] = None  # by _levels
 
     def basis(self, w: int) -> List[Pair]:
         got = self._bases.get(w)
@@ -338,24 +336,15 @@ class TensorSquare:
     def _decone_splits(self) -> bool:
         """Whether the ring splits at the decone, so the span may be built in H/(e_12).
 
-        The check: d NF(w) = d w for all C(n, 2)^2 two-letter words w, NF the
-        normal form of `straighten_word`, over Z for even m and mod 2 for odd
-        m over Z_2.  Other odd-m fields, and n = 1 (no generators: the check
-        would pass vacuously), give False unchecked.  d is the contraction
-        d e_ij = 1, extended as the derivation d(uv) = du v + (-1)^{parity |u|}
-        u dv of the free algebra, so d(ab) = b + (-1)^parity a.
+        Where `Presentation.decone_splits` holds, n >= 2, and m is even or 2 = 0 in the field.
 
-        Proof.  (a) d is defined on H exactly when it maps the relation ideal
-        I into itself.  The rules of `straighten_word` rewrite adjacent pairs,
-        so the w - NF(w) generate I, and d(w - NF(w)) has weight 1, where I is
-        0: the check is that condition.  It holds over Z for odd generators
-        (even m); for even ones d(g g) = 2g, so at most mod 2.
-        (b) Where d is defined, take x = e_12: a = d(xa) + x da and dd = 0,
-        so H = B (+) xB with B = ker d a subalgebra, and x is injective on B.
-        xH = xB is an ideal, B maps isomorphically onto H/xH, and H/xH has the
-        admissible words without e_12 as its basis (those with it are x times
-        an admissible word, n!/2 = dim xB of them).  B is 0 in the top weight
-        n - 1: there a = d(xa) = 0, since xa has weight n.
+        Proof.  (b) Where the contraction d is defined, take x = e_12:
+        a = d(xa) + x da and dd = 0, so H = B (+) xB with B = ker d a
+        subalgebra, and x is injective on B.  xH = xB is an ideal, B maps
+        isomorphically onto H/xH, and H/xH has the admissible words without
+        e_12 as its basis (those with it are x times an admissible word,
+        n!/2 = dim xB of them).  B is 0 in the top weight n - 1: there
+        a = d(xa) = 0, since xa has weight n.
         (c) For g != x, g - x lies in B and bar(g) = bar(g - x) + bar(x);
         bar(x)^2 = 0 (x odd, or mod 2) and bar(x) graded-commutes with every
         bar.  So V_k = W_k + bar(x) W_{k-1}, W_k spanned by the k-fold products
@@ -367,26 +356,9 @@ class TensorSquare:
         above weight 2n - 4, so V_{2n-2} = 0: the bar-span length is at most
         2n - 3.
         """
-        if self._splits is None:
-            pres = self.pres
-            if pres.n < 2 or not (pres.parity or self.field.characteristic == 2):
-                self._splits = False
-            else:
-                sign = -1 if pres.parity else 1
-                modulus = 0 if pres.parity else 2  # even m: over Z, so in every field
-
-                def closes(g, h) -> bool:
-                    # d NF(gh) - d(gh), with d(ab) = b + sign a
-                    diff = {h: -1}
-                    diff[g] = diff.get(g, 0) - sign
-                    for (a, b), c in pres.straighten((g, h)).items():
-                        diff[b] = diff.get(b, 0) + c
-                        diff[a] = diff.get(a, 0) + sign * c
-                    return not any(c % modulus if modulus else c for c in diff.values())
-
-                gens = pres.generators()
-                self._splits = all(closes(g, h) for g in gens for h in gens)
-        return self._splits
+        pres = self.pres
+        field_rule = bool(pres.parity) or self.field.characteristic == 2
+        return pres.n >= 2 and field_rule and pres.decone_splits()
 
     def _span_levels(self, one, gens, times_bar, ranks: List[int]) -> List[List[Label]]:
         """Labels of the accepted basis vectors of the span, level by level.
@@ -461,17 +433,15 @@ class TensorSquare:
             level = nxt
         return levels
 
-    def _full_span_levels(self) -> List[List[Label]]:
-        """Labels of V_1, V_2, ..., built in H (x) H whether or not the decone splits."""
-        if self._full_levels is None:
-            self._full_levels = self._span_levels(*self._bar_operators(), rank_polynomial(self.pres.n))
-        return self._full_levels
-
-    def _quotient_span_levels(self) -> List[List[Label]]:
-        """Labels of W_1, W_2, ..., built in the square of H/(e_12) (`_decone_splits`)."""
-        if self._quotient_levels is None:
-            self._quotient_levels = self._span_levels(*self._quotient_operators())
-        return self._quotient_levels
+    def _levels(self) -> List[List[Label]]:
+        """Labels of the span's levels: W_1, W_2, ... where `_decone_splits`, else V_1, V_2, ..."""
+        if self._levels_cache is None:
+            if self._decone_splits():
+                ops = self._quotient_operators()
+            else:
+                ops = (*self._bar_operators(), rank_polynomial(self.pres.n))
+            self._levels_cache = self._span_levels(*ops)
+        return self._levels_cache
 
     def bar_span_profile(self) -> List[int]:
         """Dimensions of V_1, V_2, ... where V_1 = span of barred generators.
@@ -479,25 +449,25 @@ class TensorSquare:
         The list stops at the last nonzero V_k.  Where the decone splits it is
         dim W_k + dim W_{k-1} (`_decone_splits`).
         """
+        dims = [len(level) for level in self._levels()]
         if not self._decone_splits():
-            return [len(level) for level in self._full_span_levels()]
-        dims = [len(level) for level in self._quotient_span_levels()]
+            return dims
         return [a + b for a, b in zip([1] + dims, dims + [0])]
 
     def bar_span_witness(self) -> Word:
         """Generators g_1 <= ... <= g_L with bar(g_1) ... bar(g_L) != 0, L the bar-span length.
 
-        Where the decone splits, the paper's word once it survives in the
-        field with length L; else the first label of the full span's last
-        level.  Empty when there are no generators (n = 1).
+        The first label of the span's last level, with e_12 in front where the
+        decone splits: for S in W_{L-1}, bar(e_12) bar(S) is bar(e_12) times
+        the product of bar(g - e_12), g in S, nonzero since bar(e_12) is
+        injective on B (x) B (part (c) of `_decone_splits`).  Empty at n = 1.
         """
-        gens = self.pres.generators()
+        levels = self._levels()
+        label = levels[-1][0] if levels else ()
         if self._decone_splits():
-            word = self._witness_word()
-            if len(word) == self.bar_span_length() and self._survives(word):
-                return tuple(gens[gi] for gi in word)
-        levels = self._full_span_levels()
-        return tuple(gens[gi] for gi in levels[-1][0]) if levels else ()
+            label = (0,) + label
+        gens = self.pres.generators()
+        return tuple(gens[gi] for gi in label)
 
     def bar_span_length(self) -> int:
         """Largest k with V_k != 0: the zero-divisor cup-length over this field."""

@@ -650,15 +650,25 @@ def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, filled_r
 
 @pytest.mark.parametrize("field,squares", [("q", 1), ("zp:3", 2)])
 @pytest.mark.parametrize("n", [7, 8])
-def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, straightened_words,
+def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, monkeypatch,
+                                                                     straightened_words,
                                                                      n, field, squares):
     # the even-m witness has length 2n - 3, and the decone check closes the top
-    # weight by straightening each two-letter word once per square that runs it
-    # (over Z_3 the field's and the rational one)
+    # weight by straightening each two-letter word once per ring, however many
+    # squares ask for it (over Z_3 the field's and the rational one)
+    asking = []
+    splits = TensorSquare._decone_splits
+
+    def spy(self):
+        asking.append(self)
+        return splits(self)
+
+    monkeypatch.setattr(TensorSquare, "_decone_splits", spy)
     code, out, _ = run(capsys, "report", "--n", str(n), "--m", "4", "--max-n", "8",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
     assert code == EXIT_PINCHED
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 2
+    assert len({id(sq) for sq in asking}) == squares
     gens = Presentation(n, 4).generators()
-    assert sorted(straightened_words) == sorted([(g, h) for g in gens for h in gens] * squares)
+    assert sorted(straightened_words) == sorted((g, h) for g in gens for h in gens)

@@ -29,6 +29,7 @@ from pathlib import Path
 import pytest
 
 from tcbounds.cli import EXIT_PINCHED, EXIT_UNPINCHED, main
+from tcbounds.tensor import TensorSquare
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -80,5 +81,20 @@ def test_barspan_n5_char2_matches_recorded_output(capsys):
 def test_barspan_n5_even_m_matches_recorded_output(capsys, field):
     expected = (DATA / f"barspan_n5_{field.replace(':', '')}.json").read_text()
     assert main(["barspan", "--n", "5", "--m", "2", "--output", "json",
+                 "--field", field]) == 0
+    assert capsys.readouterr().out == expected
+
+
+@pytest.mark.parametrize("m,field", [(2, "q"), (2, "zp:3"), (3, "zp:2")])
+def test_barspan_n5_split_route_reads_its_witness_off_the_span(capsys, monkeypatch, m, field):
+    # where the decone splits, the span is built in the quotient square only,
+    # and the witness is read off its last level: nothing in H (x) H is formed
+    def refuse(self, *args):
+        raise AssertionError("the split route multiplied out in H (x) H")
+
+    for name in ("_bar_operators", "_survives", "_witness_word"):
+        monkeypatch.setattr(TensorSquare, name, refuse)
+    expected = (DATA / f"barspan_n5_{field.replace(':', '')}.json").read_text()
+    assert main(["barspan", "--n", "5", "--m", str(m), "--output", "json",
                  "--field", field]) == 0
     assert capsys.readouterr().out == expected

@@ -20,6 +20,7 @@ PARAMETERS = {
     "load_structure_document": ["path", "pres", "samples"],
     "Presentation.product": ["self", "u", "v"],
     "Presentation.right_operator_row": ["self", "g", "iu"],
+    "Presentation.decone_splits": ["self"],
 }
 
 
@@ -34,6 +35,7 @@ def test_parameter_surface_is_pinned():
         algebra.load_structure_document,
         algebra.Presentation.product,
         algebra.Presentation.right_operator_row,
+        algebra.Presentation.decone_splits,
     ]
     got = {f.__qualname__: list(inspect.signature(f).parameters) for f in functions}
     assert got == PARAMETERS

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import tcbounds.algebra as algebra
-from tcbounds.algebra import AlgebraElement, Presentation
+from tcbounds.algebra import AlgebraElement, Presentation, rank_polynomial
 from tcbounds.coeffs import QQ, PrimeField
 from tcbounds.linalg import EchelonBasis
 from tcbounds.selftest import random_tensor
@@ -330,9 +330,17 @@ def test_barspan_mod2_odd_m_degrades():
     assert TensorSquare(Presentation(4, 3), QQ).bar_span_length() == 6
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "Z2", "Z3"])
-@pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("n", [2, 3, 4])
+def witness_cases():
+    # n = 5 only where the decone splits (even m, odd m over Z_2): odd m over
+    # Q or Z_3 builds the full span there, about 0.8 s each
+    for n in (2, 3, 4, 5):
+        for m in (2, 3, 4, 5):
+            for field, name in ((QQ, "Q"), (PrimeField(2), "Z2"), (PrimeField(3), "Z3")):
+                if n < 5 or m % 2 == 0 or field.characteristic == 2:
+                    yield pytest.param(n, m, field, id=f"{n}-{m}-{name}")
+
+
+@pytest.mark.parametrize("n,m,field", witness_cases())
 def test_barspan_witness_replays(n, m, field):
     pres = Presentation(n, m)
     sq = TensorSquare(pres, field)
@@ -462,8 +470,7 @@ def test_decone_check_kills_the_top_weight(n):
     (3, 2, QQ, None, True),
 ], ids=["even-m", "odd-m", "odd-m-n4", "dies-mod-2", "squares-survive", "broken-koszul-sign"])
 def test_route_falls_back_to_span(n, m, field, word, broken, monkeypatch):
-    pres = Presentation(n, m)
-    expected = bar_span_length(pres, field)
+    expected = bar_span_length(Presentation(n, m), field)
     if word is not None:
         monkeypatch.setattr(TensorSquare, "_witness_word", lambda self: word)
     if broken:
@@ -476,7 +483,8 @@ def test_route_falls_back_to_span(n, m, field, word, broken, monkeypatch):
         return span_profile(self)
 
     monkeypatch.setattr(TensorSquare, "bar_span_profile", spy)
-    sq = TensorSquare(pres, field)
+    # built after the patch: the decone check is cached on the ring
+    sq = TensorSquare(Presentation(n, m), field)
     if broken:
         assert sq._survives(sq._witness_word()) and not sq._decone_splits()
     assert sq.bar_span_length_certified() == expected
@@ -500,6 +508,16 @@ def test_decone_check_truth_table(n, straightened_words):
             assert len(straightened_words) == ((n * (n - 1) // 2) ** 2 if splits else 0)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_decone_check_runs_once_per_ring(m, straightened_words):
+    # every square over one ring reads the ring's one answer: over Z for even
+    # m, mod 2 for odd m, where Q and Z_3 refuse without asking
+    pres = Presentation(4, m)
+    splits = [TensorSquare(pres, field)._decone_splits() for field in FIELDS * 2]
+    assert splits == [m % 2 == 0 or field.characteristic == 2 for field in FIELDS * 2]
+    assert len(straightened_words) == 6 ** 2
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("field", FIELDS, ids=["Q", "Z2", "Z3"])
 def test_barspan_is_empty_at_one_point(field, m):
@@ -509,16 +527,16 @@ def test_barspan_is_empty_at_one_point(field, m):
     assert sq.bar_span_witness() == ()
 
 
-def full_witness(sq):
-    levels = sq._full_span_levels()
-    gens = sq.pres.generators()
-    return tuple(gens[gi] for gi in levels[-1][0]) if levels else ()
+def full_span_levels(sq):
+    """Labels of V_1, V_2, ..., built in all of H (x) H whether or not the decone splits."""
+    return sq._span_levels(*sq._bar_operators(), rank_polynomial(sq.pres.n))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_split_route_matches_full_route(n):
     # wherever the check holds, the sum rule dim W_k + dim W_{k-1} and the
-    # paper's witness word equal the span built in all of H (x) H
+    # witness e_12 * (first label of W's last level) equal the profile and the
+    # first label of the last level of the span built in all of H (x) H
     split = 0
     for m in (2, 3, 4, 5):
         for field in FIELDS:
@@ -526,8 +544,10 @@ def test_split_route_matches_full_route(n):
             if not sq._decone_splits():
                 continue
             split += 1
-            assert sq.bar_span_profile() == [len(level) for level in sq._full_span_levels()]
-            assert sq.bar_span_witness() == full_witness(sq)
+            full = full_span_levels(sq)
+            gens = sq.pres.generators()
+            assert sq.bar_span_profile() == [len(level) for level in full]
+            assert sq.bar_span_witness() == tuple(gens[gi] for gi in full[-1][0])
     assert split == 8  # even m over every field, odd m over Z_2
 
 
@@ -539,33 +559,24 @@ def test_quotient_ranks_count_the_words_without_e12(n):
     assert ranks == [sum((1, 2) not in w for w in pres.basis(k)) for k in range(n - 1)]
 
 
-@pytest.mark.parametrize("word", [(0, 0, 0), (0,)], ids=["vanishes", "too-short"])
-def test_witness_falls_back_to_full_levels(word, monkeypatch):
-    # bar(e_12)^3 = 0 has the span's length 3 but vanishes; bar(e_12) survives
-    # but is too short: either way the witness comes from the full span
-    monkeypatch.setattr(TensorSquare, "_witness_word", lambda self: word)
-    sq = TensorSquare(Presentation(3, 2), QQ)
-    assert sq.bar_span_length() == 3
-    assert sq.bar_span_witness() == full_witness(sq) == ((1, 2), (1, 3), (2, 3))
-
-
 @pytest.mark.parametrize("n", [3, 4])
 def test_broken_koszul_sign_takes_the_full_route(n, monkeypatch):
     # with the swap's sign dropped the check fails, and the span is built in full
     full_calls = []
-    full_levels = TensorSquare._full_span_levels
+    bar_operators = TensorSquare._bar_operators
 
     def spy(self):
         full_calls.append(self)
-        return full_levels(self)
+        return bar_operators(self)
 
     def no_quotient(self):
         raise AssertionError("the split route was taken")
 
     expected = TensorSquare(Presentation(n, 2), QQ).bar_span_profile()
     break_koszul_sign(monkeypatch)
-    monkeypatch.setattr(TensorSquare, "_full_span_levels", spy)
+    monkeypatch.setattr(TensorSquare, "_bar_operators", spy)
     monkeypatch.setattr(TensorSquare, "_quotient_operators", no_quotient)
+    # built after the patch: the decone check is cached on the ring
     sq = TensorSquare(Presentation(n, 2), QQ)
     assert not sq._decone_splits()
     assert sq.bar_span_profile() == expected
