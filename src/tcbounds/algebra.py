@@ -23,17 +23,17 @@ never lists the n! basis words.  The ring has one coordinate system, the
 indices of `full_basis()`.  The operators R_g of `right_operators` are the
 products by one generator g, each row filled on its first read
 (`right_operator_row`) from rows of the word's prefix by the Arnold relation
-on its last letter, with no word rewritten, so a certificate that multiplies
-out one witness fills only the rows it meets.  The product rows of `row`
-fold R_g one generator at a time, u * (v' g) = (u * v') * g, over
-precomputed parent and last-generator index arrays, so no word is hashed;
-row(iu)[1 + g] is R_g's row iu.  Only R_g is kept: a product row is built
-on each call.  Structure-constant documents store the rows as they are; a
-document is its file text, built once with its checksum and written row by
-row as text straight from the rows, and `structure_document` is that text
-parsed back.  A document is an export and an independent check, never a
-source: loading one installs nothing, and checks it against the definition
-itself, so neither the recursion nor the fold is ever its own oracle.
+on its last letter, with no word rewritten, so the bar span fills only the
+rows it meets.  The product rows of `row` fold R_g one generator at a time,
+u * (v' g) = (u * v') * g, over precomputed parent and last-generator index
+arrays, so no word is hashed; row(iu)[1 + g] is R_g's row iu.  Only R_g is
+kept: a product row is built on each call.  Structure-constant documents
+store the rows as they are; a document is its file text, built once with its
+checksum and written row by row as text straight from the rows, and
+`structure_document` is that text parsed back.  A document is an export and
+an independent check, never a source: loading one installs nothing, and
+checks it against the definition itself, so neither the recursion nor the
+fold is ever its own oracle.
 
 Elements are sparse linear combinations over a field.  `SparseElement` holds
 the linear structure that ring and tensor elements share: sums, scaling,
@@ -298,10 +298,9 @@ class Presentation:
         iu and iw; read as a dict it is row(iu)[1 + g].  A top-weight u
         times g is zero, so the last rows, those of the top weight, are [];
         every other row is None until `right_operator_row` fills it on first
-        read, with the rows of the word's prefix that it needs.  The lists are
-        made once per ring and filled in place, so every tensor square over
-        it, whatever its field, shares what any of them has read, and so does
-        the fold of `row`.
+        read, with the rows of the word's prefix that it needs: a split span
+        reads few of them.  The lists are made once per ring and filled in
+        place, shared by every square over it and by the fold of `row`.
         """
         if self._right_ops is None:
             size = len(self._coordinates().mons)
@@ -839,7 +838,7 @@ def verify_structure_document(doc: dict, pres: Presentation, samples=100) -> int
     pairs within the top weight are checked, drawn by a generator seeded from
     the checksum, so a given document is always probed the same way.
     Returns the number of products verified; raises CacheError on any
-    mismatch.
+    mismatch, and ValueError unless samples is None or an int >= 1.
 
     Each product is re-derived from the definition, `straighten_word(u + v)`,
     never through the generator fold of `Presentation.row` or the R_g rows
@@ -849,6 +848,8 @@ def verify_structure_document(doc: dict, pres: Presentation, samples=100) -> int
     The full check counts all N^2 pairs; a sampled check draws uniformly
     among the pairs within the top weight.
     """
+    if samples is not None and (type(samples) is not int or samples < 1):
+        raise ValueError(f"samples must be None or an int >= 1, got {samples!r}")
     rows = _parse_document(doc, pres)
     mons, parity = pres.full_basis(), pres.parity
     if samples is None:

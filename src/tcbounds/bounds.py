@@ -225,7 +225,7 @@ def certify_ring(m: int, n: int, field=QQ) -> Tuple[int, int]:
     are free Z-modules, so rational nonvanishing of a bar product is the same
     as integral nonvanishing, which is what the sharpness criterion needs.
     Over Q one length serves both; otherwise both squares share one
-    presentation, so they share its R_g rows and its decone check.
+    presentation, so they share its memoized products and its decone check.
 
     The ring H*(F(R^m, n)) reads m only through its parity, so every m of
     one parity gives the same pair: `grid` certifies each (n, m mod 2) once.
@@ -267,10 +267,9 @@ def report_from_ring(m: int, n: int, field, zcl: int, bar_len: int) -> BoundsRep
         dim = (m - 1) * (n - 1)
         s = m - 1
         candidates.append((dimension_upper(dim), "dimension"))
-        if s >= 2 and dim >= 1:
+        if dim >= 1:  # s >= 2 divides 2 * dim = 2s(n - 1); dim = 0 at n = 1
             candidates.append((connectivity_upper(dim, s), "connectivity"))
-        if s >= 2 and (2 * dim) % s == 0:
-            candidates.append((sharpness_upper(dim, s, bar_len), "sharpness"))
+        candidates.append((sharpness_upper(dim, s, bar_len), "sharpness"))
     else:
         dim = n - 1
         candidates.append((dimension_upper(dim), "dimension"))

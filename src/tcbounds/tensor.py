@@ -45,10 +45,11 @@ profile and, as its witness, e_12 in front of the first label of the last
 level.  Odd m over Q or Z_p (p odd), and n = 1, build the span in full.
 
 Reports do not build the span: `TensorSquare.bar_span_length_certified`
-multiplies out the paper's witness word over Z, which bounds the length from
-below.  Its length is the top weight 2n - 2, or else 2n - 3 where the ring
-splits at the decone, which kills every product of 2n - 2 barred generators
-and so bounds the length from above.  The span is the fallback.
+multiplies out the paper's witness word over Z in words, with no n!-wide index,
+which bounds the length from below.  Its length is the top weight 2n - 2, or
+else 2n - 3 where the ring splits at the decone, which kills every product of
+2n - 2 barred generators and so bounds the length from above.  The span is the
+fallback.
 
 `TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
 ideal Z from the diagonal kernels instead.  It is the reference oracle that
@@ -62,6 +63,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraElement, Presentation, SparseElement, Word, monomial_str, rank_polynomial
+from .coeffs import QQ
 from .linalg import EchelonBasis, Vec, kernel_basis
 
 Pair = Tuple[Word, Word]
@@ -163,8 +165,8 @@ def koszul_swap(x: TensorElement) -> TensorElement:
 class TensorSquare:
     """Graded coordinate model of H* (x) H* over a fixed field.
 
-    Caches bases, the bar operators and levels and, for the reference oracle,
-    the diagonal kernels per weight; all computations consume frozen data, so
+    Caches bases, the span's levels and, for the reference oracle, the
+    diagonal kernels per weight; all computations consume frozen data, so
     instances are safe to share once warmed up.
     """
 
@@ -175,7 +177,6 @@ class TensorSquare:
         self._bases: Dict[int, List[Pair]] = {}
         self._index: Dict[int, Dict[Pair, int]] = {}
         self._zkernels: Dict[int, EchelonBasis] = {}
-        self._bar_ops = None  # built once, by _bar_operators
         self._levels_cache: Optional[List[List[Label]]] = None  # by _levels
 
     def basis(self, w: int) -> List[Pair]:
@@ -295,16 +296,12 @@ class TensorSquare:
         in `Presentation.full_basis()` (N = n!), so one = {0: 1} is 1 (x) 1.
         gens is the range of generator indices, and times_bar(vec, g) maps the
         half of bar(S) (its coordinates iu <= iv, module docstring) to the
-        half of bar(S) * bar(g) (see `_times_bar`).  The rows of R_g come from
-        `Presentation.right_operators()`, shared by every square over the
-        ring, and each is filled by `Presentation.right_operator_row` on its
-        first read, from rows of the word's prefix and with no word rewritten.
+        half of bar(S) * bar(g) (see `_times_bar`), with the rows of R_g of
+        `Presentation.right_operators()`, each filled on its first read.
         """
-        if self._bar_ops is None:
-            pres = self.pres
-            ops = pres.right_operators()
-            self._bar_ops = ({0: 1}, range(len(ops)), _times_bar(pres, ops, pres.right_operator_row))
-        return self._bar_ops
+        pres = self.pres
+        ops = pres.right_operators()
+        return {0: 1}, range(len(ops)), _times_bar(pres, ops, pres.right_operator_row)
 
     def _quotient_operators(self):
         """(one, gens, times_bar, ranks) of the square of H/(x), x = e_12.
@@ -485,12 +482,15 @@ class TensorSquare:
         return tuple(gi for gi, (i, j) in enumerate(gens) if i == 1 or (i == 2 and j >= 3))
 
     def _survives(self, word: Label) -> bool:
-        """Whether the product of bar(g) over the word, multiplied out over Z, is nonzero in the field."""
-        one, _, times_bar = self._bar_operators()
-        vec = one
+        """Whether the product of bar(g) over the word, multiplied out over Z, is nonzero in the field.
+
+        The product is `TensorElement`'s, in words; Q's operations keep its coefficients ints.
+        """
+        pres, gens = self.pres, self.pres.generators()
+        x = TensorElement(pres, QQ, {TensorElement.UNIT: 1})
         for gi in word:
-            vec = times_bar(vec, gi)
-        return any(map(self.field.coerce, vec.values()))
+            x = x * bar(AlgebraElement(pres, QQ, {(gens[gi],): 1}))
+        return any(map(self.field.coerce, x.terms.values()))
 
     def bar_span_length_certified(self) -> int:
         """The bar-span length from the paper's witness and the decone check, else the span.

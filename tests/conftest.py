@@ -21,19 +21,10 @@ def straightened_words(monkeypatch):
 
 
 @pytest.fixture
-def filled_rows(monkeypatch):
-    """Every R_g row filled from here on, as (g, u) in words, in fill order.
+def unlisted_basis(monkeypatch):
+    """Fail the test if anything from here on lists the n! basis words or reads R_g."""
+    def unlisted(self):
+        raise AssertionError("the full basis was listed or R_g was read")
 
-    A row is filled when `Presentation.right_operator_row` reads it while its
-    slot is still None; the rows it reads for the prefix count too.
-    """
-    cells = []
-    fill = Presentation.right_operator_row
-
-    def counting(self, g, iu):
-        if self.right_operators()[g][iu] is None:
-            cells.append((self.generators()[g], self.full_basis()[iu]))
-        return fill(self, g, iu)
-
-    monkeypatch.setattr(Presentation, "right_operator_row", counting)
-    return cells
+    monkeypatch.setattr(Presentation, "_coordinates", unlisted)
+    monkeypatch.setattr(Presentation, "right_operators", unlisted)

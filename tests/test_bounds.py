@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -228,18 +229,20 @@ def test_sharpness_never_exceeds_connectivity():
                 assert sharpness_upper(dim, s, bar_len) <= connectivity_upper(dim, s)
 
 
-def test_report_builds_the_bar_operators_once(filled_rows, straightened_words):
+def test_report_straightens_only_its_witness_products(unlisted_basis, straightened_words):
     # over Z_p the report multiplies the witness, each bar(e_1j) squared, over
-    # Z_p and over Q; both squares share the ring's R_g, whose rows are filled
-    # on first read, from the Arnold relation and with no word rewritten:
-    # w * e_1(j+1) and w * e_1j for each prefix w = e_12...e_1j below the top
-    # weight, 2n - 3 rows, none of them twice
+    # Z_p and over Q, as tensor elements in words, never in the n! basis
+    # coordinates; both squares share the ring's product memo, so the words
+    # straightened are those of the first square alone: each prefix
+    # w = e_12...e_1j twice (w times a letter, and w times the unit), each w
+    # with its last letter repeated once below the top weight, and the unit
     n = 6
     report = assemble_report(3, n, field=PrimeField(3))
     assert report.pinched
-    prefixes = [tuple((1, i) for i in range(2, j + 1)) for j in range(1, n)]
-    expected = {((1, len(w) + 2), w) for w in prefixes}
-    expected |= {(w[-1], w) for w in prefixes if w}
-    assert len(filled_rows) == len(set(filled_rows)) == 2 * n - 3 == 9
-    assert set(filled_rows) == expected
-    assert straightened_words == []
+    prefixes = [tuple((1, i) for i in range(2, j + 1)) for j in range(2, n + 1)]
+    expected = Counter({(): 1})
+    expected.update({w: 2 for w in prefixes})
+    expected.update({w + w[-1:]: 1 for w in prefixes[:-1]})
+    assert Counter(straightened_words) == expected
+    assert len(straightened_words) == 3 * (n - 1) == 15
+    assert len(expected) == 2 * (n - 1) == 10

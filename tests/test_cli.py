@@ -634,36 +634,44 @@ def test_out_of_memory_is_not_computed(tmp_path, argv):
 
 @pytest.mark.parametrize("field", ["q", "zp:3"])
 @pytest.mark.parametrize("n", [7, 8])
-def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, filled_rows,
+def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, unlisted_basis,
                                                                 straightened_words, n, field):
-    # the odd-m witness reads 2n - 3 rows of R_g, and each is filled once,
-    # with no word rewritten: a report costs what its witness needs, not the
-    # n! basis words
+    # the odd-m witness, each bar(e_1j) squared, is multiplied out in words:
+    # 3(n - 1) straightenings of 2(n - 1) words, shared by both squares over
+    # Z_3, and never the n! basis words: a report costs what its witness
+    # needs
     code, out, _ = run(capsys, "report", "--n", str(n), "--m", "3", "--max-n", "8",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
     assert code == EXIT_PINCHED
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 1
-    assert len(filled_rows) == len(set(filled_rows)) == 2 * n - 3
-    assert straightened_words == []
+    assert len(straightened_words) == 3 * (n - 1)
+    assert len(set(straightened_words)) == 2 * (n - 1)
 
 
 @pytest.mark.parametrize("field,squares", [("q", 1), ("zp:3", 2)])
 @pytest.mark.parametrize("n", [7, 8])
 def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, monkeypatch,
+                                                                     unlisted_basis,
                                                                      straightened_words,
                                                                      n, field, squares):
-    # the even-m witness has length 2n - 3, and the decone check closes the top
+    # the even-m witness has length 2n - 3, and the decone scan closes the top
     # weight by straightening each two-letter word once per ring, however many
-    # squares ask for it (over Z_3 the field's and the rational one)
-    asking = []
-    splits = TensorSquare._decone_splits
+    # squares ask for it (over Z_3 the field's and the rational one); the
+    # witness is multiplied out in words, its products shared by both squares
+    asking, scanned = [], []
+    splits, straighten = TensorSquare._decone_splits, Presentation.straighten
 
     def spy(self):
         asking.append(self)
         return splits(self)
 
+    def scan(self, word):
+        scanned.append(tuple(word))
+        return straighten(self, word)
+
     monkeypatch.setattr(TensorSquare, "_decone_splits", spy)
+    monkeypatch.setattr(Presentation, "straighten", scan)
     code, out, _ = run(capsys, "report", "--n", str(n), "--m", "4", "--max-n", "8",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
@@ -671,4 +679,27 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 2
     assert len({id(sq) for sq in asking}) == squares
     gens = Presentation(n, 4).generators()
-    assert sorted(straightened_words) == sorted((g, h) for g in gens for h in gens)
+    assert sorted(scanned) == sorted((g, h) for g in gens for h in gens)
+    # with the witness's products, read off this code at n = 7 and 8
+    assert len(straightened_words) == {7: 919, 8: 1886}[n]
+
+
+@pytest.mark.parametrize("field", ["q", "zp:2", "zp:3"])
+def test_reports_never_list_the_basis_or_read_r_g(capsys, unlisted_basis, field):
+    # report, zcl and grid multiply the witness in words and close the top
+    # weight by the decone scan, so at n = 9 none lists the 9! basis words or
+    # reads an R_g row; odd m over Z_2 stays unpinched, as documented
+    for m in (2, 3, 4, 5):
+        code, out, _ = run(capsys, "report", "--n", "9", "--m", str(m), "--max-n", "9",
+                           "--field", field, "--output", "json")
+        doc = json.loads(out)
+        if m % 2 and field == "zp:2":
+            assert code == EXIT_UNPINCHED and (doc["lower"], doc["upper"]) == (16, 17)
+        else:
+            assert code == EXIT_PINCHED and doc["lower"] == doc["upper"] == doc["closed_form"]
+    if field == "q":
+        code, out, _ = run(capsys, "zcl", "--n", "9", "--m", "2", "--max-n", "9")
+        assert code == EXIT_PINCHED and out.splitlines() == ["zero_divisor_cuplength = 15",
+                                                             "TC >= 16"]
+        code, out, _ = run(capsys, "grid", "--m", "2..5", "--n", "9", "--max-n", "9")
+        assert code == EXIT_PINCHED and out.splitlines()[-1] == "pinched 4/4"

@@ -286,24 +286,26 @@ def _above_top_weight(doc):
 
 # n = 4 for the last two: at n = 3 the 100 sampled products cover nearly every
 # pair, so sampling alone would catch a wrong entry.  The entry-check cases
-# load with samples=0, so the entry checks alone must reject them.
+# load with one sample, and every case is rejected before any product is
+# re-derived, so the entry checks alone must reject them.
 @pytest.mark.parametrize("malform,n,samples", [
     pytest.param(_list_document, 3, 100, id="list"),
     pytest.param(_out_of_range_index, 3, 100, id="index-out-of-range"),
-    pytest.param(_negative_index, 3, 0, id="negative-index"),
-    pytest.param(_float_coefficient, 3, 0, id="float-coefficient"),
-    pytest.param(_zero_coefficient, 3, 0, id="zero-coefficient"),
-    *(pytest.param(_coefficient(text), 3, 0, id=f"coefficient-{name}")
+    pytest.param(_negative_index, 3, 1, id="negative-index"),
+    pytest.param(_float_coefficient, 3, 1, id="float-coefficient"),
+    pytest.param(_zero_coefficient, 3, 1, id="zero-coefficient"),
+    *(pytest.param(_coefficient(text), 3, 1, id=f"coefficient-{name}")
       for text, name in [("+1", "plus-sign"), ("01", "leading-zero"), ("-0", "minus-zero"),
                          (" 1", "leading-space"), ("1 ", "trailing-space")]),
-    pytest.param(_duplicate_pair, 3, 0, id="duplicate-pair"),
-    pytest.param(_empty_terms, 3, 0, id="empty-terms"),
+    pytest.param(_duplicate_pair, 3, 1, id="duplicate-pair"),
+    pytest.param(_empty_terms, 3, 1, id="empty-terms"),
     pytest.param(_scalar_basis, 3, 100, id="scalar-basis"),
     pytest.param(_no_products, 3, 100, id="no-products"),
     pytest.param(_mis_graded_term, 4, 100, id="mis-graded-term"),
     pytest.param(_above_top_weight, 4, 100, id="above-top-weight"),
 ])
-def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, monkeypatch, capsys):
+def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, monkeypatch, capsys,
+                                           straightened_words):
     # every malformed shape is a CacheError, never a traceback; the checksum
     # is recomputed so the malformation itself has to be caught.  `selftest
     # --cache` fails its document suite with the same message (the fuzz
@@ -319,6 +321,7 @@ def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, monkey
     path.write_text(json.dumps(doc))
     with pytest.raises(CacheError) as rejected:
         load_structure_document(path, Presentation(n, 2), samples=samples)
+    assert straightened_words == []
     monkeypatch.setattr(selftest, "run_all", lambda **sizes: [])
     assert cli.main(["selftest", "--cache", str(path)]) == cli.EXIT_UNPINCHED
     out, err = capsys.readouterr()
@@ -365,20 +368,37 @@ def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight
     assert len(straightened_words) == within
 
 
-def test_report_from_a_cache_straightens_only_the_samples(tmp_path, capsys, filled_rows,
+def test_report_from_a_cache_straightens_only_the_samples(tmp_path, capsys, request,
                                                          straightened_words):
-    # a report fills only the R_g rows its witness reads, 2n - 3 rows, none of
-    # them twice and with no word rewritten, and loading a document
-    # straightens only its 100 samples: no report reads a document, so
+    # loading a document straightens only its 100 samples, and a report
+    # multiplies its witness in words, 3(n - 1) straightenings of 2(n - 1)
+    # words and never the n! basis words: no report reads a document, so
     # loading one saves a report nothing
     from tcbounds.cli import main
 
     path = tmp_path / "s.json"
     write_structure_document(Presentation(5, 3), path)
-    filled_rows.clear()
     straightened_words.clear()
-    assert main(["report", "--n", "5", "--m", "3"]) == 0
-    assert len(filled_rows) == len(set(filled_rows)) == 2 * 5 - 3 == 7
-    assert straightened_words == []
     load_structure_document(path, Presentation(5, 3))
     assert len(straightened_words) == 100
+    straightened_words.clear()
+    request.getfixturevalue("unlisted_basis")
+    assert main(["report", "--n", "5", "--m", "3"]) == 0
+    assert len(straightened_words) == 3 * (5 - 1) == 12
+    assert len(set(straightened_words)) == 2 * (5 - 1) == 8
+
+
+@pytest.mark.parametrize("samples", [0, -3, True, False, 2.0, "100"])
+def test_a_check_of_no_products_is_refused(tmp_path, samples):
+    # samples is None (every product) or an int >= 1: a count of 0, a negative
+    # count or a bool would check nothing, or one product, and still pass
+    path = tmp_path / "s.json"
+    pres = Presentation(4, 2)
+    write_structure_document(pres, path)
+    doc = json.loads(path.read_text())
+    for check in (lambda: verify_structure_document(doc, pres, samples),
+                  lambda: load_structure_document(path, pres, samples)):
+        with pytest.raises(ValueError, match="samples") as refused:
+            check()
+        assert type(refused.value) is ValueError
+    assert verify_structure_document(doc, pres, 1) == 1
