@@ -598,8 +598,8 @@ class AlgebraElement(SparseElement):
         return cls(pres, field, {((i, j),): field.one})
 
     @classmethod
-    def from_word(cls, pres, field, word: Sequence[Edge], coeff=1):
-        return cls.combine(pres, field, [(field.coerce(coeff), pres.straighten(word))])
+    def from_word(cls, pres, field, word: Sequence[Edge]):
+        return cls.combine(pres, field, [(field.one, pres.straighten(word))])
 
     def _product(self, other):
         mul, prod = self.field.mul, self.pres.product

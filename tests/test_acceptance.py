@@ -81,9 +81,9 @@ def test_criterion_4_ring_oracle_suite():
             rng = random.Random(1000 * n + m)
             top = max(1, min(2, pres.top_weight))
             for _ in range(1000):
-                a = random_homogeneous(pres, QQ, rng.randint(1, top), rng)
-                b = random_homogeneous(pres, QQ, rng.randint(1, top), rng)
-                c = random_homogeneous(pres, QQ, rng.randint(1, top), rng)
+                a = random_homogeneous(pres, rng.randint(1, top), rng)
+                b = random_homogeneous(pres, rng.randint(1, top), rng)
+                c = random_homogeneous(pres, rng.randint(1, top), rng)
                 assert (a * b) * c == a * (b * c)
                 wa, wb = a.weight, b.weight
                 sign = -1 if (wa * pres.degree) % 2 and (wb * pres.degree) % 2 else 1

@@ -203,9 +203,9 @@ def test_associativity_fuzz(n, m):
     rng = random.Random(n * 100 + m)
     p = Presentation(n, m)
     for _ in range(150):
-        a = random_homogeneous(p, QQ, rng.randint(1, max(1, min(2, p.top_weight))), rng)
-        b = random_homogeneous(p, QQ, rng.randint(1, max(1, min(2, p.top_weight))), rng)
-        c = random_homogeneous(p, QQ, rng.randint(1, max(1, min(2, p.top_weight))), rng)
+        a = random_homogeneous(p, rng.randint(1, max(1, min(2, p.top_weight))), rng)
+        b = random_homogeneous(p, rng.randint(1, max(1, min(2, p.top_weight))), rng)
+        c = random_homogeneous(p, rng.randint(1, max(1, min(2, p.top_weight))), rng)
         assert (a * b) * c == a * (b * c)
 
 
@@ -218,8 +218,8 @@ def test_graded_commutativity_fuzz(n, m):
     for _ in range(150):
         wa = rng.randint(1, min(2, p.top_weight))
         wb = rng.randint(1, min(2, p.top_weight))
-        a = random_homogeneous(p, QQ, wa, rng)
-        b = random_homogeneous(p, QQ, wb, rng)
+        a = random_homogeneous(p, wa, rng)
+        b = random_homogeneous(p, wb, rng)
         sign = -1 if (wa * p.degree) % 2 and (wb * p.degree) % 2 else 1
         assert a * b == sign * (b * a)
 

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import tcbounds.bounds
 import tcbounds.cli
 import tcbounds.selftest
 from tcbounds.algebra import Presentation
@@ -297,30 +298,43 @@ def test_grid_worker_crash_is_reported(capsys, monkeypatch):
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_grid_reports_each_contradicting_cell(capsys, monkeypatch, jobs):
-    # the cells of one ring, (n = 3, odd m), claim a cup-length past the upper
-    # bound; reports are assembled in the parent, so the patch holds under any
-    # start method of the pool
+    # the cells of one ring, (n = 3, odd m), contradict the closed form 5: first
+    # with a cup-length past the upper bound, then with a ring pair (zcl =
+    # bar_len = 3) that pinches at 4; reports are assembled in the parent, so
+    # the patch holds under any start method of the pool
     report_from_ring = tcbounds.cli.report_from_ring
-
-    def contradicting(m, n, field, zcl, bar_len):
-        if (n, m % 2) == (3, 1):
-            zcl += 1
-        return report_from_ring(m, n, field, zcl, bar_len)
-
-    monkeypatch.setattr(tcbounds.cli, "report_from_ring", contradicting)
-    code, out, err = run(capsys, "grid", "--m", "2..5", "--n", "2..3", "--jobs", jobs)
-    assert (code, err) == (EXIT_CONTRADICTION, "")
-    lines = out.splitlines()
-    assert [line for line in lines if "CONTRADICTION" in line] == [
-        f"m={m} n=3 CONTRADICTION: lower bound 6 exceeds upper bound 5 "
-        f"for (m={m}, n=3) over Q" for m in (3, 5)
+    contradictions = [
+        (lambda zcl, bar_len: (zcl + 1, bar_len),
+         "lower bound 6 exceeds upper bound 5 for (m={m}, n=3) over Q"),
+        (lambda zcl, bar_len: (3, 3), "pinched at 4 but the closed form is 5 for (m={m}, n=3)"),
     ]
-    assert [line.split()[:2] for line in lines[:6]] == [
-        ["m=2", "n=2"], ["m=2", "n=3"], ["m=3", "n=2"],
-        ["m=4", "n=2"], ["m=4", "n=3"], ["m=5", "n=2"],
-    ]
-    assert all(line.endswith("pinched=yes") for line in lines[:6])
-    assert lines[-1] == "pinched 6/8"
+    for perturb, message in contradictions:
+        def contradicting(m, n, field, zcl, bar_len):
+            if (n, m % 2) == (3, 1):
+                zcl, bar_len = perturb(zcl, bar_len)
+            return report_from_ring(m, n, field, zcl, bar_len)
+
+        monkeypatch.setattr(tcbounds.cli, "report_from_ring", contradicting)
+        code, out, err = run(capsys, "grid", "--m", "2..5", "--n", "2..3", "--jobs", jobs)
+        assert (code, err) == (EXIT_CONTRADICTION, "")
+        lines = out.splitlines()
+        assert [line for line in lines if "CONTRADICTION" in line] == [
+            f"m={m} n=3 CONTRADICTION: " + message.format(m=m) for m in (3, 5)
+        ]
+        assert [line.split()[:2] for line in lines[:6]] == [
+            ["m=2", "n=2"], ["m=2", "n=3"], ["m=3", "n=2"],
+            ["m=4", "n=2"], ["m=4", "n=3"], ["m=5", "n=2"],
+        ]
+        assert all(line.endswith("pinched=yes") for line in lines[:6])
+        assert lines[-1] == "pinched 6/8"
+
+
+def test_report_pinched_off_the_closed_form_is_contradiction(capsys, monkeypatch):
+    # a ring pair that pinches at 4 against the closed form 5 of (m=3, n=3)
+    monkeypatch.setattr(tcbounds.bounds, "certify_ring", lambda m, n, field: (3, 3))
+    code, out, err = run(capsys, "report", "--m", "3", "--n", "3")
+    assert (code, out) == (EXIT_CONTRADICTION, "")
+    assert err == "CONTRADICTION: pinched at 4 but the closed form is 5 for (m=3, n=3)\n"
 
 
 # -- small utilities -----------------------------------------------------------------
@@ -544,9 +558,42 @@ def test_retired_cache_option_is_rejected(capsys, tmp_path, argv):
 # -- selftest ------------------------------------------------------------------------
 
 def test_selftest_passes(capsys):
-    code, out, _ = run(capsys, "selftest", "--samples", "20", "--shuffles", "10")
+    # each suite's case count pins how many cases it draws: --samples sizes the
+    # first two, --shuffles the confluence suite, and the rest are fixed
+    code, out, _ = run(capsys, "selftest", "--samples", "20", "--shuffles", "10",
+                       "--output", "json")
     assert code == 0
-    assert "all suites passed" in out
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert [(s["name"], s["cases"], s["passed"]) for s in data["suites"]] == [
+        ("associativity", 120, True),
+        ("graded commutativity", 120, True),
+        ("straightening confluence", 800, True),
+        ("rank consistency", 5, True),
+        ("top-degree nilpotence", 56, True),
+        ("diagonal restriction", 400, True),
+        ("bar classes", 360, True),
+        ("Koszul involution", 400, True),
+        ("even-m stability", 6, True),
+        ("span consistency", 16, True),
+    ]
+
+
+def test_selftest_reports_a_rank_mismatch(capsys, monkeypatch):
+    # a mismatch of the two rank counts is a failed suite, not a traceback
+    poincare_table = tcbounds.selftest.poincare_table
+    message = "rank mismatch for n=4: polynomial [1, 6, 11, 7] vs enumeration [1, 6, 11, 6]"
+
+    def mismatch(n):
+        if n == 4:
+            raise AssertionError(message)
+        return poincare_table(n)
+
+    monkeypatch.setattr(tcbounds.selftest, "poincare_table", mismatch)
+    code, out, err = run(capsys, "selftest", "--samples", "1", "--shuffles", "1")
+    assert (code, err) == (EXIT_UNPINCHED, "")
+    assert f"rank consistency             FAIL  (5 cases)\n    failing case: {message}\n" in out
+    assert out.endswith("SELFTEST FAILED\n")
 
 
 @pytest.mark.parametrize("option", ["--samples", "--shuffles"])

@@ -35,8 +35,11 @@ def test_large_mersenne_prime_is_fast(capsys):
     assert "zero_divisor_cuplength = 1" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("n", [(2 ** 31 - 1) ** 2, 3215031751],
-                         ids=["mersenne-square", "strong-pseudoprime-2357"])
+# 3825123056546413051 = 149491 * 747451 * 34233211 is a strong pseudoprime to
+# every prime base up to 31, so only base 37 rejects it
+@pytest.mark.parametrize("n", [(2 ** 31 - 1) ** 2, 3215031751, 3825123056546413051],
+                         ids=["mersenne-square", "strong-pseudoprime-2357",
+                              "strong-pseudoprime-to-31"])
 def test_composites_rejected(n):
     assert not is_prime(n)
     with pytest.raises(ValueError, match="not prime"):

@@ -105,8 +105,8 @@ def test_diagonal_is_algebra_map_fuzz(n, m):
     rng = random.Random(n + m)
     p = Presentation(n, m)
     for _ in range(100):
-        x = random_tensor(p, QQ, rng)
-        y = random_tensor(p, QQ, rng)
+        x = random_tensor(p, rng)
+        y = random_tensor(p, rng)
         assert diagonal_restriction(x * y) == diagonal_restriction(x) * diagonal_restriction(y)
 
 
@@ -115,8 +115,8 @@ def test_koszul_swap_is_algebra_involution(n, m):
     rng = random.Random(n * m)
     p = Presentation(n, m)
     for _ in range(100):
-        x = random_tensor(p, QQ, rng)
-        y = random_tensor(p, QQ, rng)
+        x = random_tensor(p, rng)
+        y = random_tensor(p, rng)
         assert koszul_swap(x * y) == koszul_swap(x) * koszul_swap(y)
         assert koszul_swap(koszul_swap(x)) == x
 
@@ -126,8 +126,8 @@ def test_swap_of_product_reverses_factors_with_sign():
     sq = TensorSquare(p, QQ)
     rng = random.Random(4)
     for _ in range(60):
-        x = random_tensor(p, QQ, rng)
-        y = random_tensor(p, QQ, rng)
+        x = random_tensor(p, rng)
+        y = random_tensor(p, rng)
         wx, wy = x.weight, y.weight
         if wx is None or wy is None:
             continue
