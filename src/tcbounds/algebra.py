@@ -33,7 +33,10 @@ checksum and written row by row as text straight from the rows, and
 `structure_document` is that text parsed back.  A document is an export and
 an independent check, never a source: loading one installs nothing, and
 checks it against the definition itself, so neither the recursion nor the
-fold is ever its own oracle.
+fold is ever its own oracle.  A load checks the checksum on the file's
+bytes, so bytes that are not canonical but hash to their own checksum load
+too, re-encodes only bytes that do not, and keeps the products of its
+sampled pairs alone.
 
 Elements are sparse linear combinations over a field.  `SparseElement` holds
 the linear structure that ring and tensor elements share: sums, scaling,
@@ -53,8 +56,7 @@ from __future__ import annotations
 import json
 import math
 from itertools import accumulate, combinations, product as iproduct
-from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 Word = Tuple[Edge, ...]
@@ -416,8 +418,14 @@ class Presentation:
         words that the rows are indexed by.  A product of more than
         `top_weight` factors is zero by grading and is neither computed nor
         memoized: admissible words have strictly increasing upper indices in
-        2..n, and every rewrite keeps the factor count.
+        2..n, and every rewrite keeps the factor count.  Nor is a product by
+        the unit (), which is the other factor, an admissible word and so
+        its own normal form.
         """
+        if not u:
+            return {v: 1}
+        if not v:
+            return {u: 1}
         if len(u) + len(v) > self.top_weight:
             return {}
         key = (u, v)
@@ -675,10 +683,17 @@ def _canonical_json(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), check_circular=False)
 
 
-def _document_checksum(payload: dict) -> str:
+def _text_checksum(head, tail) -> str:
+    """sha256, in hex, of a document text without its checksum member: head, then tail."""
     import hashlib  # only documents need it; a report never loads it
 
-    return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
+    digest = hashlib.sha256(head)
+    digest.update(tail)
+    return digest.hexdigest()
+
+
+def _document_checksum(payload: dict) -> str:
+    return _text_checksum(_canonical_json(payload).encode(), b"")
 
 
 def _document_text(pres: Presentation) -> Tuple[str, str]:
@@ -699,8 +714,8 @@ def _document_text(pres: Presentation) -> Tuple[str, str]:
     The keys sort as basis, checksum, m, n, products, schema_version, the
     order the rest is written in, so the text the checksum covers,
     `_canonical_json` of the `_CHECKED_KEYS`, is the file text without its
-    `"checksum":"...",` member: both are made from the same two pieces, the
-    basis member and the rest.
+    `"checksum":"...",` member and final newline: both are made from the
+    same two pieces, the basis member and the rest.
     """
     mons = pres.full_basis()
     entries = []
@@ -712,12 +727,29 @@ def _document_text(pres: Presentation) -> Tuple[str, str]:
     head = '{"basis":' + _canonical_json(mons) + ","
     tail = (f'"m":{pres.m},"n":{pres.n},"products":[{",".join(entries)}],'
             f'"schema_version":{STRUCTURE_SCHEMA_VERSION}}}')
-    import hashlib
-
-    digest = hashlib.sha256(head.encode())
-    digest.update(tail.encode())
-    checksum = digest.hexdigest()
+    checksum = _text_checksum(head.encode(), tail.encode())
     return f'{head}"checksum":"{checksum}",{tail}\n', checksum
+
+
+_CHECKSUM_MEMBER = b',"checksum":"'  # as the writer spells it, after the basis
+
+
+def _sealed_checksum(data: bytes) -> Optional[str]:
+    """The checksum a file's bytes carry in their first checksum member, if they hash to it.
+
+    The bytes before the member, through its comma, and after it, less one
+    final newline, are hashed in place, as `_document_text` hashed them.
+    """
+    at = data.find(_CHECKSUM_MEMBER)
+    if at < 0:
+        return None
+    start = at + len(_CHECKSUM_MEMBER)
+    end = start + 64
+    if data[end:end + 2] != b'",':
+        return None
+    view = memoryview(data)
+    checksum = _text_checksum(view[:at + 1], view[end + 2:len(data) - data.endswith(b"\n")])
+    return checksum if data[start:end] == checksum.encode() else None
 
 
 def structure_document(pres: Presentation) -> dict:
@@ -737,21 +769,14 @@ def write_structure_document(pres: Presentation, path) -> str:
     return checksum
 
 
-# the slot of every pair within the top weight that a document leaves out: a
-# zero product, shared and read-only
-_NO_TERMS: Mapping[int, int] = MappingProxyType({})
+def _check_document(doc, pres: Presentation, samples, sealed: Optional[str]) -> int:
+    """`verify_structure_document`, with `sealed`, the checksum the file's bytes hash to, if any.
 
-
-def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int]]]:
-    """The product rows of a document; any malformed shape is a CacheError.
-
-    The rows have the shape of `Presentation.row`: rows[i][j] holds the
-    terms {k: c} of basis word i times basis word j, for each j within the
-    top weight.  Indices must be ints in range(N) and coefficients decimal
-    strings of nonzero integers; a pair or a term may appear only once, an
-    entry must have a term, and every term must have the weight of its
-    product.  A pair the document leaves out is a zero product.
+    A checksum matches when it is `sealed` or else the checksum of the
+    canonical re-encode.
     """
+    if samples is not None and (type(samples) is not int or samples < 1):
+        raise ValueError(f"samples must be None or an int >= 1, got {samples!r}")
     if not isinstance(doc, dict):
         raise CacheError(f"document is a JSON {type(doc).__name__}, not an object")
     if doc.get("schema_version") != STRUCTURE_SCHEMA_VERSION:
@@ -767,7 +792,9 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
     missing = [k for k in _CHECKED_KEYS if k not in doc]
     if missing:
         raise CacheError(f"document lacks {', '.join(missing)}")
-    if doc.get("checksum") != _document_checksum({k: doc[k] for k in _CHECKED_KEYS}):
+    checksum = doc.get("checksum")
+    if ((sealed is None or checksum != sealed)
+            and checksum != _document_checksum({k: doc[k] for k in _CHECKED_KEYS})):
         raise CacheError("checksum mismatch: document corrupted or stale")
     basis = doc["basis"]
     # n! >= 2^(n-1) words: count them before the ring lists its own, so that a
@@ -781,29 +808,71 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
         raise CacheError("basis is not a list of edge lists") from None
     if mons != pres.full_basis():
         raise CacheError("basis list does not match the presentation")
+    mons = pres.full_basis()
+    widths = [pres.width(i) for i in range(len(mons))]
+    if samples is None:
+        pairs = ((i, j) for i, width in enumerate(widths) for j in range(width))
+        count = len(widths) ** 2
+    else:
+        import random
+
+        # drawn from the checksum and the widths alone, so before the parse
+        rng = random.Random(int(doc["checksum"][:16], 16))
+        firsts = rng.choices(range(len(widths)), cum_weights=list(accumulate(widths)), k=samples)
+        pairs = [(i, rng.randrange(widths[i])) for i in firsts]
+        count = samples
+    products = _parse_products(doc, pres, None if samples is None else pairs)
+    for i, j in pairs:
+        got = {mons[k]: c for k, c in products.get(i, {}).get(j, {}).items()}
+        if got != straighten_word(mons[i] + mons[j], pres.parity):
+            raise CacheError(f"stale product for {monomial_str(mons[i])} * {monomial_str(mons[j])}")
+    return count
+
+
+def _parse_products(doc: dict, pres: Presentation, pairs: Optional[Iterable[Tuple[int, int]]]
+                    ) -> Dict[int, Dict[int, Dict[int, int]]]:
+    """The terms {i: {j: {k: c}}} of the entries for `pairs` (i, j), of every entry when None.
+
+    Every entry is checked, and any malformed one is a CacheError: indices
+    must be ints in range(N) and the pair within the top weight, a pair may
+    appear only once, an entry must have a term, every term must have the
+    weight of its product, coefficients must be decimal strings of nonzero
+    integers, and a term may appear only once.  A pair the document leaves
+    out is a zero product, absent from the result.
+    """
     co = pres._coordinates()
-    n_mons = len(mons)
+    n_mons = len(co.mons)
     weights, ends = co.weights, co.ends
     starts = [0] + ends[:-1]  # a term of weight w has its index in starts[w]..ends[w]-1
-    rows = [[_NO_TERMS] * pres.width(i) for i in range(n_mons)]
+    widths = [pres.width(i) for i in range(n_mons)]
+    offsets = [0, *accumulate(widths)]  # the byte of pair (i, j) is offsets[i] + j
+    seen = bytearray(offsets[-1])
+    if pairs is None:
+        keep = b"\1" * offsets[-1]
+    else:
+        keep = bytearray(offsets[-1])
+        for i, j in pairs:
+            keep[offsets[i] + j] = 1
+    kept: Dict[int, Dict[int, Dict[int, int]]] = {}  # by row: no tuple per pair
     checked: Dict[str, int] = {}  # the coefficient strings that passed, by value
 
     def malformed(what):
         return CacheError(f"malformed product entry ({what})")
 
     def pair(i, j):
-        return f"{monomial_str(mons[i])} * {monomial_str(mons[j])}"
+        return f"{monomial_str(co.mons[i])} * {monomial_str(co.mons[j])}"
 
     try:
         for i, j, terms in doc["products"]:
             if not (type(i) is int and 0 <= i < n_mons and type(j) is int and 0 <= j < n_mons):
                 raise malformed(f"index pair {i!r}, {j!r} not in range({n_mons})")
-            row = rows[i]
             # a product is homogeneous of weight len(u) + len(v), and zero above the top
-            if j >= len(row):
+            if j >= widths[i]:
                 raise CacheError(f"entry for {pair(i, j)} is above the top weight {pres.top_weight}")
-            if row[j] is not _NO_TERMS:
+            slot = offsets[i] + j
+            if seen[slot]:
                 raise CacheError(f"second entry for {pair(i, j)}")
+            seen[slot] = 1
             if not terms:
                 raise malformed(f"no terms for {pair(i, j)}")
             weight = weights[i] + weights[j]
@@ -823,12 +892,13 @@ def _parse_document(doc: dict, pres: Presentation) -> List[List[Mapping[int, int
                 got[k] = value
             if len(got) != len(terms):
                 raise malformed(f"a repeated term in {pair(i, j)}")
-            row[j] = got
+            if keep[slot]:
+                kept.setdefault(i, {})[j] = got
     except CacheError:
         raise
     except (TypeError, ValueError) as exc:
         raise malformed(f"{type(exc).__name__}: {exc}") from None
-    return rows
+    return kept
 
 
 def verify_structure_document(doc: dict, pres: Presentation, samples=100) -> int:
@@ -842,42 +912,38 @@ def verify_structure_document(doc: dict, pres: Presentation, samples=100) -> int
 
     Each product is re-derived from the definition, `straighten_word(u + v)`,
     never through the generator fold of `Presentation.row` or the R_g rows
-    it folds, so a fault in either cannot vouch for itself.  Only pairs within the top weight are
-    re-derived: `_parse_document` has already rejected every entry above it,
-    so every other pair is absent from the rows, zero as grading requires.
-    The full check counts all N^2 pairs; a sampled check draws uniformly
-    among the pairs within the top weight.
+    it folds, so a fault in either cannot vouch for itself.  Only pairs
+    within the top weight are re-derived: `_parse_products` rejects every
+    entry above it, so every other pair is zero, as grading requires.  The
+    full check counts all N^2 pairs; a sampled check draws uniformly among
+    the pairs within the top weight.  The draws depend only on the checksum
+    and `Presentation.width`, so they are made before the parse, which checks
+    every entry but keeps only the sampled products.  A dict has no bytes,
+    so its checksum is checked on its canonical re-encode.
     """
-    if samples is not None and (type(samples) is not int or samples < 1):
-        raise ValueError(f"samples must be None or an int >= 1, got {samples!r}")
-    rows = _parse_document(doc, pres)
-    mons, parity = pres.full_basis(), pres.parity
-    if samples is None:
-        pairs = ((i, j) for i, row in enumerate(rows) for j in range(len(row)))
-        count = len(mons) ** 2
-    else:
-        import random
-
-        rng = random.Random(int(doc["checksum"][:16], 16))
-        within = accumulate(len(row) for row in rows)
-        firsts = rng.choices(range(len(rows)), cum_weights=list(within), k=samples)
-        pairs = [(i, rng.randrange(len(rows[i]))) for i in firsts]
-        count = samples
-    for i, j in pairs:
-        got = {mons[k]: c for k, c in rows[i][j].items()}
-        if got != straighten_word(mons[i] + mons[j], parity):
-            raise CacheError(f"stale product for {monomial_str(mons[i])} * {monomial_str(mons[j])}")
-    return count
+    return _check_document(doc, pres, samples, None)
 
 
 def load_structure_document(path, pres: Presentation, samples=100) -> dict:
     """Read a document and check it against `pres`; returns the document.
 
-    The check is `verify_structure_document` with `samples` re-derivations.
-    Nothing is installed: no computation reads a document, which is an
-    export and an independent check of the ring's products.
+    The check is `verify_structure_document` with `samples` re-derivations,
+    but the checksum is checked on the file's bytes (`_sealed_checksum`),
+    and only bytes that do not hash to it are re-encoded canonically: a file
+    loads when its bytes, canonical or not, or its canonical re-encode match
+    its checksum.  A file that is not UTF-8 JSON is a CacheError.  Nothing
+    is installed: no computation reads a document, which is an export and an
+    independent check of the ring's products.
     """
-    with open(path) as fh:
-        doc = json.load(fh)
-    verify_structure_document(doc, pres, samples)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    sealed = _sealed_checksum(data)
+    try:
+        text = data.decode()
+        del data  # one copy of the file beside the document as it is decoded
+        doc = json.loads(text)
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+        raise CacheError(f"document is not UTF-8 JSON: {exc}") from None
+    del text  # nor beside the checks
+    _check_document(doc, pres, samples, sealed)
     return doc

@@ -233,16 +233,15 @@ def test_report_straightens_only_its_witness_products(unlisted_basis, straighten
     # over Z_p the report multiplies the witness, each bar(e_1j) squared, over
     # Z_p and over Q, as tensor elements in words, never in the n! basis
     # coordinates; both squares share the ring's product memo, so the words
-    # straightened are those of the first square alone: each prefix
-    # w = e_12...e_1j twice (w times a letter, and w times the unit), each w
-    # with its last letter repeated once below the top weight, and the unit
+    # straightened are those of the first square alone, and a product by the
+    # unit is never straightened: each prefix w = e_12...e_1j of two letters
+    # or more once (its last letter times the prefix before it), and each w
+    # with its last letter repeated once below the top weight
     n = 6
     report = assemble_report(3, n, field=PrimeField(3))
     assert report.pinched
     prefixes = [tuple((1, i) for i in range(2, j + 1)) for j in range(2, n + 1)]
-    expected = Counter({(): 1})
-    expected.update({w: 2 for w in prefixes})
-    expected.update({w + w[-1:]: 1 for w in prefixes[:-1]})
+    expected = Counter(prefixes[1:])
+    expected.update(w + w[-1:] for w in prefixes[:-1])
     assert Counter(straightened_words) == expected
-    assert len(straightened_words) == 3 * (n - 1) == 15
-    assert len(expected) == 2 * (n - 1) == 10
+    assert len(straightened_words) == len(expected) == 2 * (n - 2) == 8

@@ -684,16 +684,16 @@ def test_out_of_memory_is_not_computed(tmp_path, argv):
 def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, unlisted_basis,
                                                                 straightened_words, n, field):
     # the odd-m witness, each bar(e_1j) squared, is multiplied out in words:
-    # 3(n - 1) straightenings of 2(n - 1) words, shared by both squares over
-    # Z_3, and never the n! basis words: a report costs what its witness
-    # needs
+    # 2(n - 2) straightenings of as many words, shared by both squares over
+    # Z_3, none of them a product by the unit, and never the n! basis words:
+    # a report costs what its witness needs
     code, out, _ = run(capsys, "report", "--n", str(n), "--m", "3", "--max-n", "8",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
     assert code == EXIT_PINCHED
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 1
-    assert len(straightened_words) == 3 * (n - 1)
-    assert len(set(straightened_words)) == 2 * (n - 1)
+    assert len(straightened_words) == {7: 10, 8: 12}[n]
+    assert len(set(straightened_words)) == {7: 10, 8: 12}[n]
 
 
 @pytest.mark.parametrize("field,squares", [("q", 1), ("zp:3", 2)])
@@ -727,8 +727,9 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
     assert len({id(sq) for sq in asking}) == squares
     gens = Presentation(n, 4).generators()
     assert sorted(scanned) == sorted((g, h) for g in gens for h in gens)
-    # with the witness's products, read off this code at n = 7 and 8
-    assert len(straightened_words) == {7: 919, 8: 1886}[n]
+    # with the witness's products, read off this code at n = 7 and 8; no
+    # product by the unit is straightened
+    assert len(straightened_words) == {7: 756, 8: 1515}[n]
 
 
 @pytest.mark.parametrize("field", ["q", "zp:2", "zp:3"])

@@ -71,16 +71,40 @@ def test_stale_content_with_fixed_checksum_detected():
 
 
 def test_loaded_table_holds_exactly_the_pairs_within_the_top_weight():
-    from tcbounds.algebra import _parse_document
+    # the full parse keeps the terms of every pair within the top weight: the
+    # nonzero ones as `row` gives them, and none above the top weight
+    from tcbounds.algebra import _parse_products
 
     pres = Presentation(4, 2)
-    rows = _parse_document(structure_document(Presentation(4, 2)), pres)
+    products = _parse_products(structure_document(Presentation(4, 2)), pres, None)
     mons = pres.full_basis()
     within = {(i, j) for i, u in enumerate(mons) for j, v in enumerate(mons)
               if len(u) + len(v) <= pres.top_weight}
-    assert {(i, j) for i, row in enumerate(rows) for j in range(len(row))} == within
     # `row` is built on each call, so it is read once per i
-    assert all(row == pres.row(i) for i, row in enumerate(rows))
+    rows = [pres.row(i) for i in range(len(mons))]
+    assert {(i, j) for i, row in enumerate(rows) for j in range(len(row))} == within
+    assert products == {i: {j: p for j, p in enumerate(row) if p}
+                        for i, row in enumerate(rows) if any(row)}
+
+
+def test_sampled_parse_keeps_exactly_the_sampled_products():
+    # every entry is checked, but only the listed pairs are kept; a listed
+    # pair the document leaves out is a zero product and stays absent
+    from tcbounds.algebra import _parse_products
+
+    pres = Presentation(4, 2)
+    doc = structure_document(pres)
+    mons = pres.full_basis()
+    rows = [pres.row(i) for i in range(len(mons))]
+    pairs = [(0, 0), (1, 1), (3, 2), (3, 2), (5, 4), (len(mons) - 1, 0)]
+    assert not rows[1][1] and all(rows[i][j] for i, j in pairs if (i, j) != (1, 1))
+    assert _parse_products(doc, pres, pairs) == {
+        0: {0: rows[0][0]}, 3: {2: rows[3][2]}, 5: {4: rows[5][4]},
+        len(mons) - 1: {0: rows[-1][0]}}
+    assert _parse_products(doc, pres, []) == {}
+    doc["products"].append(json.loads(json.dumps(doc["products"][-1])))
+    with pytest.raises(CacheError, match="second entry"):
+        _parse_products(doc, pres, [])
 
 
 def test_short_document_never_lists_the_basis(tmp_path, monkeypatch, capsys):
@@ -335,16 +359,88 @@ def test_load_parses_the_document_once(tmp_path, monkeypatch):
     path = tmp_path / "s.json"
     write_structure_document(Presentation(3, 2), path)
     calls = []
-    parse = algebra._parse_document
+    parse = algebra._parse_products
 
-    def counting_parse(doc, pres):
+    def counting_parse(doc, pres, pairs):
         calls.append(pres)
-        return parse(doc, pres)
+        return parse(doc, pres, pairs)
 
-    monkeypatch.setattr(algebra, "_parse_document", counting_parse)
+    monkeypatch.setattr(algebra, "_parse_products", counting_parse)
     pres = Presentation(3, 2)
     load_structure_document(path, pres)
     assert calls == [pres]
+
+
+def test_load_checks_the_bytes_without_re_encoding(tmp_path, monkeypatch):
+    # a written file hashes to its own checksum, so the load never re-encodes
+    import tcbounds.algebra as algebra
+
+    path = tmp_path / "s.json"
+    write_structure_document(Presentation(4, 2), path)
+    encodings = []
+    encode = algebra._canonical_json
+    monkeypatch.setattr(algebra, "_canonical_json",
+                        lambda value: encodings.append(value) or encode(value))
+    load_structure_document(path, Presentation(4, 2))
+    load_structure_document(path, Presentation(4, 2), samples=None)
+    assert encodings == []
+
+
+def test_a_changed_coefficient_byte_is_a_checksum_mismatch(tmp_path):
+    # the bytes are hashed as they are: one coefficient byte changed, with the
+    # checksum left alone, fails the byte check and its canonical fallback
+    path = tmp_path / "s.json"
+    write_structure_document(Presentation(4, 2), path)
+    data = path.read_bytes()
+    at = data.index(b',"-1"]') + 3
+    path.write_bytes(data[:at] + b"2" + data[at + 1:])
+    with pytest.raises(CacheError, match="^checksum mismatch: document corrupted or stale$"):
+        load_structure_document(path, Presentation(4, 2))
+
+
+def test_re_encoded_bytes_load_through_the_canonical_fallback(tmp_path, monkeypatch):
+    # bytes that do not hash to their checksum, but whose document re-encodes
+    # to it, still load: here the document written with spaces and indents
+    import tcbounds.algebra as algebra
+
+    pres = Presentation(4, 2)
+    doc = structure_document(pres)
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(doc, indent=1))
+    encodings = []
+    encode = algebra._canonical_json
+    monkeypatch.setattr(algebra, "_canonical_json",
+                        lambda value: encodings.append(value) or encode(value))
+    assert load_structure_document(path, pres) == doc
+    assert len(encodings) == 1
+
+
+def test_bytes_that_hash_to_their_own_checksum_load(tmp_path):
+    # the byte check accepts a file that is not the canonical text when its
+    # bytes, without the checksum member, hash to the checksum it carries
+    from tcbounds.algebra import _text_checksum
+
+    pres = Presentation(3, 2)
+    text = document_to_json(structure_document(pres))
+    head, rest = text.split('"checksum":"', 1)
+    tail = rest[66:].rstrip("\n").replace(',"n":', ', "n": ')
+    checksum = _text_checksum(head.encode(), tail.encode())
+    path = tmp_path / "s.json"
+    path.write_text(f'{head}"checksum":"{checksum}",{tail}\n')
+    assert load_structure_document(path, pres)["checksum"] == checksum
+    path.write_text(f'{head}"checksum":"{checksum}",{tail.replace(", ", ",  ")}\n')
+    with pytest.raises(CacheError, match="checksum mismatch"):
+        load_structure_document(path, pres)
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe{}", b"{not json", b""],
+                         ids=["not-utf8", "not-json", "empty"])
+def test_undecodable_file_is_cache_error(tmp_path, data):
+    path = tmp_path / "s.json"
+    path.write_bytes(data)
+    with pytest.raises(CacheError, match="^document is not UTF-8 JSON: ") as rejected:
+        load_structure_document(path, Presentation(3, 2))
+    assert isinstance(rejected.value, ValueError)
 
 
 def test_sampled_load_re_derives_only_pairs_within_the_top_weight(tmp_path, straightened_words):
@@ -355,6 +451,48 @@ def test_sampled_load_re_derives_only_pairs_within_the_top_weight(tmp_path, stra
     load_structure_document(path, Presentation(5, 2), samples=100)
     assert len(straightened_words) == 100
     assert all(len(w) <= 4 for w in straightened_words)
+
+
+# the pairs (i, j) that a load of Presentation(5, 2)'s document re-derives,
+# in order, recorded when the pairs were drawn after the parse, from the
+# widths of a full product table
+SAMPLED_N5_PAIRS = [
+    (25, 21), (88, 7), (3, 64), (9, 68), (5, 46), (18, 6), (39, 39), (17, 45), (78, 10),
+    (83, 10), (0, 43), (59, 2), (83, 1), (31, 23), (30, 11), (30, 12), (87, 0), (24, 17),
+    (46, 3), (25, 42), (6, 39), (25, 37), (22, 19), (4, 82), (35, 13), (6, 29), (4, 19),
+    (65, 1), (10, 2), (44, 34), (7, 67), (22, 39), (0, 38), (5, 4), (90, 2), (15, 42),
+    (32, 20), (5, 79), (31, 18), (0, 94), (20, 39), (0, 97), (19, 31), (1, 88), (2, 11),
+    (38, 39), (7, 17), (73, 8), (7, 39), (10, 66), (9, 87), (26, 44), (4, 59), (10, 59),
+    (0, 39), (3, 11), (84, 8), (45, 13), (43, 33), (116, 0), (28, 25), (25, 36), (65, 10),
+    (49, 8), (31, 22), (28, 26), (84, 7), (17, 13), (80, 9), (13, 42), (21, 23), (66, 8),
+    (11, 17), (9, 62), (88, 6), (6, 82), (12, 30), (2, 17), (25, 44), (1, 70), (5, 48),
+    (10, 40), (10, 44), (23, 17), (88, 8), (67, 6), (17, 42), (73, 0), (2, 61), (30, 41),
+    (21, 39), (95, 2), (14, 32), (0, 69), (84, 7), (9, 95), (24, 18), (75, 1), (15, 37),
+    (1, 19),
+]
+
+
+def test_sampled_load_re_derives_the_recorded_pairs(tmp_path, monkeypatch, straightened_words):
+    # the draws depend on the checksum and the widths alone, so drawing them
+    # before the parse gives the same pairs, re-derived in the same order
+    import tcbounds.algebra as algebra
+
+    pres = Presentation(5, 2)
+    path = tmp_path / "s.json"
+    write_structure_document(pres, path)
+    listed = []
+    parse = algebra._parse_products
+
+    def listing_parse(doc, pres, pairs):
+        listed.append(pairs)
+        return parse(doc, pres, pairs)
+
+    monkeypatch.setattr(algebra, "_parse_products", listing_parse)
+    straightened_words.clear()
+    load_structure_document(path, Presentation(5, 2), samples=100)
+    mons = pres.full_basis()
+    assert listed == [SAMPLED_N5_PAIRS]
+    assert straightened_words == [mons[i] + mons[j] for i, j in SAMPLED_N5_PAIRS]
 
 
 def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight(
@@ -371,7 +509,7 @@ def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight
 def test_report_from_a_cache_straightens_only_the_samples(tmp_path, capsys, request,
                                                          straightened_words):
     # loading a document straightens only its 100 samples, and a report
-    # multiplies its witness in words, 3(n - 1) straightenings of 2(n - 1)
+    # multiplies its witness in words, 2(n - 2) straightenings of as many
     # words and never the n! basis words: no report reads a document, so
     # loading one saves a report nothing
     from tcbounds.cli import main
@@ -384,8 +522,8 @@ def test_report_from_a_cache_straightens_only_the_samples(tmp_path, capsys, requ
     straightened_words.clear()
     request.getfixturevalue("unlisted_basis")
     assert main(["report", "--n", "5", "--m", "3"]) == 0
-    assert len(straightened_words) == 3 * (5 - 1) == 12
-    assert len(set(straightened_words)) == 2 * (5 - 1) == 8
+    assert len(straightened_words) == 6
+    assert len(set(straightened_words)) == 6
 
 
 @pytest.mark.parametrize("samples", [0, -3, True, False, 2.0, "100"])
