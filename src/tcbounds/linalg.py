@@ -1,9 +1,10 @@
 """Exact sparse row reduction over a field, on integer rows.
 
-Vectors are dicts {column: nonzero value}.  An `EchelonBasis` keeps a reduced
-row echelon basis of a subspace of F^width: each row has a pivot column, the
-leftmost nonzero one, and pivot columns are eliminated from all other rows.
-Because of that, reducing a vector touches each pivot at most once.
+Vectors are dicts {column: nonzero value}.  An `EchelonBasis` keeps a row
+echelon basis of a subspace of F^width: each row has a pivot column, its
+leftmost nonzero one, and no two rows share a pivot.  A row is stored once,
+as `insert` reduced it, and never rewritten: it is zero at every pivot column
+that existed when it was inserted, and may be nonzero at later ones.
 
 Every row is stored as a dict of Python ints, and the field's characteristic
 chooses how rows are normalized:
@@ -16,41 +17,59 @@ chooses how rows are normalized:
   divided by its content.  No fraction is formed, and coefficients stay as
   small as the rows themselves allow.
 
-That is the one row operation, `eliminate`.  `insert` and `reduce` accept
-plain ints or field values: over Q denominators are cleared, over Z_p entries
-are taken mod p, so integer vectors enter without conversion.  `reduce`
-returns the residual over Z_p and, over Q, a nonzero integer multiple of it;
-either way it is empty exactly when the vector lies in the span.
-`vectors()` and `dense()` return field values with pivot 1 (over Q each entry
-is Fraction(v, pivot)), which is the canonical RREF; `integer_rows()` returns
-the stored rows themselves, for callers that only need the span.
+That is the one row operation, `eliminate`.  `reduce` clears the pivot
+columns of a vector in increasing order, from a heap of the pivot columns
+present: the row of pivot c is zero left of c, so clearing c changes only
+columns right of it, and each pivot column that its fill-in brings in is
+pushed onto the heap.  The residual, zero at every pivot column, is the
+vector minus the one element of the span that agrees with it there, so it
+is the one an RREF would leave.  `insert` and `reduce` accept plain ints or
+field values: over Q denominators are cleared, over Z_p entries are taken
+mod p, so integer vectors enter without conversion.  `reduce` returns the
+residual over Z_p and, over Q, a nonzero integer multiple of it; either way
+it is empty exactly when the vector lies in the span.
 
-`kernel_basis` is no separate eliminator: it takes the RREF of the augmented
-rows [image_i | e_i] with the image columns first, and the rows whose pivot
-falls in the source block are the kernel, already in canonical RREF.
+`vectors()` and `dense()` return the canonical RREF, as field values with
+pivot 1 (over Q each entry is Fraction(v, pivot)), built on each call from
+copies: the stored row of pivot c, reduced by the rows of the pivots right
+of c.  `integer_rows()` returns the stored rows themselves, for callers that
+only need the span.
+
+`kernel_basis` is no separate eliminator: it takes the echelon of the
+augmented rows [image_i | e_i] with the image columns first, and the rows
+whose pivot falls in the source block are a basis of the kernel.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Dict, List
 
 Vec = Dict[int, object]
 
 
-def eliminate(target: Dict[int, int], row: Dict[int, int], pivot: int, p: int) -> None:
+def eliminate(target: Dict[int, int], row: Dict[int, int], pivot: int, p: int,
+              pivots: Dict[int, object], queue: List[int]) -> None:
     """Clear target[pivot] (nonzero) with the stored row of that pivot, in place.
 
     p is the characteristic: a prime for Z_p, where row[pivot] == 1, or 0 for
     Q, where target is rescaled and left primitive.  Entries that cancel are
-    dropped.
+    dropped, and each column of `pivots` that the row brings into target is
+    pushed onto the heap `queue`.
     """
     get = target.get
     b = target[pivot]
     if p:
         for c, v in row.items():
-            nv = (get(c, 0) - b * v) % p
+            old = get(c)
+            if old is None:
+                target[c] = -b * v % p  # nonzero: b and v are units mod p
+                if c in pivots:
+                    heappush(queue, c)
+                continue
+            nv = (old - b * v) % p
             if nv:
                 target[c] = nv
             else:
@@ -65,7 +84,13 @@ def eliminate(target: Dict[int, int], row: Dict[int, int], pivot: int, p: int) -
         for c in target:
             target[c] *= a
     for c, v in row.items():
-        nv = get(c, 0) - b * v
+        old = get(c)
+        if old is None:
+            target[c] = -b * v
+            if c in pivots:
+                heappush(queue, c)
+            continue
+        nv = old - b * v
         if nv:
             target[c] = nv
         else:
@@ -78,6 +103,12 @@ def eliminate(target: Dict[int, int], row: Dict[int, int], pivot: int, p: int) -
 
 
 class EchelonBasis:
+    """A row echelon basis of a subspace of F^width, grown one vector at a time.
+
+    `_rows` maps each pivot column to its stored integer row (module
+    docstring); `insert` adds a row and never rewrites one.
+    """
+
     def __init__(self, field, width: int):
         self.field = field
         self.width = width
@@ -108,21 +139,32 @@ class EchelonBasis:
         return {c: v.numerator * (den // v.denominator) for c, v in vec.items() if v}
 
     def reduce(self, vec: Vec) -> Dict[int, int]:
-        """Residual of vec after eliminating all pivot columns (vec untouched).
+        """Residual of vec after clearing every pivot column (vec untouched).
 
-        Over Q the residual is returned as a nonzero integer multiple.
+        The columns are cleared in increasing order from a heap, fill-in
+        included (module docstring).  Over Q the residual is returned as a
+        nonzero integer multiple.
         """
         r = self._integer_row(vec)
         rows, p = self._rows, self._p
-        for piv in sorted(c for c in r if c in rows):
-            eliminate(r, rows[piv], piv, p)
+        queue = [c for c in r if c in rows]
+        heapify(queue)
+        while queue:
+            piv = heappop(queue)
+            if piv in r:  # a queued column may have cancelled since
+                eliminate(r, rows[piv], piv, p, rows, queue)
         return r
 
     def contains(self, vec: Vec) -> bool:
         return not self.reduce(vec)
 
     def insert(self, vec: Vec) -> bool:
-        """Add a vector to the span; returns True when the dimension grew."""
+        """Add a vector to the span; returns True when the dimension grew.
+
+        The residual of `reduce` is stored as the row of its leftmost column,
+        normalized: pivot 1 mod p, or primitive with a positive pivot over Q.
+        No stored row changes.
+        """
         r = self.reduce(vec)
         if not r:
             return False
@@ -137,9 +179,6 @@ class EchelonBasis:
             if r[piv] < 0:
                 g = -g
             row = {c: v // g for c, v in r.items()}
-        for other in self._rows.values():
-            if piv in other:
-                eliminate(other, row, piv, p)
         self._rows[piv] = row
         return True
 
@@ -149,21 +188,29 @@ class EchelonBasis:
     def integer_rows(self) -> List[Dict[int, int]]:
         """The stored integer rows in pivot order (not copies; read only).
 
-        Over Z_p they are the `vectors()` rows; over Q each is a nonzero
-        integer multiple of its `vectors()` row, so they span the same space.
+        They are echelon rows, not the RREF: row i leads at pivot i and may
+        be nonzero at later pivots.  They span the space of `vectors()`.
         """
         return [self._rows[piv] for piv in sorted(self._rows)]
 
-    def _field_row(self, piv: int) -> Vec:
-        row = self._rows[piv]
-        if self._p:
-            return dict(row)
-        lead = row[piv]
-        return {c: Fraction(v, lead) for c, v in row.items()}
-
     def vectors(self) -> List[Vec]:
-        """Basis rows in pivot order, as field values with pivot 1 (copies)."""
-        return [self._field_row(piv) for piv in sorted(self._rows)]
+        """The canonical RREF rows in pivot order, as field values with pivot 1.
+
+        Built on each call: the stored row of each pivot, copied and reduced
+        by the rows of the pivots right of it, leaves the RREF row up to a
+        nonzero factor, since it is zero at those pivots.
+        """
+        right = EchelonBasis(self.field, self.width)
+        out = []
+        for piv in sorted(self._rows, reverse=True):
+            row = right.reduce(self._rows[piv])
+            right._rows[piv] = self._rows[piv]
+            if not self._p:
+                lead = row[piv]
+                row = {c: Fraction(v, lead) for c, v in row.items()}
+            out.append(row)
+        out.reverse()
+        return out
 
     def dense(self) -> List[List[object]]:
         zero = self.field.zero
@@ -175,7 +222,11 @@ def kernel_basis(field, images: List[Vec], source_dim: int) -> EchelonBasis:
 
     Source column i of the augmented row [image_i | e_i] sits at shift + i,
     after every image column, so a row whose pivot is a source column has a
-    zero image part.  Images may hold plain ints or field values.
+    zero image part, and the other rows have image parts with distinct
+    leading columns, which are independent: the rows of the first kind are a
+    basis of the kernel.  They are echelon rows, not yet the kernel's RREF;
+    the returned basis gives that through `vectors()`.  Images may hold plain
+    ints or field values.
     """
     shift = 1 + max((max(img) for img in images if img), default=-1)
     augmented = EchelonBasis(field, shift + source_dim)

@@ -221,7 +221,7 @@ class TensorSquare:
         """Kernel of the diagonal restriction on the weight-w piece."""
         got = self._zkernels.get(w)
         if got is None:
-            # the RREF does not depend on how the image columns are labelled
+            # the kernel does not depend on how the image columns are labelled
             alg_index = self.pres._coordinates().index
             images = []
             for u, v in self.basis(w):
@@ -268,8 +268,8 @@ class TensorSquare:
         """
         if self.top_weight == 0:
             return []
-        # integer rows: over Q each is a multiple of its RREF row, so the
-        # products span the same spaces without a Fraction
+        # integer rows: echelon rows that span what the RREF rows span, so
+        # the products span the same spaces without a Fraction
         z1 = {
             w: self.diagonal_kernel(w).integer_rows()
             for w in range(1, self.top_weight + 1)
@@ -379,11 +379,13 @@ class TensorSquare:
         reverses the basis of H: the top weight first, the lex-last
         admissible monomial of a weight first.  That order is chosen for
         fill-in only, and only here.  The echelon pivots on the leftmost
-        nonzero coordinate, so it eliminates high-weight, high-upper-index
-        coordinates first, where products of barred generators are sparse,
-        and the accepted rows stay short.  Spans, labels and witnesses do not
-        depend on it: the same labels are offered in the same order and
-        acceptance is span membership.
+        nonzero coordinate and clears pivot columns from left to right, so
+        it works from the high-weight, high-upper-index coordinates, where
+        products of barred generators are sparse: a reduction brings in few
+        new pivot columns, and the rows it stores, which are never
+        rewritten, stay short.  Spans, labels and witnesses do not depend on
+        it: the same labels are offered in the same order and acceptance is
+        span membership.
         """
         if not gens:
             return []

@@ -8,6 +8,7 @@ import pytest
 from tcbounds.algebra import (
     AlgebraElement,
     Presentation,
+    _two_letter_patterns,
     poincare_table,
     rank_polynomial,
     stability_check,
@@ -109,6 +110,83 @@ def test_shuffled_rewriting_agrees(parity):
         expected = straighten_word(word, parity)
         for _ in range(25):
             assert straighten_word_shuffled(word, parity, rng) == expected
+
+
+# -- relabelling: the two-letter patterns of the decone check -----------------
+
+def relabelled(word):
+    """(pattern, back): the word with its indices mapped in order onto 1..k, and the inverse map."""
+    indices = sorted({i for letter in word for i in letter})
+    to = {i: r for r, i in enumerate(indices, 1)}
+    back = dict(enumerate(indices, 1))
+    return tuple((to[i], to[j]) for i, j in word), back
+
+
+def two_letter_words(n):
+    gens = Presentation(n, 2).generators() if n >= 2 else []
+    return [(g, h) for g in gens for h in gens]
+
+
+def decone_scan(words, parity, modulus):
+    """d NF(w) = d w for every word w given, over Z (modulus 0) or mod 2.
+
+    On `two_letter_words(n)`, all C(n, 2)^2 of them, this is the oracle for
+    `Presentation.decone_splits`.
+    """
+    sign = -1 if parity else 1
+    for g, h in words:
+        diff = {h: -1}
+        diff[g] = diff.get(g, 0) - sign
+        for (a, b), c in straighten_word((g, h), parity).items():
+            diff[b] = diff.get(b, 0) + c
+            diff[a] = diff.get(a, 0) + sign * c
+        if any(c % modulus if modulus else c for c in diff.values()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("parity", [0, 1])
+def test_straightening_commutes_with_order_preserving_relabelling(parity):
+    # NF(phi w) = phi NF(w): every two-letter word at n <= 8, and a seeded
+    # sample of words of up to four letters at n <= 6, is its pattern's
+    # normal form relabelled
+    rng = random.Random(40 + parity)
+    gens6 = Presentation(6, 2).generators()
+    words = two_letter_words(8) + [
+        tuple(rng.choice(gens6) for _ in range(rng.randint(1, 4))) for _ in range(400)]
+    for word in words:
+        pattern, back = relabelled(word)
+        expected = {tuple((back[i], back[j]) for i, j in w): c
+                    for w, c in straighten_word(pattern, parity).items()}
+        assert straighten_word(word, parity) == expected, word
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_two_letter_patterns_are_one_per_relabelling_class(n):
+    patterns = _two_letter_patterns(n)
+    assert len(patterns) == len(set(patterns)) == {1: 0, 2: 1, 3: 7}.get(n, 13)
+    assert {relabelled(w)[0] for w in two_letter_words(n)} == set(patterns)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_decone_check_equals_the_full_scan(n):
+    # the oracle straightens every two-letter word; the patterns give the
+    # same answer over Z and mod 2 in both parities, and `decone_splits`
+    # is the scan over Z for even m and mod 2 for odd m
+    for parity in (0, 1):
+        for modulus in (0, 2):
+            assert (decone_scan(_two_letter_patterns(n), parity, modulus)
+                    == decone_scan(two_letter_words(n), parity, modulus)), (parity, modulus)
+    for m in (2, 3, 4, 5):
+        pres = Presentation(n, m)
+        modulus = 0 if pres.parity else 2
+        assert pres.decone_splits() is decone_scan(two_letter_words(n), pres.parity, modulus)
+
+
+def test_decone_check_straightens_thirteen_words_at_any_n(straightened_words):
+    for m in (2, 3):
+        assert Presentation(40, m).decone_splits()
+    assert len(straightened_words) == 2 * 13
 
 
 # -- multiplication ----------------------------------------------------------

@@ -171,7 +171,8 @@ def test_report_mod3_sphere_pinches():
     assert not r.warnings
 
 
-def test_report_n6_certifies_past_the_default_cap():
+def test_report_n6_certifies_past_the_default_cap(unlisted_basis):
+    # the report never falls back to the n = 6 span, which would take minutes
     r = assemble_report(3, 6)
     assert (r.lower, r.upper, r.closed_form, r.pinched) == (11, 11, 11, True)
 

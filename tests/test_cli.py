@@ -13,7 +13,7 @@ import pytest
 import tcbounds.bounds
 import tcbounds.cli
 import tcbounds.selftest
-from tcbounds.algebra import Presentation
+from tcbounds.algebra import Presentation, _two_letter_patterns
 from tcbounds.cli import (
     EXIT_CAP,
     EXIT_CONTRADICTION,
@@ -702,9 +702,9 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
                                                                      unlisted_basis,
                                                                      straightened_words,
                                                                      n, field, squares):
-    # the even-m witness has length 2n - 3, and the decone scan closes the top
-    # weight by straightening each two-letter word once per ring, however many
-    # squares ask for it (over Z_3 the field's and the rational one); the
+    # the even-m witness has length 2n - 3, and the decone check closes the top
+    # weight by straightening the 13 two-letter patterns once per ring, however
+    # many squares ask for it (over Z_3 the field's and the rational one); the
     # witness is multiplied out in words, its products shared by both squares
     asking, scanned = [], []
     splits, straighten = TensorSquare._decone_splits, Presentation.straighten
@@ -725,11 +725,10 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
     assert code == EXIT_PINCHED
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 2
     assert len({id(sq) for sq in asking}) == squares
-    gens = Presentation(n, 4).generators()
-    assert sorted(scanned) == sorted((g, h) for g in gens for h in gens)
+    assert len(scanned) == 13 and sorted(scanned) == sorted(_two_letter_patterns(n))
     # with the witness's products, read off this code at n = 7 and 8; no
     # product by the unit is straightened
-    assert len(straightened_words) == {7: 756, 8: 1515}[n]
+    assert len(straightened_words) == {7: 328, 8: 744}[n]
 
 
 @pytest.mark.parametrize("field", ["q", "zp:2", "zp:3"])

@@ -209,11 +209,43 @@ def test_echelon_matches_reference_gauss_jordan(field):
                 assert row[piv] == 1 and all(0 < v < field.characteristic for v in row.values())
             else:
                 assert row[piv] > 0 and math.gcd(*row.values()) == 1
-        # integer_rows: the stored rows in pivot order, each a multiple of its RREF row
+        # integer_rows: the stored rows in pivot order, leading at the pivots;
+        # as many rows as the RREF, each in its span, so they span it
         rows = eb.integer_rows()
         assert [min(row) for row in rows] == eb.pivots()
-        if field.characteristic:
-            assert rows == eb.vectors()
-        else:
-            assert [{c: Fraction(v, row[min(row)]) for c, v in row.items()}
-                    for row in rows] == eb.vectors()
+        assert len(rows) == len(ref)
+        for row in rows:
+            assert not any(reference_residual(field, ref_rows, row, width))
+
+
+# -- the forward echelon --------------------------------------------------------
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_fill_in_pivot_columns_are_cleared(field):
+    # the row of pivot 0 is not back-substituted, so it keeps column 2, which
+    # became a pivot after it: clearing column 0 of v brings column 2 in, and
+    # reduce must clear that column too
+    eb = EchelonBasis(field, 4)
+    eb.insert({0: 1, 2: 1})
+    eb.insert({2: 1, 3: 1})
+    assert eb.integer_rows() == [{0: 1, 2: 1}, {2: 1, 3: 1}]
+    vec = {0: 1, 1: 1}
+    got = eb.reduce(vec)
+    residual = reference_residual(field, list(zip(eb.pivots(), eb.dense())), vec, 4)
+    assert got == {c: x for c, x in enumerate(residual) if x} == {1: 1, 3: 1}
+    assert eb.insert(vec) and eb.pivots() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)
+def test_insert_never_rewrites_a_stored_row(field):
+    # a new pivot is not cleared from the rows already stored
+    rng = random.Random(17)
+    eb = EchelonBasis(field, 8)
+    eb.insert({0: 1, 1: 1})
+    eb.insert({1: 1})
+    assert eb.integer_rows()[0] == {0: 1, 1: 1}
+    for _ in range(30):
+        stored = {piv: (row, dict(row)) for piv, row in eb._rows.items()}
+        eb.insert({c: random_entry(rng, field) for c in range(8) if rng.random() < 0.4})
+        for piv, (row, copy) in stored.items():
+            assert eb._rows[piv] is row and row == copy
