@@ -17,26 +17,17 @@ applies the same local rules in an arbitrary order and is kept as an
 independent confluence oracle.
 
 `straighten_word` is also the definition of the product of basis words:
-u * v is the normal form of the word u + v.  `Presentation.product(u, v)`
-is that definition, memoized, for callers that hold elements as words; it
-never lists the n! basis words.  The ring has one coordinate system, the
-indices of `full_basis()`.  The operators R_g of `right_operators` are the
-products by one generator g, each row filled on its first read
-(`right_operator_row`) from rows of the word's prefix by the Arnold relation
-on its last letter, with no word rewritten, so the bar span fills only the
-rows it meets.  The product rows of `row` fold R_g one generator at a time,
-u * (v' g) = (u * v') * g, over precomputed parent and last-generator index
-arrays, so no word is hashed; row(iu)[1 + g] is R_g's row iu.  Only R_g is
-kept: a product row is built on each call.  Structure-constant documents
-store the rows as they are; a document is its file text, built once with its
-checksum and written row by row as text straight from the rows, and
-`structure_document` is that text parsed back.  A document is an export and
-an independent check, never a source: loading one installs nothing, and
-checks it against the definition itself, so neither the recursion nor the
-fold is ever its own oracle.  A load checks the checksum on the file's
-bytes, so bytes that are not canonical but hash to their own checksum load
-too, re-encodes only bytes that do not, and keeps the products of its
-sampled pairs alone.
+u * v is the normal form of the word u + v, which `Presentation.product`
+memoizes without listing the n! basis words.  `Presentation.witness_terms`
+reads the coefficients of the paper's witnesses off a few normal forms.  The
+ring has one coordinate system, the indices of `full_basis()`: the operators
+R_g of `right_operators`, each row filled on its first read from the Arnold
+relation (`right_operator_row`), and the product rows of `row`, their fold.
+Structure-constant documents store those rows as file text with a checksum.
+A document is an export and an independent check, never a source: a load
+installs nothing and checks it against the definition itself
+(`load_structure_document`), so neither the recursion nor the fold is ever
+its own oracle.
 
 Elements are sparse linear combinations over a field.  `SparseElement` holds
 the linear structure that ring and tensor elements share: sums, scaling,
@@ -219,7 +210,9 @@ class Presentation:
         self._coords = None  # built once, by _coordinates
         self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # by product, in words
         self._right_ops = None  # the R_g lists, made once by right_operators
+        self._patterns = None  # by _pattern_forms
         self._decone = None  # by decone_splits
+        self._witness = None  # by witness_terms: the pair, or () where a fact failed
 
     def __repr__(self):
         return f"Presentation(n={self.n}, m={self.m})"
@@ -266,9 +259,9 @@ class Presentation:
 
         The check: d NF(w) = d w for every two-letter word w, NF the normal
         form of `straighten`, d(ab) = b + (-1)^parity a as for the free
-        derivation d(uv) = du v + (-1)^{parity |u|} u dv.  It straightens
-        only the words of `_two_letter_patterns(n)`: 13 for n >= 4, 7 at
-        n = 3 and 1 at n = 2.  Run once per ring.
+        derivation d(uv) = du v + (-1)^{parity |u|} u dv.  It reads only the
+        normal forms of `_two_letter_patterns(n)` (`_pattern_forms`): 13 for
+        n >= 4, 7 at n = 3 and 1 at n = 2.  Run once per ring.
 
         Proof (a).  d is defined on the ring exactly when it maps the relation
         ideal I into itself.  The rules of `straighten_word` rewrite adjacent
@@ -292,17 +285,66 @@ class Presentation:
         if self._decone is None:
             sign, modulus = (-1, 0) if self.parity else (1, 2)
 
-            def closes(g, h) -> bool:
+            def closes(g, h, form) -> bool:
                 # d NF(gh) - d(gh), with d(ab) = b + sign a
                 diff = {h: -1}
                 diff[g] = diff.get(g, 0) - sign
-                for (a, b), c in self.straighten((g, h)).items():
+                for (a, b), c in form.items():
                     diff[b] = diff.get(b, 0) + c
                     diff[a] = diff.get(a, 0) + sign * c
                 return not any(c % modulus if modulus else c for c in diff.values())
 
-            self._decone = all(closes(g, h) for g, h in _two_letter_patterns(self.n))
+            self._decone = all(closes(g, h, form) for (g, h), form in self._pattern_forms().items())
         return self._decone
+
+    def _pattern_forms(self) -> Dict[Tuple[Edge, Edge], Dict[Word, int]]:
+        """NF of each word of `_two_letter_patterns(n)`, straightened once per ring."""
+        if self._patterns is None:
+            self._patterns = {w: self.straighten(w) for w in _two_letter_patterns(self.n)}
+        return self._patterns
+
+    def witness_terms(self) -> Optional[Tuple[int, int]]:
+        """The integer coefficients (a, b) of the paper's two witnesses, or None if a fact fails.
+
+        With E = e_12 e_13 ... e_1n and F = e_23 ... e_2n, a is the coefficient
+        of E (x) E in the product of bar(e_1j)^2, j = 2..n, and b that of
+        E (x) F in bar(e_12) times bar(e_1j) bar(e_2j), j = 3..n, in that order,
+        over Z: a = (-2)^(n-1) for odd m and 0 for even m, b =
+        (-1)^(n + parity (n-2)(n-3)/2), and a = b = 1 at n = 1 (empty words).
+        The facts, checked on normal forms: (1) two letters with different
+        upper indices swap with the Koszul sign only; (2) every term of
+        NF(e_1j e_2j) holds e_12; (3) NF(e_1j e_1j) = 0; (4) NF(E) = E and
+        NF(F) = F.  (1)-(3) are about two-letter words, so by the relabelling
+        lemma of `decone_splits` the patterns suffice (`_pattern_forms`).
+
+        Proof.  H is associative and (u (x) v)(u' (x) v') = (-1)^{|v||u'|}
+        uu' (x) vv', so a product of the terms g (x) 1 and -(1 (x) g) of the
+        bar(g) is +-NF(left word) (x) NF(right word), the sign set by degrees.
+        a: bar(g)^2 = g^2 (x) 1 - (1 + (-1)^{|g||g|}) g (x) g + 1 (x) g^2 is
+        -2 g (x) g for odd m and 0 for even m, by (3); the -2 e_1j (x) e_1j
+        multiply with no sign to (-2)^(n-1) E (x) E, by (4).  b: a term that
+        reaches E (x) F has n - 1 letters on the left.  With e_12 on the right,
+        every term of the right normal form holds it (the one letter of upper
+        index 2: no rule removes it from a surviving term), so none is F.  With
+        e_12 on the left and both e_1j and e_2j, adjacent, the left vanishes
+        by (1)-(3).  Otherwise its letters have distinct upper indices, so
+        by (1) its normal form is +- the sorted word, admissible, which is E
+        only if every letter is some e_1j, and then the right word is F.  That
+        term has each e_2j on the right, a factor -1, and each e_1j passing the
+        j - 3 letters on the right, (-1)^(parity (j-3)); with (4) it is b.
+        """
+        if self._witness is None:
+            n, forms, koszul = self.n, self._pattern_forms(), -1 if self.parity else 1
+            e, f = tuple((1, j) for j in range(2, n + 1)), tuple((2, j) for j in range(3, n + 1))
+            facts = [self.straighten(e) == {e: 1}, self.straighten(f) == {f: 1},
+                     not forms.get(((1, 2), (1, 2))),
+                     all((1, 2) in w for w in forms.get(((1, 3), (2, 3)), ()))]
+            facts += [form == ({(g, h): 1} if g[1] < h[1] else {(h, g): koszul})
+                      for (g, h), form in forms.items() if g[1] != h[1]]
+            a = (-2) ** (n - 1) if not self.parity or n == 1 else 0
+            b = (-1) ** (n + self.parity * (n - 2) * (n - 3) // 2) if n > 1 else 1
+            self._witness = (a, b) if all(facts) else ()
+        return self._witness or None
 
     def _coordinates(self) -> "_Coordinates":
         """Index data of the full basis, built once (see `_Coordinates`)."""

@@ -5,10 +5,12 @@ TC conventions are unreduced throughout: TC(point) = 1, TC(circle) = 2.
 Lower bounds come from zero-divisor cup-lengths (a nonzero product of k
 zero-divisors forces TC > k).  The zero-divisor ideal is generated by the
 barred generators, so the cup-length is the bar-span length of
-`TensorSquare`, certified as in the paper: the witness product survives in
-the field, and below the top weight the ring splits at the decone, which
-kills every product of 2n - 2 barred generators (`bar_span_length_certified`,
-with the bar span as fallback).  Upper bounds come from four sources:
+`TensorSquare`, certified as in the paper (`zero_divisor_cuplength`): the
+witness product survives in the field, by its closed-form integer
+coefficient, and below the top weight the ring splits at the decone, which
+kills every product of 2n - 2 barred generators.  Where a checked fact fails,
+the witness is multiplied out, and else the bar span decides.  Upper bounds
+come from four sources:
 
 * dimension: TC <= 2*dim + 1 for a complex of dimension dim;
 * connectivity: for an (s-1)-connected complex, TC < (2*dim + 1)/s + 1,
@@ -216,24 +218,49 @@ class BoundsReport:
         return lines
 
 
+def zero_divisor_cuplength(pres: Presentation, field) -> int:
+    """The zero-divisor cup-length of the ring over field, from its witness coefficients.
+
+    `Presentation.witness_terms` gives the integer coefficients of the
+    paper's two witnesses at a basis pair: a for the one of length 2n - 2,
+    the top weight, and b for the one of length 2n - 3.  A witness whose
+    coefficient is nonzero in the field bounds the length from below.  At
+    the top weight that closes it.  a = (-2)^(n-1) or 0 vanishes in the
+    field only for even m or in characteristic 2, where the decone check
+    applies (`TensorSquare._decone_splits`): then it kills every product of
+    2n - 2 barred generators, which closes the length one below.  No tensor
+    element is formed.  Where a fact of `witness_terms` or the decone check
+    fails, `TensorSquare.bar_span_length_certified` decides: it multiplies
+    the witness out, and else builds the span.
+    """
+    terms = pres.witness_terms()
+    if terms is not None:
+        a, b = map(field.coerce, terms)
+        if a:
+            return 2 * pres.top_weight
+        if b and pres.decone_splits():
+            return 2 * pres.top_weight - 1
+    return TensorSquare(pres, field).bar_span_length_certified()
+
+
 def certify_ring(m: int, n: int, field=QQ) -> Tuple[int, int]:
     """The ring work of a report: (zero-divisor cup-length over field, bar-span length over Q).
 
-    The cup-length is the certified bar-span length over the requested field
-    (the zero-divisor lemma makes the two lengths equal).  The second length
-    is the one the sharpness bound consumes: the ring and its tensor square
-    are free Z-modules, so rational nonvanishing of a bar product is the same
-    as integral nonvanishing, which is what the sharpness criterion needs.
-    Over Q one length serves both; otherwise both squares share one
-    presentation, so they share its memoized products and its decone check.
+    The cup-length is the bar-span length over the requested field (the
+    zero-divisor lemma makes the two lengths equal).  The second length is
+    the one the sharpness bound consumes: the ring and its tensor square
+    are free Z-modules, so rational nonvanishing of a bar product is the
+    same as integral nonvanishing, which is what the sharpness criterion
+    needs.  Both come from one presentation, so they share its witness
+    coefficients and its decone check.
 
     The ring H*(F(R^m, n)) reads m only through its parity, so every m of
     one parity gives the same pair: `grid` certifies each (n, m mod 2) once.
     Raises ValueError for a configuration the ring does not model.
     """
     pres = Presentation(n, m)
-    zcl = TensorSquare(pres, field).bar_span_length_certified()
-    bar_len = zcl if field == QQ else TensorSquare(pres, QQ).bar_span_length_certified()
+    zcl = zero_divisor_cuplength(pres, field)
+    bar_len = zcl if field == QQ else zero_divisor_cuplength(pres, QQ)
     return zcl, bar_len
 
 

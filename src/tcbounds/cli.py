@@ -34,6 +34,7 @@ from .bounds import (
     certify_ring,
     closed_form_tc,
     report_from_ring,
+    zero_divisor_cuplength,
 )
 from .coeffs import parse_field
 from .tensor import TensorSquare
@@ -98,14 +99,6 @@ def _not_computed(m: int, n: int, field, over: str) -> BoundsReport:
                         field_used=field.describe(), warnings=[f"not computed: {over}"])
 
 
-def _report(m: int, n: int, field, max_n: int) -> BoundsReport:
-    """The report for (m, n), with no bounds when n is past max_n."""
-    over = _over_cap(m, n, max_n)
-    if over is None:
-        return assemble_report(m, n, field=field)
-    return _not_computed(m, n, field, over)
-
-
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
     if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -119,9 +112,10 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    field = parse_field(args.field)
+    m, n, field = args.m, args.n, parse_field(args.field)
+    over = _over_cap(m, n, args.max_n)
     try:
-        report = _report(args.m, args.n, field, args.max_n)
+        report = _not_computed(m, n, field, over) if over else assemble_report(m, n, field=field)
     except ClosedFormContradiction as exc:
         print(f"CONTRADICTION: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
@@ -259,50 +253,39 @@ def cmd_multiply(args) -> int:
     return 0
 
 
-def _tensor_square(args) -> Optional[TensorSquare]:
-    """The tensor square for --n/--m/--field, or None (reported) past --max-n."""
+def _ring(args):
+    """(presentation, field) for --n/--m/--field, or None (reported) past --max-n."""
     field = parse_field(args.field)
     over = _over_cap(args.m, args.n, args.max_n)
     if over is not None:
         print(f"error: not computed: {over}", file=sys.stderr)
         return None
-    return TensorSquare(Presentation(args.n, args.m), field)
+    return Presentation(args.n, args.m), field
 
 
 def cmd_zcl(args) -> int:
-    square = _tensor_square(args)
-    if square is None:
+    ring = _ring(args)
+    if ring is None:
         return EXIT_CAP
+    pres, field = ring
     # the zero-divisor lemma: the cup-length is the bar-span length
-    zcl = square.bar_span_length_certified()
-    payload = {
-        "n": args.n,
-        "m": args.m,
-        "field": square.field.describe(),
-        "zero_divisor_cuplength": zcl,
-        "tc_lower_bound": zcl + 1,
-    }
-    _emit(args, payload, [
-        f"zero_divisor_cuplength = {zcl}",
-        f"TC >= {zcl + 1}",
-    ])
+    zcl = zero_divisor_cuplength(pres, field)
+    payload = {"n": args.n, "m": args.m, "field": field.describe(),
+               "zero_divisor_cuplength": zcl, "tc_lower_bound": zcl + 1}
+    _emit(args, payload, [f"zero_divisor_cuplength = {zcl}", f"TC >= {zcl + 1}"])
     return 0
 
 
 def cmd_barspan(args) -> int:
-    square = _tensor_square(args)
-    if square is None:
+    ring = _ring(args)
+    if ring is None:
         return EXIT_CAP
+    square = TensorSquare(*ring)
     dims = square.bar_span_profile()
     witness = square.bar_span_witness()
-    payload = {
-        "n": args.n,
-        "m": args.m,
-        "field": square.field.describe(),
-        "bar_span_length": len(dims),
-        "span_dims": dims,
-        "witness": [list(e) for e in witness],
-    }
+    payload = {"n": args.n, "m": args.m, "field": square.field.describe(),
+               "bar_span_length": len(dims), "span_dims": dims,
+               "witness": [list(e) for e in witness]}
     _emit(args, payload, [
         f"bar_span_length = {len(dims)}",
         f"span dimensions by power: {dims}",
@@ -370,84 +353,65 @@ def cmd_export_algebra(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, func, options): each option is (flag, add_argument keywords)
+_M_N = (("--m", {"type": int, "required": True}), ("--n", {"type": int, "required": True}))
+_OUTPUT = (("--output", {"choices": ("text", "json"), "default": "text"}),)
+_FIELD = (("--field", {"default": "q", "help": "coefficients: q (default) or zp:P for a prime P"}),)
+_RING = _M_N + _OUTPUT + _FIELD + (("--max-n", {"type": int, "default": 5}),)
+COMMANDS = {
+    "report": ("certify TC(F(R^m, n))", cmd_report, _RING),
+    "grid": ("certify a rectangle of (m, n) values", cmd_grid, (
+        ("--m", {"required": True, "help": "value or range (e.g. 2..5)"}),
+        ("--n", {"required": True, "help": "value or range (e.g. 2..3)"}),
+        ("--jobs", {"type": _positive_int, "default": 1,
+                    "help": "worker processes, at most one per ring (default 1)"}),
+    ) + _RING[2:]),
+    "basis": ("list admissible monomials with k factors", cmd_basis,
+              _M_N + (("--k", {"type": int, "required": True}),) + _OUTPUT),
+    "multiply": ("multiply generator words into normal form", cmd_multiply, _M_N + (
+        ("words", {"nargs": "+", "metavar": "WORD", "help": "e.g. 'e12*e13' or 'e_1_2'"}),
+    ) + _OUTPUT + _FIELD),
+    "zcl": ("zero-divisor cup-length", cmd_zcl, _RING),
+    "barspan": ("longest nonzero product of barred generators", cmd_barspan, _RING),
+    "selftest": ("run the invariant fuzz suites", cmd_selftest, (
+        ("--seed", {"type": int, "default": 0}),
+        ("--samples", {"type": _positive_int, "default": 200}),
+        ("--shuffles", {"type": _positive_int, "default": 100}),
+        ("--cache", {"default": None,
+                     "help": "also fully re-verify this structure-constant document"}),
+    ) + _OUTPUT),
+    "export-algebra": ("write the structure-constant document", cmd_export_algebra, _M_N + (
+        ("--out", {"default": None,
+                   "help": "output path (default: $TC_CACHE_DIR/structure_n{n}_m{m}.json)"}),
+    ) + _OUTPUT),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of every command in `COMMANDS`, or of `command` alone, with one usage line.
+
+    The one-command tree names every command in its metavar; the full tree
+    leaves it unset, so its errors name the argument `command`.
+    """
     parser = argparse.ArgumentParser(
         prog="tcbounds",
         description="Certified TC bounds for configuration spaces of points in R^m.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, field=True, caps=True):
-        p.add_argument("--output", choices=("text", "json"), default="text")
-        if field:
-            p.add_argument("--field", default="q",
-                           help="coefficients: q (default) or zp:P for a prime P")
-        if caps:
-            p.add_argument("--max-n", type=int, default=5)
-
-    p = sub.add_parser("report", help="certify TC(F(R^m, n))")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("grid", help="certify a rectangle of (m, n) values")
-    p.add_argument("--m", required=True, help="value or range (e.g. 2..5)")
-    p.add_argument("--n", required=True, help="value or range (e.g. 2..3)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes, at most one per ring (default 1)")
-    add_common(p)
-    p.set_defaults(func=cmd_grid)
-
-    p = sub.add_parser("basis", help="list admissible monomials with k factors")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    add_common(p, field=False, caps=False)
-    p.set_defaults(func=cmd_basis)
-
-    p = sub.add_parser("multiply", help="multiply generator words into normal form")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("words", nargs="+", metavar="WORD",
-                   help="e.g. 'e12*e13' or 'e_1_2'")
-    add_common(p, caps=False)
-    p.set_defaults(func=cmd_multiply)
-
-    p = sub.add_parser("zcl", help="zero-divisor cup-length")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_zcl)
-
-    p = sub.add_parser("barspan", help="longest nonzero product of barred generators")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_barspan)
-
-    p = sub.add_parser("selftest", help="run the invariant fuzz suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=_positive_int, default=200)
-    p.add_argument("--shuffles", type=_positive_int, default=100)
-    p.add_argument("--cache", default=None,
-                   help="also fully re-verify this structure-constant document")
-    add_common(p, field=False, caps=False)
-    p.set_defaults(func=cmd_selftest)
-
-    p = sub.add_parser("export-algebra", help="write the structure-constant document")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", default=None,
-                   help="output path (default: $TC_CACHE_DIR/structure_n{n}_m{m}.json)")
-    add_common(p, field=False, caps=False)
-    p.set_defaults(func=cmd_export_algebra)
-
+    every = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in COMMANDS if command is None else [command]:
+        help_text, func, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a run parses one command: build only its parser, unless argv names none
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -21,6 +21,7 @@ from .algebra import (
     straighten_word_shuffled,
     verify_structure_document,
 )
+from .bounds import zero_divisor_cuplength
 from .coeffs import QQ, PrimeField
 from .tensor import TensorElement, TensorSquare, bar, diagonal_restriction, koszul_swap
 
@@ -238,8 +239,9 @@ def suite_span_consistency() -> SuiteResult:
     """bar-span length equals the zero-divisor cup-length of the full ideal iteration.
 
     The zero-divisor lemma (the ideal is generated by the barred generators)
-    makes them equal.  Reports read the cup-length off the certified route,
-    which must give the span's length over Q, Z_2 and Z_3.
+    makes them equal.  Reports read the cup-length off the witness
+    coefficients (`zero_divisor_cuplength`), which must give the span's
+    length over Q, Z_2 and Z_3.
     """
     res = SuiteResult("span consistency")
     for n, m in ((2, 3), (2, 4), (3, 2), (3, 3)):
@@ -249,9 +251,9 @@ def suite_span_consistency() -> SuiteResult:
         if square.bar_span_length() != len(square.zero_divisor_power_profile()):
             res.failures.append(f"n={n} m={m}")
         for route_field in (QQ, PrimeField(2), PrimeField(3)):
-            square = TensorSquare(pres, route_field)
             res.cases += 1
-            if square.bar_span_length_certified() != square.bar_span_length():
+            span = TensorSquare(pres, route_field).bar_span_length()
+            if zero_divisor_cuplength(pres, route_field) != span:
                 res.failures.append(f"n={n} m={m} route over {route_field.describe()}")
     return res
 

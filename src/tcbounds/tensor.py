@@ -25,7 +25,7 @@ are.
 Every bar(S) in the package is held by its half.  The Koszul swap
 tau(u (x) v) = (-1)^{|u||v|} v (x) u is an algebra automorphism of H (x) H
 with tau(bar g) = -bar g, so tau(bar S) = (-1)^{|S|} bar S: in the flat
-coordinates f = iu * N + iv of `TensorSquare._bar_operators`,
+coordinates f = iu * N + iv (`TensorSquare._bar_operators` keys N^2 - 1 - f),
 
     x[iv * N + iu] = mirror * x[iu * N + iv],  mirror = (-1)^{|S| + |u||v|},
 
@@ -44,12 +44,12 @@ dim V_k = dim W_k + dim W_{k-1} gives its profile.  `barspan` prints that
 profile and, as its witness, e_12 in front of the first label of the last
 level.  Odd m over Q or Z_p (p odd), and n = 1, build the span in full.
 
-Reports do not build the span: `TensorSquare.bar_span_length_certified`
-multiplies out the paper's witness word over Z in words, with no n!-wide index,
-which bounds the length from below.  Its length is the top weight 2n - 2, or
-else 2n - 3 where the ring splits at the decone, which kills every product of
-2n - 2 barred generators and so bounds the length from above.  The span is the
-fallback.
+Reports do not build the span: the paper's witness, nonzero by its closed-form
+coefficient (`Presentation.witness_terms`), bounds the length from below.  Its
+length is the top weight 2n - 2, or else 2n - 3 where the ring splits at the
+decone, which kills every product of 2n - 2 barred generators.  Only where a
+checked fact fails does `TensorSquare.bar_span_length_certified` multiply the
+witness out, in words, with the span as its fallback.
 
 `TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
 ideal Z from the diagonal kernels instead.  It is the reference oracle that
@@ -264,7 +264,7 @@ class TensorSquare:
         Entry k-1 maps weight -> dim of the weight piece of Z^k.  The list
         stops at the last nonzero power, so its length is the zero-divisor
         cup-length.  Only tests and the selftest call this: reports take it
-        from `bar_span_length_certified`.
+        from `bounds.zero_divisor_cuplength`.
         """
         if self.top_weight == 0:
             return []
@@ -292,16 +292,18 @@ class TensorSquare:
     def _bar_operators(self):
         """(one, gens, times_bar): multiplying by bar(g) on halves, over Z.
 
-        u (x) v sits at f = iu * N + iv, with iu and iv the indices of u and v
-        in `Presentation.full_basis()` (N = n!), so one = {0: 1} is 1 (x) 1.
-        gens is the range of generator indices, and times_bar(vec, g) maps the
-        half of bar(S) (its coordinates iu <= iv, module docstring) to the
-        half of bar(S) * bar(g) (see `_times_bar`), with the rows of R_g of
-        `Presentation.right_operators()`, each filled on its first read.
+        u (x) v sits at N^2 - 1 - f, f = iu * N + iv, with iu and iv the indices
+        of u and v in `Presentation.full_basis()` (N = n!), so one =
+        {N^2 - 1: 1} is 1 (x) 1 (see `_times_bar`).  gens is the range of
+        generator indices, and times_bar(vec, g) maps the half of bar(S) (its
+        coordinates iu <= iv, module docstring) to the half of bar(S) * bar(g),
+        with the rows of R_g of `Presentation.right_operators()`, each filled
+        on its first read.
         """
         pres = self.pres
         ops = pres.right_operators()
-        return {0: 1}, range(len(ops)), _times_bar(pres, ops, pres.right_operator_row)
+        one = {len(pres.full_basis()) ** 2 - 1: 1}
+        return one, range(len(ops)), _times_bar(pres, ops, pres.right_operator_row)
 
     def _quotient_operators(self):
         """(one, gens, times_bar, ranks) of the square of H/(x), x = e_12.
@@ -328,7 +330,8 @@ class TensorSquare:
         ranks = [1]
         for r in rank_polynomial(pres.n)[1:-1]:
             ranks.append(r - ranks[-1])
-        return {0: 1}, range(1, len(ops)), _times_bar(pres, rows, quotient_row), ranks
+        one = {len(kept) ** 2 - 1: 1}
+        return one, range(1, len(ops)), _times_bar(pres, rows, quotient_row), ranks
 
     def _decone_splits(self) -> bool:
         """Whether the ring splits at the decone, so the span may be built in H/(e_12).
@@ -369,40 +372,21 @@ class TensorSquare:
         k, and each new label is multiplied out once.
 
         Each bar(S) is its half, the coordinates iu <= iv with the diagonal
-        kept, as `times_bar` returns it: by the swap symmetry of the module
-        docstring that half determines it, so the echelon reduces half rows
-        without changing a rank, and `level` keeps the same half for the
-        next multiplication.  The width stays the dimension of the square's
-        weight-k piece.
-
-        The echelon numbers the flat coordinate f as N^2 - 1 - f, which
-        reverses the basis of H: the top weight first, the lex-last
-        admissible monomial of a weight first.  That order is chosen for
-        fill-in only, and only here.  The echelon pivots on the leftmost
-        nonzero coordinate and clears pivot columns from left to right, so
-        it works from the high-weight, high-upper-index coordinates, where
-        products of barred generators are sparse: a reduction brings in few
-        new pivot columns, and the rows it stores, which are never
-        rewritten, stay short.  Spans, labels and witnesses do not depend on
-        it: the same labels are offered in the same order and acceptance is
-        span membership.
+        kept, in the reversed numbering, as `times_bar` returns it: by the
+        swap symmetry of the module docstring that half determines it, so
+        the echelon reduces half rows without changing a rank, and `level`
+        keeps the same vector for the next multiplication.  The width stays
+        the dimension of the square's weight-k piece.
         """
         if not gens:
             return []
         pres, field = self.pres, self.field
-        n_mons = len(pres.full_basis())
-        last = n_mons * n_mons - 1
         top = 2 * (len(ranks) - 1)
-
-        def rev(vec: Dict[int, int]) -> Dict[int, int]:
-            # the echelon's reversed numbering (see above)
-            return {last - f: c for f, c in vec.items()}
-
         eb = EchelonBasis(field, _square_dim(ranks, 1))
         level: List[Tuple[Label, Dict[int, int]]] = []
         for gi in gens:
             vec = times_bar(one, gi)  # bar(g) = g (x) 1 - 1 (x) g
-            if eb.insert(rev(vec)):
+            if eb.insert(vec):
                 level.append(((gi,), vec))
         levels = [[label for label, _ in level]]
         # bar(g)^2 = 0 when |g| is odd, so such labels never repeat a generator
@@ -420,7 +404,7 @@ class TensorSquare:
                         continue
                     seen.add(new)
                     prod = times_bar(vec, gi)
-                    if prod and eb.insert(rev(prod)):
+                    if prod and eb.insert(prod):
                         nxt.append((new, prod))
                         if eb.is_full():
                             break
@@ -495,12 +479,12 @@ class TensorSquare:
         return any(map(self.field.coerce, x.terms.values()))
 
     def bar_span_length_certified(self) -> int:
-        """The bar-span length from the paper's witness and the decone check, else the span.
+        """The bar-span length from the paper's witness, multiplied out, and the decone check, else the span.
 
-        The witness word, surviving in the field, bounds the length from
-        below.  At the top weight that closes it; one below, so does
-        `_decone_splits`, which puts every product of 2n - 2 barred
-        generators at 0.  Otherwise the span decides.
+        The fallback of `bounds.zero_divisor_cuplength`.  The witness word,
+        surviving in the field, bounds the length from below.  At the top
+        weight that closes it; one below, so does `_decone_splits`.
+        Otherwise the span decides.
         """
         word = self._witness_word()
         top = self.top_weight
@@ -522,9 +506,19 @@ def _times_bar(pres: Presentation, ops, fill):
     fills it.  An entry c at iu < iv also stands for mirror * c at (iv, iu):
     a term w of u * g goes to (iw, iv) with the Koszul sign when iw <= iv,
     and to (iv, iw) with -mirror * c when iw >= iv.
+
+    u (x) v is keyed N^2 - 1 - f, f = iu * N + iv: the basis of H reversed,
+    top weight and lex-last monomial first, for fill-in only.  The echelon of
+    `TensorSquare._span_levels` takes the products as they are, pivots on
+    the leftmost coordinate and clears pivot columns left to right, so it
+    works where products of barred generators are sparse: few new pivot
+    columns per reduction, and short stored rows.  Spans, labels and
+    witnesses do not depend on it: the same labels are offered in the same
+    order, and acceptance is span membership.
     """
     weights = pres._coordinates().weights
     n_mons = len(weights)
+    last = n_mons * n_mons - 1
     # Koszul sign of (u (x) v)(g (x) 1) = (-1)^{|v||g|} ug (x) v
     odd = [bool(pres.parity and w & 1) for w in weights]
     # mirror[len(u)][len(v)]: whether (iv, iu) holds -1 times (iu, iv)
@@ -535,29 +529,29 @@ def _times_bar(pres: Presentation, ops, fill):
         op = ops[g]
         out: Dict[int, int] = {}
         get = out.get
-        for f, c in vec.items():
-            iu, iv = divmod(f, n_mons)
-            base = iu * n_mons
+        for r, c in vec.items():
+            iu, iv = divmod(last - r, n_mons)
+            base = last - iu * n_mons
             row = op[iv]
             if row is None:
                 row = fill(g, iv)
             for iw, k in row:
-                key = base + iw
+                key = base - iw
                 out[key] = get(key, 0) - c * k
             if iu == iv:  # no mirror, and ug (x) u lies below the diagonal
                 continue
             cu = -c if odd[iv] else c
             cm = c if mirror[weights[iu]][weights[iv]] else -c
-            base = iv * n_mons
+            base = last - iv * n_mons
             row = op[iu]
             if row is None:
                 row = fill(g, iu)
             for iw, k in row:
                 if iw <= iv:
-                    key = iw * n_mons + iv
+                    key = last - iw * n_mons - iv
                     out[key] = get(key, 0) + cu * k
                 if iw >= iv:
-                    key = base + iw
+                    key = base - iw
                     out[key] = get(key, 0) + cm * k
         return {f: c for f, c in out.items() if c}
 

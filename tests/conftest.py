@@ -6,7 +6,7 @@ import signal
 import pytest
 
 import tcbounds.algebra as algebra
-from tcbounds.algebra import Presentation
+from tcbounds.algebra import Presentation, _two_letter_patterns
 
 # seconds a test may run before it fails with its stack; above the 120 s
 # timeouts the tests give their own subprocesses
@@ -48,6 +48,21 @@ def straightened_words(monkeypatch):
 
     monkeypatch.setattr(algebra, "straighten_word", counting)
     return words
+
+
+def witness_fact_words(n):
+    """The words `Presentation.witness_terms` straightens at n, in order.
+
+    The two-letter patterns, shared with the decone check, then E = e_12 ... e_1n
+    and F = e_23 ... e_2n.
+    """
+    return [*_two_letter_patterns(n), tuple((1, j) for j in range(2, n + 1)),
+            tuple((2, j) for j in range(3, n + 1))]
+
+
+@pytest.fixture(name="witness_fact_words")
+def witness_fact_words_fixture():
+    return witness_fact_words
 
 
 @pytest.fixture

@@ -2,7 +2,6 @@
 
 import json
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +18,7 @@ from tcbounds.bounds import (
 )
 from tcbounds.cli import EXIT_CAP, main
 from tcbounds.coeffs import QQ, PrimeField
+from tcbounds.tensor import TensorElement
 
 
 # -- closed form ---------------------------------------------------------------
@@ -230,19 +230,18 @@ def test_sharpness_never_exceeds_connectivity():
                 assert sharpness_upper(dim, s, bar_len) <= connectivity_upper(dim, s)
 
 
-def test_report_straightens_only_its_witness_products(unlisted_basis, straightened_words):
-    # over Z_p the report multiplies the witness, each bar(e_1j) squared, over
-    # Z_p and over Q, as tensor elements in words, never in the n! basis
-    # coordinates; both squares share the ring's product memo, so the words
-    # straightened are those of the first square alone, and a product by the
-    # unit is never straightened: each prefix w = e_12...e_1j of two letters
-    # or more once (its last letter times the prefix before it), and each w
-    # with its last letter repeated once below the top weight
+def test_report_straightens_only_its_witness_products(unlisted_basis, straightened_words,
+                                                      witness_fact_words, monkeypatch):
+    # over Z_p the report reads the witness, each bar(e_1j) squared, off its
+    # closed-form coefficient for Z_p and for Q alike: the ring straightens the
+    # 13 two-letter patterns and the words E and F once, checking the facts of
+    # `witness_terms`, and multiplies no tensor out
+    def multiplied(self, other):
+        raise AssertionError("a tensor product was multiplied out")
+
+    monkeypatch.setattr(TensorElement, "_product", multiplied)
     n = 6
     report = assemble_report(3, n, field=PrimeField(3))
     assert report.pinched
-    prefixes = [tuple((1, i) for i in range(2, j + 1)) for j in range(2, n + 1)]
-    expected = Counter(prefixes[1:])
-    expected.update(w + w[-1:] for w in prefixes[:-1])
-    assert Counter(straightened_words) == expected
-    assert len(straightened_words) == len(expected) == 2 * (n - 2) == 8
+    assert straightened_words == witness_fact_words(n)
+    assert len(straightened_words) == 15

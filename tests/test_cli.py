@@ -24,7 +24,7 @@ from tcbounds.cli import (
     main,
     parse_generator_word,
 )
-from tcbounds.tensor import TensorSquare
+from tcbounds.tensor import TensorElement
 
 
 def run(capsys, *argv):
@@ -252,13 +252,13 @@ def test_grid_bad_cells_fail_before_any_work(capsys, monkeypatch, pool_workers):
 ])
 def test_grid_certifies_each_ring_once(capsys, monkeypatch, m, n, field, cells, certified):
     calls = []
-    certify = TensorSquare.bar_span_length_certified
+    cuplength = tcbounds.bounds.zero_divisor_cuplength
 
-    def counting(self):
-        calls.append((self.pres.n, self.pres.parity, self.field.describe()))
-        return certify(self)
+    def counting(pres, field):
+        calls.append((pres.n, pres.parity, field.describe()))
+        return cuplength(pres, field)
 
-    monkeypatch.setattr(TensorSquare, "bar_span_length_certified", counting)
+    monkeypatch.setattr(tcbounds.bounds, "zero_divisor_cuplength", counting)
     code, out, _ = run(capsys, "grid", "--m", m, "--n", n, "--field", field)
     assert code == EXIT_PINCHED
     assert out.splitlines()[-1] == f"pinched {cells}/{cells}"
@@ -682,18 +682,19 @@ def test_out_of_memory_is_not_computed(tmp_path, argv):
 @pytest.mark.parametrize("field", ["q", "zp:3"])
 @pytest.mark.parametrize("n", [7, 8])
 def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, unlisted_basis,
-                                                                straightened_words, n, field):
-    # the odd-m witness, each bar(e_1j) squared, is multiplied out in words:
-    # 2(n - 2) straightenings of as many words, shared by both squares over
-    # Z_3, none of them a product by the unit, and never the n! basis words:
-    # a report costs what its witness needs
+                                                                straightened_words,
+                                                                witness_fact_words, n, field):
+    # the odd-m witness, each bar(e_1j) squared, is read off its closed-form
+    # coefficient (-2)^(n-1): the ring checks the facts of `witness_terms`
+    # once for Z_3 and Q alike, 15 straightenings at any n, never of the n!
+    # basis words: a report costs what its witness facts need
     code, out, _ = run(capsys, "report", "--n", str(n), "--m", "3", "--max-n", "8",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
     assert code == EXIT_PINCHED
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 1
-    assert len(straightened_words) == {7: 10, 8: 12}[n]
-    assert len(set(straightened_words)) == {7: 10, 8: 12}[n]
+    assert straightened_words == witness_fact_words(n)
+    assert len(set(straightened_words)) == 15
 
 
 @pytest.mark.parametrize("field,squares", [("q", 1), ("zp:3", 2)])
@@ -701,13 +702,15 @@ def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, unlisted
 def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, monkeypatch,
                                                                      unlisted_basis,
                                                                      straightened_words,
+                                                                     witness_fact_words,
                                                                      n, field, squares):
     # the even-m witness has length 2n - 3, and the decone check closes the top
     # weight by straightening the 13 two-letter patterns once per ring, however
-    # many squares ask for it (over Z_3 the field's and the rational one); the
-    # witness is multiplied out in words, its products shared by both squares
+    # many fields ask for it (over Z_3 the field's and the rational one); the
+    # witness facts share those words and add only E and F, the witness's own
+    # basis pair, so no tensor is multiplied out
     asking, scanned = [], []
-    splits, straighten = TensorSquare._decone_splits, Presentation.straighten
+    splits, straighten = Presentation.decone_splits, Presentation.straighten
 
     def spy(self):
         asking.append(self)
@@ -717,25 +720,28 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
         scanned.append(tuple(word))
         return straighten(self, word)
 
-    monkeypatch.setattr(TensorSquare, "_decone_splits", spy)
+    monkeypatch.setattr(Presentation, "decone_splits", spy)
     monkeypatch.setattr(Presentation, "straighten", scan)
     code, out, _ = run(capsys, "report", "--n", str(n), "--m", "4", "--max-n", "8",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
     assert code == EXIT_PINCHED
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 2
-    assert len({id(sq) for sq in asking}) == squares
-    assert len(scanned) == 13 and sorted(scanned) == sorted(_two_letter_patterns(n))
-    # with the witness's products, read off this code at n = 7 and 8; no
-    # product by the unit is straightened
-    assert len(straightened_words) == {7: 328, 8: 744}[n]
+    assert len(asking) == squares and len({id(pres) for pres in asking}) == 1
+    assert scanned == straightened_words == witness_fact_words(n)
+    assert sorted(scanned[:13]) == sorted(_two_letter_patterns(n))
 
 
 @pytest.mark.parametrize("field", ["q", "zp:2", "zp:3"])
-def test_reports_never_list_the_basis_or_read_r_g(capsys, unlisted_basis, field):
-    # report, zcl and grid multiply the witness in words and close the top
-    # weight by the decone scan, so at n = 9 none lists the 9! basis words or
-    # reads an R_g row; odd m over Z_2 stays unpinched, as documented
+def test_reports_never_list_the_basis_or_read_r_g(capsys, monkeypatch, unlisted_basis, field):
+    # report, zcl and grid read the witness off its closed-form coefficient and
+    # close the top weight by the decone scan, so at n = 9 none lists the 9!
+    # basis words, reads an R_g row or multiplies a tensor out; odd m over Z_2
+    # stays unpinched, as documented
+    def multiplied(self, other):
+        raise AssertionError("a tensor product was multiplied out")
+
+    monkeypatch.setattr(TensorElement, "_product", multiplied)
     for m in (2, 3, 4, 5):
         code, out, _ = run(capsys, "report", "--n", "9", "--m", str(m), "--max-n", "9",
                            "--field", field, "--output", "json")

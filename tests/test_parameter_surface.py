@@ -13,6 +13,7 @@ from tcbounds.tensor import TensorSquare
 PARAMETERS = {
     "assemble_report": ["m", "n", "field"],
     "certify_ring": ["m", "n", "field"],
+    "zero_divisor_cuplength": ["pres", "field"],
     "TensorSquare.bar_span_profile": ["self"],
     "TensorSquare.zero_divisor_power_profile": ["self"],
     "TensorSquare.bar_span_length_certified": ["self"],
@@ -21,6 +22,7 @@ PARAMETERS = {
     "Presentation.product": ["self", "u", "v"],
     "Presentation.right_operator_row": ["self", "g", "iu"],
     "Presentation.decone_splits": ["self"],
+    "Presentation.witness_terms": ["self"],
     "AlgebraElement.from_word": ["pres", "field", "word"],
     "run_all": ["seed", "samples", "shuffles"],
     "suite_associativity": ["samples", "seed"],
@@ -44,6 +46,7 @@ def test_parameter_surface_is_pinned():
     functions = [
         bounds.assemble_report,
         bounds.certify_ring,
+        bounds.zero_divisor_cuplength,
         TensorSquare.bar_span_profile,
         TensorSquare.zero_divisor_power_profile,
         TensorSquare.bar_span_length_certified,
@@ -52,6 +55,7 @@ def test_parameter_surface_is_pinned():
         algebra.Presentation.product,
         algebra.Presentation.right_operator_row,
         algebra.Presentation.decone_splits,
+        algebra.Presentation.witness_terms,
         algebra.AlgebraElement.from_word,
         selftest.run_all,
         selftest.suite_associativity,

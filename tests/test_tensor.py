@@ -1,12 +1,17 @@
 """Tensor square, diagonal restriction, zero-divisor machinery."""
 
+import inspect
+import json
 import operator
 import random
+import textwrap
 
 import pytest
 
 import tcbounds.algebra as algebra
 from tcbounds.algebra import AlgebraElement, Presentation, rank_polynomial
+from tcbounds.bounds import zero_divisor_cuplength
+from tcbounds.cli import main
 from tcbounds.coeffs import QQ, PrimeField
 from tcbounds.linalg import EchelonBasis
 from tcbounds.selftest import random_tensor
@@ -216,7 +221,8 @@ def test_barspan_parity_law(n):
 def test_bar_products_are_swap_eigenvectors(n, m):
     # tau(bar S) = (-1)^|S| bar S for the Koszul product of barred generators,
     # the premise that lets every bar(S) be held by its coordinates iu <= iv;
-    # times_bar must return exactly that half, in flat keys f = iu * N + iv
+    # times_bar must return exactly that half, in the keys N^2 - 1 - f of the
+    # flat coordinates f = iu * N + iv
     pres = Presentation(n, m)
     one, gens, times_bar = TensorSquare(pres, QQ)._bar_operators()
     bars = [bar(generator(pres, i, j)) for i, j in pres.generators()]
@@ -227,7 +233,7 @@ def test_bar_products_are_swap_eigenvectors(n, m):
 
     def half(x):
         flat = ((index[u], index[v], c) for (u, v), c in x.terms.items())
-        return {iu * n_mons + iv: c for iu, iv, c in flat if iu <= iv}
+        return {n_mons * n_mons - 1 - (iu * n_mons + iv): c for iu, iv, c in flat if iu <= iv}
 
     def walk(x, vec, start, length):
         # every multiset S of at most top generators, as sorted indices
@@ -249,7 +255,8 @@ def test_bar_products_are_swap_eigenvectors(n, m):
 
 @pytest.mark.parametrize("n,m", [(3, 2), (3, 3), (5, 2), (5, 3)])
 def test_times_bar_returns_only_the_half(n, m):
-    # every key of a product has iu <= iv, on the witness words and beyond
+    # every key N^2 - 1 - f of a product has iu <= iv, f = iu * N + iv, on the
+    # witness words and beyond
     pres = Presentation(n, m)
     one, gens, times_bar = TensorSquare(pres, QQ)._bar_operators()
     n_mons = len(pres.full_basis())
@@ -258,7 +265,8 @@ def test_times_bar_returns_only_the_half(n, m):
         prod = times_bar(vec, gi)
         if not prod:
             continue
-        assert all(f // n_mons <= f % n_mons for f in prod)
+        flat = [n_mons * n_mons - 1 - r for r in prod]
+        assert all(f // n_mons <= f % n_mons for f in flat)
         seen += len(prod)
         vec = prod
     assert seen > len(gens)
@@ -489,6 +497,121 @@ def test_route_falls_back_to_span(n, m, field, word, broken, monkeypatch):
         assert sq._survives(sq._witness_word()) and not sq._decone_splits()
     assert sq.bar_span_length_certified() == expected
     assert profile_calls
+
+
+# -- the witness coefficients in closed form -------------------------------------
+
+def multiplied_out(pres, word, key):
+    """The coefficient at key of the product of bar(g), g in word, multiplied out over Z."""
+    x = TensorElement(pres, QQ, {TensorElement.UNIT: 1})
+    for g in word:
+        x = x * bar(AlgebraElement(pres, QQ, {(g,): 1}))
+    return x.terms.get(key, 0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_witness_terms_equal_the_multiplied_out_witnesses(n, m):
+    # the oracle: both witnesses multiplied out as tensor elements, read at
+    # E (x) E and E (x) F, against `witness_terms` and the closed-form signs
+    pres = Presentation(n, m)
+    gens = pres.generators()
+    e, f = tuple((1, j) for j in range(2, n + 1)), tuple((2, j) for j in range(3, n + 1))
+    squared = [g for g in gens if g[0] == 1 for _ in range(2)]
+    split = [g for g in gens if g[0] == 1 or (g[0] == 2 and g[1] >= 3)]
+    got = (multiplied_out(pres, squared, (e, e)), multiplied_out(pres, split, (e, f)))
+    if n == 1:
+        expected = (1, 1)  # both words are empty
+    elif m % 2:
+        expected = ((-2) ** (n - 1), (-1) ** n)
+    else:
+        expected = (0, (-1) ** ((n - 1) // 2))  # bar(g)^2 = 0 for odd |g|
+    assert got == expected == pres.witness_terms()
+    # the fallback multiplies out the same words: squared for odd m outside
+    # characteristic 2, else split
+    for field in (QQ, PrimeField(2)):
+        word = [gens[gi] for gi in TensorSquare(pres, field)._witness_word()]
+        assert word == (squared if m % 2 and field == QQ else split)
+
+
+def closed_form_length(pres, field, monkeypatch):
+    """`zero_divisor_cuplength`, failing if it multiplies a witness out or builds the span."""
+    def refuse(self):
+        raise AssertionError("the closed form fell back")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(TensorSquare, "bar_span_length_certified", refuse)
+        patch.setattr(TensorElement, "_product", refuse)
+        return zero_divisor_cuplength(pres, field)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "Z2", "Z3"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_matches_span(n, m, field, monkeypatch):
+    pres = Presentation(n, m)
+    assert closed_form_length(pres, field, monkeypatch) == bar_span_length(pres, field)
+
+
+def mutated_straighten(old, new):
+    """`straighten_word` with one statement of its source replaced."""
+    source = textwrap.dedent(inspect.getsource(algebra.straighten_word))
+    assert source.count(old) == 1
+    namespace = dict(vars(algebra))
+    exec(compile(source.replace(old, new), algebra.__file__, "exec"), namespace)
+    return namespace["straighten_word"]
+
+
+def rewritten(word, form):
+    """`straighten_word` with the normal form of one word replaced by form."""
+    def mutant(w, parity):
+        return dict(form) if tuple(w) == word else straighten(w, parity)
+
+    return mutant
+
+
+straighten = algebra.straighten_word
+SHARED_TERM = "stack.append((-coeff, tuple(head + [(a, b), (a, c)] + tail)))"
+E4, F4 = ((1, 2), (1, 3), (1, 4)), ((2, 3), (2, 4))  # E and F at n = 4
+
+
+@pytest.mark.parametrize("mutant,m,field,failed", [
+    (mutated_straighten(SHARED_TERM, "pass"), 2, "q", "decone"),
+    (mutated_straighten(SHARED_TERM, "pass"), 3, "zp:2", "decone"),
+    (mutated_straighten(SHARED_TERM, SHARED_TERM.replace("-coeff", "coeff")), 2, "q", "decone"),
+    (rewritten(E4, {E4: -1}), 2, "q", "witness"),
+    (rewritten(E4, {E4: -1}), 3, "q", "witness"),
+    (rewritten(F4, {}), 2, "q", "witness"),
+    (rewritten(((1, 3), (1, 2)), {((1, 2), (1, 3)): -1}), 3, "q", "witness"),
+    (rewritten(((1, 3), (2, 3)), {((1, 3), (2, 3)): 1}), 2, "q", "witness"),
+    (rewritten(((1, 2), (1, 2)), {((1, 2), (1, 2)): 1}), 3, "q", "witness"),
+], ids=["drop-shared-term", "drop-shared-term-mod-2", "flip-shared-term", "wrong-nf-e-even",
+        "wrong-nf-e-odd", "f-vanishes", "signed-even-swap", "e13-e23-without-e12", "e12-squared-survives"])
+def test_a_broken_fact_takes_the_fallback(capsys, monkeypatch, mutant, m, field, failed):
+    # each mutant of `straighten_word` breaks a fact the closed form rests on:
+    # the decone check (the first three), or a fact of `witness_terms` (NF(E) =
+    # E, NF(F) = F, then facts (1)-(3), each leaving the decone check intact); the
+    # report then multiplies the witness out (and builds the span where that
+    # does not close it), so it still prints what the true ring gives, whose
+    # R_g rows straighten nothing
+    argv = ["report", "--n", "4", "--m", str(m), "--field", field, "--output", "json"]
+    assert main(argv) in (0, 1)
+    expected = capsys.readouterr().out
+    fallback = []
+    certified = TensorSquare.bar_span_length_certified
+
+    def spy(self):
+        fallback.append(self.field.describe())
+        return certified(self)
+
+    monkeypatch.setattr(algebra, "straighten_word", mutant)
+    monkeypatch.setattr(TensorSquare, "bar_span_length_certified", spy)
+    pres = Presentation(4, m)
+    assert (pres.witness_terms() is None, pres.decone_splits()) == {
+        "witness": (True, True), "decone": (False, False)}[failed]
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().out == expected
+    assert fallback and fallback[0] == json.loads(expected)["field"]
 
 
 # -- the span split at the decone ---------------------------------------------
