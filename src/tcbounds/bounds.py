@@ -8,9 +8,9 @@ barred generators, so the cup-length is the bar-span length of
 `TensorSquare`, certified as in the paper (`zero_divisor_cuplength`): the
 witness product survives in the field, by its closed-form integer
 coefficient, and below the top weight the ring splits at the decone, which
-kills every product of 2n - 2 barred generators.  Where a checked fact fails,
-the witness is multiplied out, and else the bar span decides.  Upper bounds
-come from four sources:
+kills every product of 2n - 2 barred generators.  That is the one route: a
+fact it rests on that fails is a `ClosedFormContradiction`, never a cue to
+build the span.  Upper bounds come from four sources:
 
 * dimension: TC <= 2*dim + 1 for a complex of dimension dim;
 * connectivity: for an (s-1)-connected complex, TC < (2*dim + 1)/s + 1,
@@ -25,8 +25,7 @@ come from four sources:
 against the known closed form (2n - 1 for m odd, 2n - 2 for m even).  It
 composes `certify_ring`, the ring work, which reads m only through its
 parity, and `report_from_ring`, the bounds of one cell, so a grid can
-certify each ring once.  A `BoundsReport` with no bounds is the one the
-command line prints for a run past its `--max-n`.
+certify each ring once.  Every report has both bounds.
 
 Homotopy-dimension inputs are taken as facts, recorded in the diagnostics:
 dim = (m-1)(n-1) for m >= 3, dim = n-1 for m = 2.
@@ -38,7 +37,6 @@ from typing import List, Optional, Tuple
 
 from .algebra import Presentation, check_configuration
 from .coeffs import QQ
-from .tensor import TensorSquare
 
 LOWER_TAG = "zero-divisor cup-length + 1"
 UPPER_TAGS = {
@@ -50,7 +48,10 @@ UPPER_TAGS = {
 
 
 class ClosedFormContradiction(AssertionError):
-    """A pinched report disagreed with the closed form; the engine is broken."""
+    """The engine is broken: a fact the certificate rests on failed, or a report left the closed form.
+
+    Raised by `zero_divisor_cuplength` and `report_from_ring`.
+    """
 
 
 def closed_form_tc(m: int, n: int) -> int:
@@ -112,9 +113,9 @@ class BoundsReport:
     * ``closed_form`` (``"closed_form"``): the known value of TC;
     * ``field_used`` (``"field"``): the coefficient field, as `describe()` names it;
     * ``lower``, ``lower_source`` (``"lower"``, ``"lower_source"``): the lower
-      bound and its tag, None when not computed;
+      bound and its tag, None until `report_from_ring` sets them;
     * ``upper``, ``upper_source`` (``"upper"``, ``"upper_source"``): the upper
-      bound and its tag, None when not computed;
+      bound and its tag, None until `report_from_ring` sets them;
     * ``pinched`` (``"pinched"``): lower == upper;
     * ``diagnostics`` (``"diagnostics"``): (tag, value) pairs, written as
       two-element lists;
@@ -165,10 +166,6 @@ class BoundsReport:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"{self.__class__.__qualname__}({fields})"
 
-    @property
-    def computed(self) -> bool:
-        return self.lower is not None and self.upper is not None
-
     def to_json_dict(self) -> dict:
         return {
             "m": self.m,
@@ -204,13 +201,10 @@ class BoundsReport:
         lines = [
             f"F(R^{self.m}, {self.n})  over {self.field_used}",
             f"  closed form : TC = {self.closed_form}",
+            f"  lower bound : {self.lower}  [{self.lower_source}]",
+            f"  upper bound : {self.upper}  [{self.upper_source}]",
+            f"  pinched     : {'yes' if self.pinched else 'no'}",
         ]
-        if not self.computed:
-            lines.append("  bounds      : not computed (resource cap exceeded)")
-        else:
-            lines.append(f"  lower bound : {self.lower}  [{self.lower_source}]")
-            lines.append(f"  upper bound : {self.upper}  [{self.upper_source}]")
-            lines.append(f"  pinched     : {'yes' if self.pinched else 'no'}")
         for tag, value in self.diagnostics:
             lines.append(f"  diag        : {tag} = {value}")
         for w in self.warnings:
@@ -223,24 +217,26 @@ def zero_divisor_cuplength(pres: Presentation, field) -> int:
 
     `Presentation.witness_terms` gives the integer coefficients of the
     paper's two witnesses at a basis pair: a for the one of length 2n - 2,
-    the top weight, and b for the one of length 2n - 3.  A witness whose
-    coefficient is nonzero in the field bounds the length from below.  At
-    the top weight that closes it.  a = (-2)^(n-1) or 0 vanishes in the
-    field only for even m or in characteristic 2, where the decone check
-    applies (`TensorSquare._decone_splits`): then it kills every product of
-    2n - 2 barred generators, which closes the length one below.  No tensor
-    element is formed.  Where a fact of `witness_terms` or the decone check
-    fails, `TensorSquare.bar_span_length_certified` decides: it multiplies
-    the witness out, and else builds the span.
+    the top weight, and b = +-1, a unit in every field, for the one of
+    length 2n - 3.  A witness whose coefficient is nonzero in the field
+    bounds the length from below.  At the top weight that closes it.  a =
+    (-2)^(n-1) or 0 vanishes in the field only for even m or in
+    characteristic 2, where the decone check applies
+    (`TensorSquare._decone_splits`): then it kills every product of 2n - 2
+    barred generators, which closes the length one below.  No tensor element
+    is formed and no span is built.  Raises ClosedFormContradiction, naming
+    the ring and the field, where a fact of `witness_terms` fails, or a
+    vanishes and the decone check fails: `straighten_word` is then broken.
     """
+    where = f"for (m={pres.m}, n={pres.n}) over {field.describe()}"
     terms = pres.witness_terms()
-    if terms is not None:
-        a, b = map(field.coerce, terms)
-        if a:
-            return 2 * pres.top_weight
-        if b and pres.decone_splits():
-            return 2 * pres.top_weight - 1
-    return TensorSquare(pres, field).bar_span_length_certified()
+    if terms is None:
+        raise ClosedFormContradiction(f"a witness fact failed {where}")
+    if field.coerce(terms[0]):
+        return 2 * pres.top_weight
+    if not pres.decone_splits():
+        raise ClosedFormContradiction(f"the decone check failed {where}")
+    return 2 * pres.top_weight - 1
 
 
 def certify_ring(m: int, n: int, field=QQ) -> Tuple[int, int]:
@@ -256,7 +252,8 @@ def certify_ring(m: int, n: int, field=QQ) -> Tuple[int, int]:
 
     The ring H*(F(R^m, n)) reads m only through its parity, so every m of
     one parity gives the same pair: `grid` certifies each (n, m mod 2) once.
-    Raises ValueError for a configuration the ring does not model.
+    Raises ValueError for a configuration the ring does not model, and
+    ClosedFormContradiction where a fact of `zero_divisor_cuplength` fails.
     """
     pres = Presentation(n, m)
     zcl = zero_divisor_cuplength(pres, field)
@@ -330,9 +327,10 @@ def assemble_report(m: int, n: int, field=QQ) -> BoundsReport:
     `certify_ring` does the ring work and `report_from_ring` the bounds, so
     this is the one report `report` prints and each `grid` cell matches.
     Every input reads m only through its parity or in O(1) integer
-    arithmetic, so the cost grows with n alone; the library sets no size cap
-    (the command line's `--max-n` does).  Raises ValueError for a
-    configuration the ring does not model, and ClosedFormContradiction if a
-    pinched value disagrees with the closed form.
+    arithmetic, so the cost grows with n alone (15 straightenings of at most
+    n - 1 letters); the library sets no size cap (the command line's work
+    limit does).  Raises ValueError for a configuration the ring does not
+    model, and ClosedFormContradiction where a fact of the certificate fails
+    or a pinched value disagrees with the closed form.
     """
     return report_from_ring(m, n, field, *certify_ring(m, n, field))

@@ -2,10 +2,12 @@
 
 Exit codes: 0 pinched certificate matching the closed form, 1 unpinched
 bounds (or failed selftest), 2 usage or input-file error (a document that
-cannot be read or written), 3 not computed: n past --max-n or out of memory
-(`error: not computed: out of memory`, no traceback), 4 contradiction with
-the closed form (engine bug), 141 (128 + SIGPIPE) the reader closed stdout
-early, as `| head` does; the run stops quietly, without a traceback.
+cannot be read or written), 3 not computed: rings past `WORK_LIMIT`, n past
+barspan's --max-n, a dead grid worker or out of memory (one `error: ...`
+line, no traceback), 4 contradiction (engine bug: a fact of the certificate
+failed or a report left the closed form; one `CONTRADICTION: ...` line, or
+grid's cell lines), 141 (128 + SIGPIPE) the reader closed stdout early, as
+`| head` does; the run stops quietly, without a traceback.
 
 The TC_CACHE_DIR environment variable sets the default directory for
 structure-constant documents written by `export-algebra`.
@@ -28,11 +30,9 @@ from .algebra import (
     write_structure_document,
 )
 from .bounds import (
-    BoundsReport,
     ClosedFormContradiction,
     assemble_report,
     certify_ring,
-    closed_form_tc,
     report_from_ring,
     zero_divisor_cuplength,
 )
@@ -45,6 +45,10 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_CONTRADICTION = 4
 EXIT_PIPE = 141
+
+# points summed over the distinct rings of a report, zcl or grid run: a ring costs
+# 15 straightenings of at most n - 1 letters (`report --n 200000`: 0.7 s, 73 MB)
+WORK_LIMIT = 200_000
 
 _EDGE_TOKEN = re.compile(r"^e_?(\d+)[_,](\d+)$|^e(\d)(\d)$")
 
@@ -82,21 +86,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _over_cap(m: int, n: int, max_n: int) -> Optional[str]:
-    """Why (m, n) is not computed, or None; a bad (n, m) raises ValueError first.
+def _past_work_limit(cells: List[Tuple[int, int]]) -> bool:
+    """Whether the distinct rings (n, m mod 2) of the (m, n) cells hold past WORK_LIMIT points.
 
-    Every computation reads m only through its parity, so n alone is capped.
+    Reported on stderr.  Every cell is checked first, in order, so a bad
+    (n, m) raises ValueError before the limit is read.
     """
-    check_configuration(n, m)
-    if n > max_n:
-        return f"(m={m}, n={n}) exceeds caps (max_n={max_n})"
-    return None
-
-
-def _not_computed(m: int, n: int, field, over: str) -> BoundsReport:
-    """The report with no bounds for a cell past --max-n."""
-    return BoundsReport(m=m, n=n, closed_form=closed_form_tc(m, n),
-                        field_used=field.describe(), warnings=[f"not computed: {over}"])
+    for m, n in cells:
+        check_configuration(n, m)
+    work = sum(n for n, _ in {(n, m % 2) for m, n in cells})
+    if work <= WORK_LIMIT:
+        return False
+    print(f"error: not computed: the rings hold {work} points in all, "
+          f"past the work limit of {WORK_LIMIT}", file=sys.stderr)
+    return True
 
 
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
@@ -112,17 +115,11 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    m, n, field = args.m, args.n, parse_field(args.field)
-    over = _over_cap(m, n, args.max_n)
-    try:
-        report = _not_computed(m, n, field, over) if over else assemble_report(m, n, field=field)
-    except ClosedFormContradiction as exc:
-        print(f"CONTRADICTION: {exc}", file=sys.stderr)
-        return EXIT_CONTRADICTION
-    _emit(args, report.to_json_dict(), report.text_lines())
-    if not report.computed:
-        print(f"error: {report.warnings[-1]}", file=sys.stderr)  # "not computed: ..."
+    field = parse_field(args.field)
+    if _past_work_limit([(args.m, args.n)]):
         return EXIT_CAP
+    report = assemble_report(args.m, args.n, field=field)
+    _emit(args, report.to_json_dict(), report.text_lines())
     return EXIT_PINCHED if report.pinched else EXIT_UNPINCHED
 
 
@@ -135,13 +132,14 @@ def _grid_ring(task):
 def cmd_grid(args) -> int:
     """Certify every (m, n) cell of a rectangle, each distinct ring once.
 
-    Every cell is checked, in sorted order, before any ring work, so a bad
-    cell fails first with the message `report` would print.  The ring reads
-    m only through its parity, so the cells with the same n and parity of m
-    share one `certify_ring` call, in-process or as one pool task, with at
-    most one worker per ring.  The memo of those pairs lives for this call
-    only.  Each cell's report is then assembled here, and a contradiction
-    with the closed form is reported per cell.
+    Every cell is checked, in sorted order, then the work limit of the
+    rings, before any ring work, so a bad cell fails first with the message
+    `report` would print.  The ring reads m only through its parity, so the
+    cells with the same n and parity of m share one `certify_ring` call,
+    in-process or as one pool task, with at most one worker per ring.  The
+    memo of those pairs lives for this call only.  Each cell's report is
+    then assembled here, and a contradiction with the closed form is
+    reported per cell.
     """
     try:
         m_values = _parse_range(args.m)
@@ -154,12 +152,12 @@ def cmd_grid(args) -> int:
         print(f"error: empty grid: --m {args.m} --n {args.n} has no cells", file=sys.stderr)
         return EXIT_USAGE
     field = parse_field(args.field)
-    over = {(m, n): _over_cap(m, n, args.max_n) for m, n in cells}
+    if _past_work_limit(cells):
+        return EXIT_CAP
     # ring (n, m mod 2) -> the first m that needs it
     rings = {}
-    for (m, n), why in over.items():
-        if why is None:
-            rings.setdefault((n, m % 2), m)
+    for m, n in cells:
+        rings.setdefault((n, m % 2), m)
     tasks = [(m, n, args.field) for (n, _), m in rings.items()]
     # the pool starts all its workers at once: never more than there are rings
     jobs = min(args.jobs, len(tasks))
@@ -179,21 +177,16 @@ def cmd_grid(args) -> int:
     memo = dict(zip(rings, results))
 
     reports, contradictions = [], []
-    for (m, n), why in over.items():
-        if why is not None:
-            reports.append(_not_computed(m, n, field, why))
-            continue
+    for m, n in cells:
         try:
             reports.append(report_from_ring(m, n, field, *memo[n, m % 2]))
         except ClosedFormContradiction as exc:
             contradictions.append((m, n, str(exc)))
 
     pinched = sum(1 for r in reports if r.pinched)
-    uncomputed = sum(1 for r in reports if not r.computed)
     lines = []
     for r in reports:
-        val = f"TC={r.lower}" if r.pinched else (
-            f"{r.lower}..{r.upper}" if r.computed else "unknown")
+        val = f"TC={r.lower}" if r.pinched else f"{r.lower}..{r.upper}"
         lines.append(
             f"m={r.m} n={r.n} closed={r.closed_form} {val} "
             f"pinched={'yes' if r.pinched else 'no'}"
@@ -212,8 +205,6 @@ def cmd_grid(args) -> int:
     _emit(args, payload, lines)
     if contradictions:
         return EXIT_CONTRADICTION
-    if uncomputed:
-        return EXIT_CAP
     if pinched < len(cells):
         return EXIT_UNPINCHED
     return EXIT_PINCHED
@@ -254,22 +245,25 @@ def cmd_multiply(args) -> int:
 
 
 def _ring(args):
-    """(presentation, field) for --n/--m/--field, or None (reported) past --max-n."""
+    """(presentation, field) for --n/--m/--field, or None (reported) past --max-n.
+
+    A bad (n, m) raises ValueError first; m is read only through its parity.
+    """
     field = parse_field(args.field)
-    over = _over_cap(args.m, args.n, args.max_n)
-    if over is not None:
-        print(f"error: not computed: {over}", file=sys.stderr)
+    check_configuration(args.n, args.m)
+    if args.n > args.max_n:
+        print(f"error: not computed: (m={args.m}, n={args.n}) exceeds caps "
+              f"(max_n={args.max_n})", file=sys.stderr)
         return None
     return Presentation(args.n, args.m), field
 
 
 def cmd_zcl(args) -> int:
-    ring = _ring(args)
-    if ring is None:
+    field = parse_field(args.field)
+    if _past_work_limit([(args.m, args.n)]):
         return EXIT_CAP
-    pres, field = ring
     # the zero-divisor lemma: the cup-length is the bar-span length
-    zcl = zero_divisor_cuplength(pres, field)
+    zcl = zero_divisor_cuplength(Presentation(args.n, args.m), field)
     payload = {"n": args.n, "m": args.m, "field": field.describe(),
                "zero_divisor_cuplength": zcl, "tc_lower_bound": zcl + 1}
     _emit(args, payload, [f"zero_divisor_cuplength = {zcl}", f"TC >= {zcl + 1}"])
@@ -357,7 +351,7 @@ def cmd_export_algebra(args) -> int:
 _M_N = (("--m", {"type": int, "required": True}), ("--n", {"type": int, "required": True}))
 _OUTPUT = (("--output", {"choices": ("text", "json"), "default": "text"}),)
 _FIELD = (("--field", {"default": "q", "help": "coefficients: q (default) or zp:P for a prime P"}),)
-_RING = _M_N + _OUTPUT + _FIELD + (("--max-n", {"type": int, "default": 5}),)
+_RING = _M_N + _OUTPUT + _FIELD
 COMMANDS = {
     "report": ("certify TC(F(R^m, n))", cmd_report, _RING),
     "grid": ("certify a rectangle of (m, n) values", cmd_grid, (
@@ -372,7 +366,8 @@ COMMANDS = {
         ("words", {"nargs": "+", "metavar": "WORD", "help": "e.g. 'e12*e13' or 'e_1_2'"}),
     ) + _OUTPUT + _FIELD),
     "zcl": ("zero-divisor cup-length", cmd_zcl, _RING),
-    "barspan": ("longest nonzero product of barred generators", cmd_barspan, _RING),
+    "barspan": ("longest nonzero product of barred generators", cmd_barspan,
+                _RING + (("--max-n", {"type": int, "default": 5}),)),
     "selftest": ("run the invariant fuzz suites", cmd_selftest, (
         ("--seed", {"type": int, "default": 0}),
         ("--samples", {"type": _positive_int, "default": 200}),
@@ -429,6 +424,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ClosedFormContradiction as exc:
+        # raised before any output, in this process or in a grid worker
+        print(f"CONTRADICTION: {exc}", file=sys.stderr)
+        return EXIT_CONTRADICTION
     except BrokenPipeError:
         # the interpreter flushes stdout on exit: point it at devnull so the
         # output still buffered cannot raise a second time

@@ -44,12 +44,12 @@ dim V_k = dim W_k + dim W_{k-1} gives its profile.  `barspan` prints that
 profile and, as its witness, e_12 in front of the first label of the last
 level.  Odd m over Q or Z_p (p odd), and n = 1, build the span in full.
 
-Reports do not build the span: the paper's witness, nonzero by its closed-form
-coefficient (`Presentation.witness_terms`), bounds the length from below.  Its
-length is the top weight 2n - 2, or else 2n - 3 where the ring splits at the
-decone, which kills every product of 2n - 2 barred generators.  Only where a
-checked fact fails does `TensorSquare.bar_span_length_certified` multiply the
-witness out, in words, with the span as its fallback.
+Reports never build the span or form a tensor element: the paper's witness,
+nonzero by its closed-form coefficient (`Presentation.witness_terms`), bounds
+the length from below.  Its length is the top weight 2n - 2, or else 2n - 3
+where the ring splits at the decone, which kills every product of 2n - 2
+barred generators (`bounds.zero_divisor_cuplength`).  The span is what
+`barspan` prints and what the tests compare that route against.
 
 `TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
 ideal Z from the diagonal kernels instead.  It is the reference oracle that
@@ -63,7 +63,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from .algebra import AlgebraElement, Presentation, SparseElement, Word, monomial_str, rank_polynomial
-from .coeffs import QQ
 from .linalg import EchelonBasis, Vec, kernel_basis
 
 Pair = Tuple[Word, Word]
@@ -455,43 +454,6 @@ class TensorSquare:
     def bar_span_length(self) -> int:
         """Largest k with V_k != 0: the zero-divisor cup-length over this field."""
         return len(self.bar_span_profile())
-
-    def _witness_word(self) -> Label:
-        """The paper's witness word, as sorted generator indices.
-
-        Each bar(e_1j) squared (length 2n - 2) for odd m outside characteristic
-        2, else each bar(e_1j) and bar(e_2j), j >= 3 (length 2n - 3).
-        """
-        gens = self.pres.generators()
-        if not self.pres.parity and self.field.characteristic != 2:
-            return tuple(gi for gi, (i, _) in enumerate(gens) if i == 1 for _ in range(2))
-        return tuple(gi for gi, (i, j) in enumerate(gens) if i == 1 or (i == 2 and j >= 3))
-
-    def _survives(self, word: Label) -> bool:
-        """Whether the product of bar(g) over the word, multiplied out over Z, is nonzero in the field.
-
-        The product is `TensorElement`'s, in words; Q's operations keep its coefficients ints.
-        """
-        pres, gens = self.pres, self.pres.generators()
-        x = TensorElement(pres, QQ, {TensorElement.UNIT: 1})
-        for gi in word:
-            x = x * bar(AlgebraElement(pres, QQ, {(gens[gi],): 1}))
-        return any(map(self.field.coerce, x.terms.values()))
-
-    def bar_span_length_certified(self) -> int:
-        """The bar-span length from the paper's witness, multiplied out, and the decone check, else the span.
-
-        The fallback of `bounds.zero_divisor_cuplength`.  The witness word,
-        surviving in the field, bounds the length from below.  At the top
-        weight that closes it; one below, so does `_decone_splits`.
-        Otherwise the span decides.
-        """
-        word = self._witness_word()
-        top = self.top_weight
-        if self._survives(word) and (len(word) == top or (
-                len(word) == top - 1 and self._decone_splits())):
-            return len(word)
-        return self.bar_span_length()
 
 
 def _square_dim(ranks: List[int], w: int) -> int:

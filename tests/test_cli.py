@@ -21,6 +21,7 @@ from tcbounds.cli import (
     EXIT_PIPE,
     EXIT_UNPINCHED,
     EXIT_USAGE,
+    WORK_LIMIT,
     main,
     parse_generator_word,
 )
@@ -121,30 +122,62 @@ def test_bad_configuration_has_one_message(capsys, tmp_path, monkeypatch, argv, 
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["--m", "1", "--n", "9"], BAD_M),                   # past --max-n
-    (["--m", "2", "--n", "0", "--max-n", "-1"], BAD_N),  # past a negative --max-n
+    (["--m", "1", "--n", "1000000000000"], BAD_M),  # past every limit
+    (["--m", "2", "--n", "0"], BAD_N),
 ], ids=["m", "n"])
 @pytest.mark.parametrize("command", ["report", "zcl", "barspan", "grid"])
 def test_bad_configuration_is_checked_before_the_caps(capsys, command, argv, message):
-    code, out, err = run(capsys, command, *argv)
+    # barspan's --max-n set below the bad n, the work limit of the others
+    cap = ["--max-n", "-1"] if command == "barspan" else []
+    code, out, err = run(capsys, command, *argv, *cap)
     assert (code, out, err) == (EXIT_USAGE, "", message)
 
 
+def past_the_limit(points):
+    return f"error: not computed: the rings hold {points} points in all, " \
+           f"past the work limit of {WORK_LIMIT}\n"
+
+
+PAST_THE_LIMIT = past_the_limit(1000000000000)
+
+
+def refuse_rings(monkeypatch):
+    """Fail the test if anything from here on builds a `Presentation`."""
+    def refuse(self, *args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(Presentation, "__init__", refuse)
+
+
 @pytest.mark.parametrize("command", ["report", "zcl", "barspan"])
-def test_cap_message_is_shared(capsys, command):
-    code, _, err = run(capsys, command, "--m", "3", "--n", "6")
-    assert code == EXIT_CAP
-    assert err == "error: not computed: (m=3, n=6) exceeds caps (max_n=5)\n"
+def test_cap_message_is_shared(capsys, monkeypatch, command):
+    # report and zcl print grid's work-limit line; barspan keeps its --max-n line
+    refuse_rings(monkeypatch)
+    if command == "barspan":
+        argv, message = ["--n", "6"], "error: not computed: (m=3, n=6) exceeds caps (max_n=5)\n"
+    else:
+        argv, message = ["--n", "1000000000000"], PAST_THE_LIMIT
+        assert run(capsys, "grid", "--m", "3", *argv) == (EXIT_CAP, "", message)
+    assert run(capsys, command, "--m", "3", *argv) == (EXIT_CAP, "", message)
 
 
-def test_report_cap_exceeded(capsys):
-    code, out, err = run(capsys, "report", "--m", "3", "--n", "6")
-    assert code == EXIT_CAP
-    assert "not computed" in out
-    code, _, _ = run(capsys, "report", "--m", "3", "--n", "3", "--max-n", "3")
+def test_report_cap_exceeded(capsys, monkeypatch):
+    # the work limit is read off the predicted size before any ring is built,
+    # and nothing is printed on stdout, not even an empty report
+    refuse_rings(monkeypatch)
+    for command in ("report", "zcl", "grid"):
+        for output in ("text", "json"):
+            for field in ("q", "zp:2", "zp:3"):
+                code, out, err = run(capsys, command, "--m", "4", "--n", "1000000000000",
+                                     "--output", output, "--field", field)
+                assert (code, out, err) == (EXIT_CAP, "", PAST_THE_LIMIT)
+
+
+def test_report_n1000_pinches(capsys):
+    code, out, _ = run(capsys, "report", "--n", "1000", "--m", "3", "--output", "json")
+    doc = json.loads(out)
     assert code == EXIT_PINCHED
-    code, _, _ = run(capsys, "report", "--m", "3", "--n", "3", "--max-n", "2")
-    assert code == EXIT_CAP
+    assert doc["pinched"] and doc["lower"] == doc["upper"] == doc["closed_form"] == 1999
 
 
 def test_large_m_is_computed(capsys):
@@ -174,7 +207,7 @@ def test_reports_call_assemble_report_once_per_cell(capsys, monkeypatch):
     assert len(calls) == 1
     assert run(capsys, "grid", "--m", "2..3", "--n", "2", "--jobs", "1")[0] == EXIT_PINCHED
     assert len(calls) == 1
-    assert run(capsys, "report", "--m", "3", "--n", "6")[0] == EXIT_CAP
+    assert run(capsys, "report", "--m", "3", "--n", "1000000000000")[0] == EXIT_CAP
     assert len(calls) == 1
 
 
@@ -265,11 +298,16 @@ def test_grid_certifies_each_ring_once(capsys, monkeypatch, m, n, field, cells, 
     assert len(calls) == len(set(calls)) == certified
 
 
-def test_grid_with_cap_cells(capsys):
-    code, out, _ = run(capsys, "grid", "--m", "3..3", "--n", "2..4", "--max-n", "3")
-    assert code == EXIT_CAP
-    assert "unknown" in out
-    assert "pinched 2/3" in out
+def test_grid_with_cap_cells(capsys, monkeypatch):
+    # each n is far below the work limit, but the rings of both parities of m
+    # add up past it; cells that share a ring count it once: 11 cells at
+    # n = 20000 hold 220,000 points, their two rings 40,000
+    code, out, _ = run(capsys, "grid", "--m", "2..12", "--n", "20000")
+    assert (code, out.splitlines()[-1]) == (EXIT_PINCHED, "pinched 11/11")
+    refuse_rings(monkeypatch)
+    for n_hi, points in ((1000, 1000998), (447, 200254)):
+        code, out, err = run(capsys, "grid", "--m", "2..3", "--n", f"2..{n_hi}", "--jobs", "2")
+        assert (code, out, err) == (EXIT_CAP, "", past_the_limit(points))
 
 
 def test_grid_parallel_matches_serial(capsys):
@@ -520,11 +558,11 @@ def test_export_unwritable_document_is_input_error(tmp_path, capsys, monkeypatch
 # every option of every subcommand: a new or retired option shows here as a
 # reviewed change
 OPTIONS = {
-    "report": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n"],
-    "grid": ["-h", "--help", "--m", "--n", "--jobs", "--output", "--field", "--max-n"],
+    "report": ["-h", "--help", "--m", "--n", "--output", "--field"],
+    "grid": ["-h", "--help", "--m", "--n", "--jobs", "--output", "--field"],
     "basis": ["-h", "--help", "--m", "--n", "--k", "--output"],
     "multiply": ["-h", "--help", "--m", "--n", "--output", "--field"],
-    "zcl": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n"],
+    "zcl": ["-h", "--help", "--m", "--n", "--output", "--field"],
     "barspan": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n"],
     "selftest": ["-h", "--help", "--seed", "--samples", "--shuffles", "--cache", "--output"],
     "export-algebra": ["-h", "--help", "--m", "--n", "--out", "--output"],
@@ -688,7 +726,7 @@ def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, unlisted
     # coefficient (-2)^(n-1): the ring checks the facts of `witness_terms`
     # once for Z_3 and Q alike, 15 straightenings at any n, never of the n!
     # basis words: a report costs what its witness facts need
-    code, out, _ = run(capsys, "report", "--n", str(n), "--m", "3", "--max-n", "8",
+    code, out, _ = run(capsys, "report", "--n", str(n), "--m", "3",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
     assert code == EXIT_PINCHED
@@ -722,7 +760,7 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
 
     monkeypatch.setattr(Presentation, "decone_splits", spy)
     monkeypatch.setattr(Presentation, "straighten", scan)
-    code, out, _ = run(capsys, "report", "--n", str(n), "--m", "4", "--max-n", "8",
+    code, out, _ = run(capsys, "report", "--n", str(n), "--m", "4",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
     assert code == EXIT_PINCHED
@@ -743,7 +781,7 @@ def test_reports_never_list_the_basis_or_read_r_g(capsys, monkeypatch, unlisted_
 
     monkeypatch.setattr(TensorElement, "_product", multiplied)
     for m in (2, 3, 4, 5):
-        code, out, _ = run(capsys, "report", "--n", "9", "--m", str(m), "--max-n", "9",
+        code, out, _ = run(capsys, "report", "--n", "9", "--m", str(m),
                            "--field", field, "--output", "json")
         doc = json.loads(out)
         if m % 2 and field == "zp:2":
@@ -751,8 +789,8 @@ def test_reports_never_list_the_basis_or_read_r_g(capsys, monkeypatch, unlisted_
         else:
             assert code == EXIT_PINCHED and doc["lower"] == doc["upper"] == doc["closed_form"]
     if field == "q":
-        code, out, _ = run(capsys, "zcl", "--n", "9", "--m", "2", "--max-n", "9")
+        code, out, _ = run(capsys, "zcl", "--n", "9", "--m", "2")
         assert code == EXIT_PINCHED and out.splitlines() == ["zero_divisor_cuplength = 15",
                                                              "TC >= 16"]
-        code, out, _ = run(capsys, "grid", "--m", "2..5", "--n", "9", "--max-n", "9")
+        code, out, _ = run(capsys, "grid", "--m", "2..5", "--n", "9")
         assert code == EXIT_PINCHED and out.splitlines()[-1] == "pinched 4/4"

@@ -16,7 +16,6 @@ PARAMETERS = {
     "zero_divisor_cuplength": ["pres", "field"],
     "TensorSquare.bar_span_profile": ["self"],
     "TensorSquare.zero_divisor_power_profile": ["self"],
-    "TensorSquare.bar_span_length_certified": ["self"],
     "verify_structure_document": ["doc", "pres", "samples"],
     "load_structure_document": ["path", "pres", "samples"],
     "Presentation.product": ["self", "u", "v"],
@@ -49,7 +48,6 @@ def test_parameter_surface_is_pinned():
         bounds.zero_divisor_cuplength,
         TensorSquare.bar_span_profile,
         TensorSquare.zero_divisor_power_profile,
-        TensorSquare.bar_span_length_certified,
         algebra.verify_structure_document,
         algebra.load_structure_document,
         algebra.Presentation.product,

@@ -1,7 +1,6 @@
 """Tensor square, diagonal restriction, zero-divisor machinery."""
 
 import inspect
-import json
 import operator
 import random
 import textwrap
@@ -10,8 +9,8 @@ import pytest
 
 import tcbounds.algebra as algebra
 from tcbounds.algebra import AlgebraElement, Presentation, rank_polynomial
-from tcbounds.bounds import zero_divisor_cuplength
-from tcbounds.cli import main
+from tcbounds.bounds import assemble_report, report_from_ring, zero_divisor_cuplength
+from tcbounds.cli import EXIT_CONTRADICTION, main
 from tcbounds.coeffs import QQ, PrimeField
 from tcbounds.linalg import EchelonBasis
 from tcbounds.selftest import random_tensor
@@ -372,16 +371,6 @@ def test_barspan_never_exceeds_cuplength(n, m):
 
 # -- the report route: the paper's witness and the decone check -----------------
 
-def route_length_without_span(pres, field, monkeypatch):
-    """`bar_span_length_certified`, failing if it falls back to the span."""
-    def no_span(self):
-        raise AssertionError("the route fell back to the span")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(TensorSquare, "bar_span_profile", no_span)
-        return TensorSquare(pres, field).bar_span_length_certified()
-
-
 def square_free_products_vanish(sq, k):
     """Whether bar(S) vanishes in the square's field for each square-free k-subset S.
 
@@ -425,17 +414,12 @@ def break_koszul_sign(monkeypatch):
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_route_matches_span(n, m, field, monkeypatch):
+    # the whole report, from the field's cup-length and the rational one that
+    # the sharpness bound reads, is the report the two bar spans give
     pres = Presentation(n, m)
-    assert route_length_without_span(pres, field, monkeypatch) == bar_span_length(pres, field)
-
-
-@pytest.mark.parametrize("m,field", [(2, PrimeField(3)), (3, PrimeField(2))], ids=["2-Z3", "3-Z2"])
-def test_route_matches_span_n5(m, field, monkeypatch):
-    # both witnesses have length 2n - 3 = 7, so the decone check closes the top
-    # weight; for odd m it holds mod 2 only, where the 45 square-free bar(S) of
-    # length 8, nonzero over Z, vanish
-    pres = Presentation(5, m)
-    assert route_length_without_span(pres, field, monkeypatch) == bar_span_length(pres, field) == 7
+    expected = report_from_ring(m, n, field, bar_span_length(pres, field),
+                                bar_span_length(pres, QQ))
+    assert without_tensor_work(monkeypatch, assemble_report, m, n, field) == expected
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -463,40 +447,6 @@ def test_decone_check_kills_the_top_weight(n):
                 split += 1
                 assert square_free_products_vanish(sq, 2 * n - 2), (m, field)
     assert split == 8  # even m over every field, odd m over Z_2
-
-
-@pytest.mark.parametrize("n,m,field,word,broken", [
-    # bar(e_12)^(2n-3) = 0 for n >= 3: bar(g)^2 is 0 or -2 g (x) g, and g^2 = 0
-    (3, 2, QQ, (0, 0, 0), False),
-    (3, 3, QQ, (0, 0, 0), False),
-    (4, 3, QQ, (0,) * 5, False),
-    # bar(e_12)^2 bar(e_13)^2 = 4 e12e13 (x) e12e13: nonzero over Z, 0 mod 2
-    (3, 3, PrimeField(2), (0, 0, 1, 1), False),
-    # survives below the top, but odd m over Q does not split at the decone
-    (3, 3, QQ, (0, 1, 2), False),
-    # the paper's word survives below the top, but the decone check fails
-    (3, 2, QQ, None, True),
-], ids=["even-m", "odd-m", "odd-m-n4", "dies-mod-2", "squares-survive", "broken-koszul-sign"])
-def test_route_falls_back_to_span(n, m, field, word, broken, monkeypatch):
-    expected = bar_span_length(Presentation(n, m), field)
-    if word is not None:
-        monkeypatch.setattr(TensorSquare, "_witness_word", lambda self: word)
-    if broken:
-        break_koszul_sign(monkeypatch)
-    profile_calls = []
-    span_profile = TensorSquare.bar_span_profile
-
-    def spy(self):
-        profile_calls.append(self)
-        return span_profile(self)
-
-    monkeypatch.setattr(TensorSquare, "bar_span_profile", spy)
-    # built after the patch: the decone check is cached on the ring
-    sq = TensorSquare(Presentation(n, m), field)
-    if broken:
-        assert sq._survives(sq._witness_word()) and not sq._decone_splits()
-    assert sq.bar_span_length_certified() == expected
-    assert profile_calls
 
 
 # -- the witness coefficients in closed form -------------------------------------
@@ -527,30 +477,35 @@ def test_witness_terms_equal_the_multiplied_out_witnesses(n, m):
     else:
         expected = (0, (-1) ** ((n - 1) // 2))  # bar(g)^2 = 0 for odd |g|
     assert got == expected == pres.witness_terms()
-    # the fallback multiplies out the same words: squared for odd m outside
-    # characteristic 2, else split
-    for field in (QQ, PrimeField(2)):
-        word = [gens[gi] for gi in TensorSquare(pres, field)._witness_word()]
-        assert word == (squared if m % 2 and field == QQ else split)
+    # the squared word reaches the top weight 2n - 2 of the square, the split
+    # one stops a letter short
+    assert (len(squared), len(split)) == (2 * n - 2, max(2 * n - 3, 0))
 
 
-def closed_form_length(pres, field, monkeypatch):
-    """`zero_divisor_cuplength`, failing if it multiplies a witness out or builds the span."""
+def without_tensor_work(monkeypatch, compute, *args):
+    """compute(*args), failing if it forms a tensor square or multiplies a tensor out."""
     def refuse(self, *args):
-        raise AssertionError("the closed form fell back")
+        raise AssertionError("the closed form left its route")
 
     with monkeypatch.context() as patch:
-        patch.setattr(TensorSquare, "bar_span_length_certified", refuse)
+        patch.setattr(TensorSquare, "__init__", refuse)
         patch.setattr(TensorElement, "_product", refuse)
-        return zero_divisor_cuplength(pres, field)
+        return compute(*args)
 
 
-@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(3)], ids=["Q", "Z2", "Z3"])
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+ROUTE_FIELDS = {"Q": QQ, "Z2": PrimeField(2), "Z3": PrimeField(3)}
+# every cell up to n = 4, and at n = 5 every cell whose span splits at the
+# decone (10-20 ms each); the unsplit odd-m span at n = 5 takes about 1 s
+CLOSED_FORM_CASES = [(n, m, f) for n in (1, 2, 3, 4) for m in (2, 3, 4, 5) for f in ROUTE_FIELDS]
+CLOSED_FORM_CASES += [(5, m, f) for m in (2, 4) for f in ROUTE_FIELDS] + [(5, 3, "Z2"), (5, 5, "Z2")]
+
+
+@pytest.mark.parametrize("n,m,field", CLOSED_FORM_CASES,
+                         ids=["-".join(map(str, case)) for case in CLOSED_FORM_CASES])
 def test_closed_form_matches_span(n, m, field, monkeypatch):
-    pres = Presentation(n, m)
-    assert closed_form_length(pres, field, monkeypatch) == bar_span_length(pres, field)
+    pres, field = Presentation(n, m), ROUTE_FIELDS[field]
+    assert without_tensor_work(monkeypatch, zero_divisor_cuplength, pres, field) == \
+        bar_span_length(pres, field)
 
 
 def mutated_straighten(old, new):
@@ -587,31 +542,27 @@ E4, F4 = ((1, 2), (1, 3), (1, 4)), ((2, 3), (2, 4))  # E and F at n = 4
     (rewritten(((1, 2), (1, 2)), {((1, 2), (1, 2)): 1}), 3, "q", "witness"),
 ], ids=["drop-shared-term", "drop-shared-term-mod-2", "flip-shared-term", "wrong-nf-e-even",
         "wrong-nf-e-odd", "f-vanishes", "signed-even-swap", "e13-e23-without-e12", "e12-squared-survives"])
-def test_a_broken_fact_takes_the_fallback(capsys, monkeypatch, mutant, m, field, failed):
+def test_a_broken_fact_is_a_contradiction(capsys, monkeypatch, mutant, m, field, failed):
     # each mutant of `straighten_word` breaks a fact the closed form rests on:
     # the decone check (the first three), or a fact of `witness_terms` (NF(E) =
-    # E, NF(F) = F, then facts (1)-(3), each leaving the decone check intact); the
-    # report then multiplies the witness out (and builds the span where that
-    # does not close it), so it still prints what the true ring gives, whose
-    # R_g rows straighten nothing
-    argv = ["report", "--n", "4", "--m", str(m), "--field", field, "--output", "json"]
-    assert main(argv) in (0, 1)
-    expected = capsys.readouterr().out
-    fallback = []
-    certified = TensorSquare.bar_span_length_certified
-
-    def spy(self):
-        fallback.append(self.field.describe())
-        return certified(self)
-
+    # E, NF(F) = F, then facts (1)-(3), each leaving the decone check intact).
+    # Every command that certifies the ring then stops with exit 4, no output
+    # and one line naming the failed fact, no traceback, also where the ring
+    # failed in a grid worker (forked after the patch)
     monkeypatch.setattr(algebra, "straighten_word", mutant)
-    monkeypatch.setattr(TensorSquare, "bar_span_length_certified", spy)
     pres = Presentation(4, m)
     assert (pres.witness_terms() is None, pres.decone_splits()) == {
         "witness": (True, True), "decone": (False, False)}[failed]
-    assert main(argv) in (0, 1)
-    assert capsys.readouterr().out == expected
-    assert fallback and fallback[0] == json.loads(expected)["field"]
+    named = {"witness": "a witness fact failed", "decone": "the decone check failed"}[failed]
+    ring = ["--m", str(m), "--field", field]
+    for argv in (["report", "--n", "4", *ring], ["zcl", "--n", "4", *ring],
+                 ["grid", "--n", "3..4", "--jobs", "1", *ring],
+                 ["grid", "--n", "3..4", "--jobs", "2", *ring]):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (EXIT_CONTRADICTION, ""), argv
+        assert err.startswith(f"CONTRADICTION: {named} for (m={m}, n="), argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
 
 
 # -- the span split at the decone ---------------------------------------------
