@@ -16,7 +16,6 @@ from .algebra import (
     poincare_table,
     stability_check,
     straighten_word,
-    straighten_word_shuffled,
     structure_document,
     write_structure_document,
 )
@@ -62,7 +61,6 @@ __all__ = [
     "sharpness_upper",
     "stability_check",
     "straighten_word",
-    "straighten_word_shuffled",
     "structure_document",
     "write_structure_document",
 ]

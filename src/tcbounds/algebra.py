@@ -12,9 +12,8 @@ and the number of them with k factors is the t^k coefficient of
 prod_{i=1}^{n-1} (1 + i*t), so the total rank is n!.
 
 Every product of generators is brought to this basis by a terminating rewrite
-procedure (`straighten_word`); the randomized variant `straighten_word_shuffled`
-applies the same local rules in an arbitrary order and is kept as an
-independent confluence oracle.
+procedure (`straighten_word`); the tests check its confluence against the
+same local rules applied in an arbitrary order.
 
 `straighten_word` is also the definition of the product of basis words:
 u * v is the normal form of the word u + v, which `Presentation.product`
@@ -120,52 +119,6 @@ def straighten_word(word: Iterable[Edge], parity: int) -> Dict[Word, int]:
             out[key2] = total
         else:
             del out[key2]
-    return out
-
-
-def straighten_word_shuffled(word: Iterable[Edge], parity: int, rng) -> Dict[Word, int]:
-    """Like `straighten_word`, but applies whichever local rule `rng` picks.
-
-    Intermediate terms are never combined, so the result only depends on the
-    rewrite rules themselves; agreement with the deterministic routine over
-    many shuffles is the confluence check.
-    """
-    terms: List[Tuple[int, List[Edge]]] = [(1, [_check_edge(e) for e in word])]
-    while True:
-        actions = []
-        for ti, (_, w) in enumerate(terms):
-            for t in range(len(w) - 1):
-                x, y = w[t], w[t + 1]
-                if x == y:
-                    actions.append((ti, t, "kill"))
-                elif (x[1], x[0]) > (y[1], y[0]):
-                    actions.append((ti, t, "swap"))
-                elif x[1] == y[1]:
-                    actions.append((ti, t, "split"))
-        if not actions:
-            break
-        ti, t, kind = actions[rng.randrange(len(actions))]
-        coeff, w = terms[ti]
-        if kind == "kill":
-            del terms[ti]
-        elif kind == "swap":
-            w[t], w[t + 1] = w[t + 1], w[t]
-            if parity:
-                terms[ti] = (-coeff, w)
-        else:
-            a, c = w[t]
-            b = w[t + 1][0]
-            head, tail = w[:t], w[t + 2:]
-            terms[ti] = (coeff, head + [(a, b), (b, c)] + tail)
-            terms.insert(ti + 1, (-coeff, head + [(a, b), (a, c)] + tail))
-    out: Dict[Word, int] = {}
-    for coeff, w in terms:
-        key = tuple(w)
-        total = out.get(key, 0) + coeff
-        if total:
-            out[key] = total
-        else:
-            del out[key]
     return out
 
 

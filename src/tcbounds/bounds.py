@@ -222,7 +222,7 @@ def zero_divisor_cuplength(pres: Presentation, field) -> int:
     bounds the length from below.  At the top weight that closes it.  a =
     (-2)^(n-1) or 0 vanishes in the field only for even m or in
     characteristic 2, where the decone check applies
-    (`TensorSquare._decone_splits`): then it kills every product of 2n - 2
+    (`Presentation.decone_splits`): then it kills every product of 2n - 2
     barred generators, which closes the length one below.  No tensor element
     is formed and no span is built.  Raises ClosedFormContradiction, naming
     the ring and the field, where a fact of `witness_terms` fails, or a

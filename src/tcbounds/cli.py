@@ -1,13 +1,13 @@
 """Command-line interface for batch certification runs.
 
 Exit codes: 0 pinched certificate matching the closed form, 1 unpinched
-bounds (or failed selftest), 2 usage or input-file error (a document that
-cannot be read or written), 3 not computed: rings past `WORK_LIMIT`, n past
-barspan's --max-n, a dead grid worker or out of memory (one `error: ...`
-line, no traceback), 4 contradiction (engine bug: a fact of the certificate
-failed or a report left the closed form; one `CONTRADICTION: ...` line, or
-grid's cell lines), 141 (128 + SIGPIPE) the reader closed stdout early, as
-`| head` does; the run stops quietly, without a traceback.
+bounds, 2 usage or input-file error (a document that cannot be written),
+3 not computed: rings past `WORK_LIMIT`, n past barspan's --max-n, a dead
+grid worker or out of memory (one `error: ...` line, no traceback),
+4 contradiction (engine bug: a fact of the certificate failed or a report
+left the closed form; one `CONTRADICTION: ...` line, or grid's cell lines),
+141 (128 + SIGPIPE) the reader closed stdout early, as `| head` does; the
+run stops quietly, without a traceback.
 
 The TC_CACHE_DIR environment variable sets the default directory for
 structure-constant documents written by `export-algebra`.
@@ -20,7 +20,7 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .algebra import (
     AlgebraElement,
@@ -69,11 +69,12 @@ def parse_generator_word(text: str) -> List[Tuple[int, int]]:
     return edges
 
 
-def _parse_range(text: str) -> List[int]:
+def _parse_range(text: str) -> range:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+        return range(int(lo), int(hi) + 1)
+    value = int(text)
+    return range(value, value + 1)
 
 
 def _positive_int(text: str) -> int:
@@ -86,15 +87,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _past_work_limit(cells: List[Tuple[int, int]]) -> bool:
-    """Whether the distinct rings (n, m mod 2) of the (m, n) cells hold past WORK_LIMIT points.
+def _past_work_limit(m_values: Sequence[int], n_values: Sequence[int]) -> bool:
+    """Whether the distinct rings (n, m mod 2) of the cells m x n hold past WORK_LIMIT points.
 
-    Reported on stderr.  Every cell is checked first, in order, so a bad
-    (n, m) raises ValueError before the limit is read.
+    Reported on stderr.  Each of m_values and n_values holds consecutive
+    integers, ascending.  The first cell (min m, min n) is checked first: it
+    is bad whenever any cell is, so a bad (n, m) raises ValueError before the
+    limit is read.  The work is in closed form, each n once per parity of m,
+    so no cell is listed.
     """
-    for m, n in cells:
-        check_configuration(n, m)
-    work = sum(n for n, _ in {(n, m % 2) for m, n in cells})
+    check_configuration(n_values[0], m_values[0])
+    n_lo, n_hi = n_values[0], n_values[-1]
+    work = (n_lo + n_hi) * (n_hi - n_lo + 1) // 2 * len(m_values[:2])
     if work <= WORK_LIMIT:
         return False
     print(f"error: not computed: the rings hold {work} points in all, "
@@ -116,7 +120,7 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 def cmd_report(args) -> int:
     field = parse_field(args.field)
-    if _past_work_limit([(args.m, args.n)]):
+    if _past_work_limit([args.m], [args.n]):
         return EXIT_CAP
     report = assemble_report(args.m, args.n, field=field)
     _emit(args, report.to_json_dict(), report.text_lines())
@@ -132,9 +136,9 @@ def _grid_ring(task):
 def cmd_grid(args) -> int:
     """Certify every (m, n) cell of a rectangle, each distinct ring once.
 
-    Every cell is checked, in sorted order, then the work limit of the
-    rings, before any ring work, so a bad cell fails first with the message
-    `report` would print.  The ring reads m only through its parity, so the
+    The first cell and then the work limit of the rings are checked before
+    any cell is listed, so a bad cell fails first with the message `report`
+    would print.  The ring reads m only through its parity, so the
     cells with the same n and parity of m share one `certify_ring` call,
     in-process or as one pool task, with at most one worker per ring.  The
     memo of those pairs lives for this call only.  Each cell's report is
@@ -147,13 +151,15 @@ def cmd_grid(args) -> int:
     except ValueError:
         print(f"error: bad range {args.m!r} / {args.n!r}", file=sys.stderr)
         return EXIT_USAGE
-    cells = sorted((m, n) for m in m_values for n in n_values)
-    if not cells:
+    if not (m_values and n_values):
         print(f"error: empty grid: --m {args.m} --n {args.n} has no cells", file=sys.stderr)
         return EXIT_USAGE
     field = parse_field(args.field)
-    if _past_work_limit(cells):
+    if _past_work_limit(m_values, n_values):
         return EXIT_CAP
+    # in sorted order; the limit bounds the n values only, and list() of a
+    # range too long to hold fails at once, where a loop would fill memory
+    cells = [(m, n) for m in list(m_values) for n in n_values]
     # ring (n, m mod 2) -> the first m that needs it
     rings = {}
     for m, n in cells:
@@ -260,7 +266,7 @@ def _ring(args):
 
 def cmd_zcl(args) -> int:
     field = parse_field(args.field)
-    if _past_work_limit([(args.m, args.n)]):
+    if _past_work_limit([args.m], [args.n]):
         return EXIT_CAP
     # the zero-divisor lemma: the cup-length is the bar-span length
     zcl = zero_divisor_cuplength(Presentation(args.n, args.m), field)
@@ -288,42 +294,10 @@ def cmd_barspan(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    # loaded here, so no other command compiles the fuzz suites
-    from . import selftest
-
-    if args.cache is not None:
-        # an unreadable file is an input error, found before any suite runs
-        try:
-            with open(args.cache) as fh:
-                document = json.load(fh)
-        except (OSError, ValueError) as exc:  # a JSON or UTF-8 decode error is a ValueError
-            print(f"error: cannot read document {args.cache}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-    results = selftest.run_all(seed=args.seed, samples=args.samples, shuffles=args.shuffles)
-    if args.cache is not None:
-        results.append(selftest.suite_cache(document))
-    ok = all(r.passed for r in results)
-    if args.output == "json":
-        print(json.dumps({
-            "passed": ok,
-            "suites": [
-                {"name": r.name, "passed": r.passed, "cases": r.cases,
-                 "failures": r.failures}
-                for r in results
-            ],
-        }, sort_keys=True))
-    else:
-        for r in results:
-            print(r.line())
-        print("all suites passed" if ok else "SELFTEST FAILED")
-    return 0 if ok else EXIT_UNPINCHED
-
-
 def cmd_export_algebra(args) -> int:
     pres = Presentation(args.n, args.m)
     path = args.out
-    # a path that cannot be written is an input error, like an unreadable --cache
+    # a path that cannot be written is an input error
     try:
         if path is None:
             base = os.environ.get("TC_CACHE_DIR", ".")
@@ -368,13 +342,6 @@ COMMANDS = {
     "zcl": ("zero-divisor cup-length", cmd_zcl, _RING),
     "barspan": ("longest nonzero product of barred generators", cmd_barspan,
                 _RING + (("--max-n", {"type": int, "default": 5}),)),
-    "selftest": ("run the invariant fuzz suites", cmd_selftest, (
-        ("--seed", {"type": int, "default": 0}),
-        ("--samples", {"type": _positive_int, "default": 200}),
-        ("--shuffles", {"type": _positive_int, "default": 100}),
-        ("--cache", {"default": None,
-                     "help": "also fully re-verify this structure-constant document"}),
-    ) + _OUTPUT),
     "export-algebra": ("write the structure-constant document", cmd_export_algebra, _M_N + (
         ("--out", {"default": None,
                    "help": "output path (default: $TC_CACHE_DIR/structure_n{n}_m{m}.json)"}),

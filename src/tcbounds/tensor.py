@@ -53,8 +53,7 @@ barred generators (`bounds.zero_divisor_cuplength`).  The span is what
 
 `TensorSquare.zero_divisor_power_profile` iterates the powers of the whole
 ideal Z from the diagonal kernels instead.  It is the reference oracle that
-the tests and the selftest compare the bar span against, never an input to a
-report.  It works in coordinates, and `TensorSquare.multiply_coords` is only
+the tests compare the bar span against, never an input to a report.  It works in coordinates, and `TensorSquare.multiply_coords` is only
 the coordinate view of `TensorElement.__mul__`: there is one Koszul product.
 """
 
@@ -262,8 +261,8 @@ class TensorSquare:
 
         Entry k-1 maps weight -> dim of the weight piece of Z^k.  The list
         stops at the last nonzero power, so its length is the zero-divisor
-        cup-length.  Only tests and the selftest call this: reports take it
-        from `bounds.zero_divisor_cuplength`.
+        cup-length.  Only the tests call this: reports take it from
+        `bounds.zero_divisor_cuplength`.
         """
         if self.top_weight == 0:
             return []

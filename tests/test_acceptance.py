@@ -15,12 +15,12 @@ from tcbounds.algebra import (
     rank_polynomial,
     stability_check,
     straighten_word,
-    straighten_word_shuffled,
 )
 from tcbounds.bounds import assemble_report
 from tcbounds.coeffs import QQ, PrimeField
-from tcbounds.selftest import random_homogeneous, random_word
 from tcbounds.tensor import TensorSquare
+
+from oracles import random_homogeneous, random_word, straighten_word_shuffled
 
 GRID = [(m, n) for m in (2, 3, 4, 5, 6, 7) for n in (2, 3)] + \
        [(m, 4) for m in (2, 3, 4, 5)]
@@ -94,7 +94,7 @@ def test_criterion_4_ring_oracle_suite():
         for parity in (0, 1):
             pres = Presentation(n, 2 if parity else 3)
             rng = random.Random(77 + n + parity)
-            for _ in range(12):
+            for _ in range(20):
                 word = random_word(pres, rng)
                 expected = straighten_word(word, parity)
                 for _ in range(100):

@@ -12,7 +12,6 @@ import pytest
 
 import tcbounds.bounds
 import tcbounds.cli
-import tcbounds.selftest
 from tcbounds.algebra import Presentation, _two_letter_patterns
 from tcbounds.cli import (
     EXIT_CAP,
@@ -469,67 +468,6 @@ def test_export_respects_cache_dir_env(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "structure_n2_m3.json").exists()
 
 
-def test_corrupted_cache_detected_by_selftest(tmp_path, capsys):
-    from tcbounds.algebra import _document_checksum
-
-    path = tmp_path / "doc.json"
-    run(capsys, "export-algebra", "--n", "3", "--m", "2", "--out", str(path))
-    doc = json.loads(path.read_text())
-    doc["products"][0][2][0][1] = "41"  # corrupt one structure constant
-    doc["checksum"] = _document_checksum(
-        {k: doc[k] for k in ("schema_version", "n", "m", "basis", "products")}
-    )
-    path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "selftest", "--samples", "5", "--shuffles", "5",
-                       "--cache", str(path))
-    assert code == EXIT_UNPINCHED
-    assert "stale product" in out
-
-
-def test_broken_checksum_rejected_on_load(tmp_path, capsys):
-    path = tmp_path / "doc.json"
-    run(capsys, "export-algebra", "--n", "3", "--m", "2", "--out", str(path))
-    doc = json.loads(path.read_text())
-    doc["products"][0][2][0][1] = "41"
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "selftest", "--samples", "5", "--shuffles", "5",
-                         "--cache", str(path))
-    assert code == EXIT_UNPINCHED
-    # the whole message, spaces and colon included, which no test path contains
-    assert "    failing case: checksum mismatch: document corrupted or stale\n" in out
-    assert err == ""
-
-
-def _not_json(path):
-    path.write_text("{not json")
-
-
-def _not_utf8(path):
-    path.write_bytes(b"\xff\xfe{}")
-
-
-def _a_directory(path):
-    path.mkdir()
-
-
-@pytest.mark.parametrize("make", [None, _not_json, _not_utf8, _a_directory],
-                         ids=["missing", "not-json", "not-utf8", "directory"])
-def test_selftest_unreadable_document_is_input_error(tmp_path, capsys, monkeypatch, make):
-    # the file is read before any suite runs; an unreadable one exits 2 quietly
-    def no_suites(**sizes):
-        raise AssertionError("a suite ran")
-
-    monkeypatch.setattr(tcbounds.selftest, "run_all", no_suites)
-    path = tmp_path / "doc.json"
-    if make:
-        make(path)
-    code, out, err = run(capsys, "selftest", "--cache", str(path))
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert err.startswith(f"error: cannot read document {path}: ")
-    assert err.count("\n") == 1
-
-
 @pytest.mark.parametrize("where", ["missing-directory", "directory", "cache-dir-under-a-file"])
 def test_export_unwritable_document_is_input_error(tmp_path, capsys, monkeypatch, where):
     # a document that cannot be written exits 2 with one line, never a traceback
@@ -564,7 +502,6 @@ OPTIONS = {
     "multiply": ["-h", "--help", "--m", "--n", "--output", "--field"],
     "zcl": ["-h", "--help", "--m", "--n", "--output", "--field"],
     "barspan": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n"],
-    "selftest": ["-h", "--help", "--seed", "--samples", "--shuffles", "--cache", "--output"],
     "export-algebra": ["-h", "--help", "--m", "--n", "--out", "--output"],
 }
 
@@ -593,64 +530,6 @@ def test_retired_cache_option_is_rejected(capsys, tmp_path, argv):
     assert f"unrecognized arguments: --cache {path}" in err
 
 
-# -- selftest ------------------------------------------------------------------------
-
-def test_selftest_passes(capsys):
-    # each suite's case count pins how many cases it draws: --samples sizes the
-    # first two, --shuffles the confluence suite, and the rest are fixed
-    code, out, _ = run(capsys, "selftest", "--samples", "20", "--shuffles", "10",
-                       "--output", "json")
-    assert code == 0
-    data = json.loads(out)
-    assert data["passed"] is True
-    assert [(s["name"], s["cases"], s["passed"]) for s in data["suites"]] == [
-        ("associativity", 120, True),
-        ("graded commutativity", 120, True),
-        ("straightening confluence", 800, True),
-        ("rank consistency", 5, True),
-        ("top-degree nilpotence", 56, True),
-        ("diagonal restriction", 400, True),
-        ("bar classes", 360, True),
-        ("Koszul involution", 400, True),
-        ("even-m stability", 6, True),
-        ("span consistency", 16, True),
-    ]
-
-
-def test_selftest_reports_a_rank_mismatch(capsys, monkeypatch):
-    # a mismatch of the two rank counts is a failed suite, not a traceback
-    poincare_table = tcbounds.selftest.poincare_table
-    message = "rank mismatch for n=4: polynomial [1, 6, 11, 7] vs enumeration [1, 6, 11, 6]"
-
-    def mismatch(n):
-        if n == 4:
-            raise AssertionError(message)
-        return poincare_table(n)
-
-    monkeypatch.setattr(tcbounds.selftest, "poincare_table", mismatch)
-    code, out, err = run(capsys, "selftest", "--samples", "1", "--shuffles", "1")
-    assert (code, err) == (EXIT_UNPINCHED, "")
-    assert f"rank consistency             FAIL  (5 cases)\n    failing case: {message}\n" in out
-    assert out.endswith("SELFTEST FAILED\n")
-
-
-@pytest.mark.parametrize("option", ["--samples", "--shuffles"])
-@pytest.mark.parametrize("value", ["0", "-1", "many"])
-def test_selftest_rejects_vacuous_runs(capsys, option, value):
-    code, out, err = run(capsys, "selftest", option, value)
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert option in err
-
-
-def test_selftest_deterministic(capsys):
-    _, out1, _ = run(capsys, "selftest", "--samples", "10", "--shuffles", "5",
-                     "--seed", "42", "--output", "json")
-    _, out2, _ = run(capsys, "selftest", "--samples", "10", "--shuffles", "5",
-                     "--seed", "42", "--output", "json")
-    assert out1 == out2
-
-
 def test_closed_stdout_exits_quietly(tmp_path):
     # a reader that stops after one line, as `| head -1` does, closes the pipe
     # while the basis (about 240 kB, more than a pipe buffers) is still being
@@ -667,9 +546,9 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert first == b"e_1_2*e_1_3*e_1_4*e_1_5*e_1_6\n"
 
 
-# what a process loads is part of what it costs: `selftest` and the document
-# checksum load only on the commands that run them, and no report needs
-# dataclasses (nor inspect, which it imports)
+# what a process loads is part of what it costs: the document checksum loads
+# only on the commands that run it, and no report needs dataclasses (nor
+# inspect, which it imports)
 _LOADED_BY_COMMANDS = """
 import json, sys
 src, names = sys.argv[1], sys.argv[2:]
@@ -684,11 +563,11 @@ print(json.dumps(seen))
 """
 
 
-def test_reports_load_no_selftest_dataclasses_or_hashlib():
+def test_reports_load_no_dataclasses_or_hashlib():
     # -I -S keep the environment and site-packages out of the child; -B keeps
     # it from writing bytecode into src/, which -I alone would not
     src = str(Path(__file__).resolve().parents[1] / "src")
-    names = ["tcbounds.selftest", "dataclasses", "inspect", "hashlib"]
+    names = ["dataclasses", "inspect", "hashlib"]
     proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _LOADED_BY_COMMANDS,
                            src, *names], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -696,25 +575,43 @@ def test_reports_load_no_selftest_dataclasses_or_hashlib():
     assert seen == {"import": [], "report": [EXIT_PINCHED], "grid": [EXIT_PINCHED]}
 
 
-@pytest.mark.parametrize("argv", [
-    ["export-algebra", "--n", "11", "--m", "2", "--out", "doc.json"],
-    ["basis", "--n", "40", "--m", "2", "--k", "20"],
-], ids=["export-algebra", "basis"])
-def test_out_of_memory_is_not_computed(tmp_path, argv):
-    # the child alone runs under a 128 MB address-space limit; running out is
-    # a resource cap (exit 3, one line), not a traceback and exit 1
+def run_in_128_mb(tmp_path, argv):
+    """The finished child process `tcbounds argv`, which alone runs under a 128 MB address-space limit."""
     resource = pytest.importorskip("resource")
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
 
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-m", "tcbounds.cli", *argv], cwd=tmp_path,
+    return subprocess.run([sys.executable, "-m", "tcbounds.cli", *argv], cwd=tmp_path,
                           env=env, preexec_fn=limit, capture_output=True, text=True,
                           timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ["export-algebra", "--n", "11", "--m", "2", "--out", "doc.json"],
+    ["basis", "--n", "40", "--m", "2", "--k", "20"],
+], ids=["export-algebra", "basis"])
+def test_out_of_memory_is_not_computed(tmp_path, argv):
+    # running out of memory is a resource cap (exit 3, one line), not a
+    # traceback and exit 1
+    proc = run_in_128_mb(tmp_path, argv)
     assert proc.returncode == EXIT_CAP == 3
     assert proc.stderr == "error: not computed: out of memory\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("m,n,code,message", [
+    ("2..3", "2..1000000000000", EXIT_CAP, past_the_limit(1000000000000999999999998)),
+    ("1..3", "2..1000000000000", EXIT_USAGE, BAD_M),
+    ("2..3", "0..1000000000000", EXIT_USAGE, BAD_N),
+], ids=["past-the-limit", "bad-m", "bad-n"])
+def test_grid_refuses_without_listing_its_cells(tmp_path, m, n, code, message):
+    # the first cell, then the work limit, are read off the two ranges: two
+    # trillion cells are refused in 128 MB, with the line of their first bad
+    # cell or of the limit, never the out-of-memory line
+    proc = run_in_128_mb(tmp_path, ["grid", "--m", m, "--n", n])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)
 
 
 @pytest.mark.parametrize("field", ["q", "zp:3"])

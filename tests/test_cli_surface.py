@@ -18,8 +18,7 @@ from tcbounds.cli import EXIT_PINCHED, build_parser, main
 
 DATA = Path(__file__).resolve().parent / "data"
 CASES = json.loads((DATA / "cli_surface.json").read_text())
-COMMANDS = ["report", "grid", "basis", "multiply", "zcl", "barspan", "selftest",
-            "export-algebra"]
+COMMANDS = ["report", "grid", "basis", "multiply", "zcl", "barspan", "export-algebra"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"]) or "no-argv")
@@ -61,7 +60,7 @@ def test_one_command_parser_matches_the_full_tree(capsys, monkeypatch, command):
 
 
 def test_a_report_run_builds_two_parsers(capsys, monkeypatch):
-    # the top-level parser and the report subparser, not the other seven
+    # the top-level parser and the report subparser, not the other six
     built = []
     init = argparse.ArgumentParser.__init__
 

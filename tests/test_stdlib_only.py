@@ -19,7 +19,9 @@ def _imported_roots(tree):
 
 def test_package_imports_only_the_standard_library():
     modules = sorted(PACKAGE.rglob("*.py"))
-    assert len(modules) >= 8
+    # a new module shows here as a reviewed change
+    assert [path.name for path in modules] == [
+        "__init__.py", "algebra.py", "bounds.py", "cli.py", "coeffs.py", "linalg.py", "tensor.py"]
     allowed = set(sys.stdlib_module_names) | {"tcbounds"}
     foreign = [
         f"{path.relative_to(PACKAGE.parent)}:{line}: {root}"

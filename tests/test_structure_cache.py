@@ -107,28 +107,21 @@ def test_sampled_parse_keeps_exactly_the_sampled_products():
         _parse_products(doc, pres, [])
 
 
-def test_short_document_never_lists_the_basis(tmp_path, monkeypatch, capsys):
+def test_short_document_never_lists_the_basis(monkeypatch):
     # a 12-point document with an empty basis is rejected on its length
     # before the ring lists its 12! basis words
-    import tcbounds.cli as cli
-    import tcbounds.selftest as selftest
     from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
 
     def unlisted(self):
         raise AssertionError("the full basis was listed")
 
     monkeypatch.setattr(Presentation, "_coordinates", unlisted)
-    monkeypatch.setattr(selftest, "run_all", lambda **sizes: [])  # the fuzz suites list bases
     doc = {"schema_version": 1, "n": 12, "m": 2, "basis": [], "products": []}
     doc["checksum"] = _document_checksum({k: doc[k] for k in _CHECKED_KEYS})
     with pytest.raises(CacheError, match="basis"):
         verify_structure_document(doc, Presentation(12, 2))
-    path = tmp_path / "short.json"
-    path.write_text(json.dumps(doc))
-    assert cli.main(["selftest", "--cache", str(path)]) == cli.EXIT_UNPINCHED
-    out, err = capsys.readouterr()
-    assert "failing case: basis is not a list of 12! words" in out
-    assert err == ""
+    with pytest.raises(CacheError, match="^basis is not a list of 12! words$"):
+        verify_structure_document(doc, Presentation(12, 2), samples=None)
 
 
 # sha256 of the document file of Presentation(n, m), which is
@@ -328,14 +321,9 @@ def _above_top_weight(doc):
     pytest.param(_mis_graded_term, 4, 100, id="mis-graded-term"),
     pytest.param(_above_top_weight, 4, 100, id="above-top-weight"),
 ])
-def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, monkeypatch, capsys,
-                                           straightened_words):
+def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, straightened_words):
     # every malformed shape is a CacheError, never a traceback; the checksum
-    # is recomputed so the malformation itself has to be caught.  `selftest
-    # --cache` fails its document suite with the same message (the fuzz
-    # suites, which do not read the document, are left out to keep this fast)
-    import tcbounds.cli as cli
-    import tcbounds.selftest as selftest
+    # is recomputed so the malformation itself has to be caught
     from tcbounds.algebra import _CHECKED_KEYS, _document_checksum
 
     doc = malform(structure_document(Presentation(n, 2)))
@@ -346,11 +334,10 @@ def test_malformed_document_is_cache_error(malform, n, samples, tmp_path, monkey
     with pytest.raises(CacheError) as rejected:
         load_structure_document(path, Presentation(n, 2), samples=samples)
     assert straightened_words == []
-    monkeypatch.setattr(selftest, "run_all", lambda **sizes: [])
-    assert cli.main(["selftest", "--cache", str(path)]) == cli.EXIT_UNPINCHED
-    out, err = capsys.readouterr()
-    assert out.splitlines()[1:] == [f"    failing case: {rejected.value}", "SELFTEST FAILED"]
-    assert err == ""
+    # the full check of the parsed document fails with the same message
+    with pytest.raises(CacheError) as full:
+        verify_structure_document(json.loads(path.read_text()), Presentation(n, 2), samples=None)
+    assert str(full.value) == str(rejected.value)
 
 
 def test_load_parses_the_document_once(tmp_path, monkeypatch):
