@@ -159,7 +159,12 @@ def cmd_grid(args) -> int:
         return EXIT_CAP
     # in sorted order; the limit bounds the n values only, and list() of a
     # range too long to hold fails at once, where a loop would fill memory
-    cells = [(m, n) for m in list(m_values) for n in n_values]
+    try:
+        cells = [(m, n) for m in list(m_values) for n in n_values]
+    except OverflowError:  # more m values than a list can index
+        print(f"error: not computed: --m {args.m} holds {m_values[-1] - m_values[0] + 1} "
+              f"values, too many to list", file=sys.stderr)
+        return EXIT_CAP
     # ring (n, m mod 2) -> the first m that needs it
     rings = {}
     for m, n in cells:

@@ -605,11 +605,15 @@ def test_out_of_memory_is_not_computed(tmp_path, argv):
     ("2..3", "2..1000000000000", EXIT_CAP, past_the_limit(1000000000000999999999998)),
     ("1..3", "2..1000000000000", EXIT_USAGE, BAD_M),
     ("2..3", "0..1000000000000", EXIT_USAGE, BAD_N),
-], ids=["past-the-limit", "bad-m", "bad-n"])
+    ("2..1000000000000000000000000000000", "2", EXIT_CAP,
+     "error: not computed: --m 2..1000000000000000000000000000000 holds "
+     "999999999999999999999999999999 values, too many to list\n"),
+], ids=["past-the-limit", "bad-m", "bad-n", "m-past-a-list"])
 def test_grid_refuses_without_listing_its_cells(tmp_path, m, n, code, message):
     # the first cell, then the work limit, are read off the two ranges: two
     # trillion cells are refused in 128 MB, with the line of their first bad
-    # cell or of the limit, never the out-of-memory line
+    # cell or of the limit, never the out-of-memory line; an m range within
+    # the limit but longer than a list can index is refused, not a traceback
     proc = run_in_128_mb(tmp_path, ["grid", "--m", m, "--n", n])
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)
 

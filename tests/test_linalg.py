@@ -202,11 +202,11 @@ def test_echelon_matches_reference_gauss_jordan(field):
                 scale = Fraction(got[lead]) / residual[lead]
                 assert scale and all(got.get(c, 0) == scale * x for c, x in enumerate(residual))
 
-        # stored rows: pivot 1 mod p, or primitive integers with a positive pivot
+        # stored rows: residues in range(1, p), or primitive integers with a positive pivot
         for piv, row in eb._rows.items():
             assert piv == min(row) and all(type(v) is int and v for v in row.values())
             if field.characteristic:
-                assert row[piv] == 1 and all(0 < v < field.characteristic for v in row.values())
+                assert all(0 < v < field.characteristic for v in row.values())
             else:
                 assert row[piv] > 0 and math.gcd(*row.values()) == 1
         # integer_rows: the stored rows in pivot order, leading at the pivots;
@@ -234,6 +234,18 @@ def test_fill_in_pivot_columns_are_cleared(field):
     residual = reference_residual(field, list(zip(eb.pivots(), eb.dense())), vec, 4)
     assert got == {c: x for c, x in enumerate(residual) if x} == {1: 1, 3: 1}
     assert eb.insert(vec) and eb.pivots() == [0, 1, 2]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=str)
+def test_insert_stops_at_the_first_free_pivot(field):
+    # a rank test: the lead of {1: 1, 2: 1} is free, so it is stored as it
+    # is, keeping column 2 although column 2 is a pivot
+    eb = EchelonBasis(field, 3)
+    eb.insert({0: 1})
+    eb.insert({2: 1})
+    assert eb.insert({1: 1, 2: 1})
+    assert eb._rows[1] == {1: 1, 2: 1}
+    assert eb.dense() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("field", PROPERTY_FIELDS, ids=str)

@@ -636,6 +636,40 @@ def test_split_route_matches_full_route(n):
     assert split == 8  # even m over every field, odd m over Z_2
 
 
+@pytest.mark.parametrize("field,split,dims", [
+    (QQ, False, [6, 21, 46, 66, 57, 21]),
+    (PrimeField(2), True, [6, 15, 20, 15, 5]),
+], ids=["Q", "Z2"])
+def test_span_route_selects_the_insert(field, split, dims, monkeypatch):
+    # the split route, where nearly every product is independent, offers it
+    # straight to the rank-test insert and never reduces; the unsplit route,
+    # where most are dependent, stores only fully reduced rows, each zero at
+    # every pivot column that existed when it was inserted
+    insert, reduce = EchelonBasis.insert, EchelonBasis.reduce
+    reduced, rows = [], []
+
+    def spy_reduce(self, vec):
+        reduced.append(vec)
+        return reduce(self, vec)
+
+    def spy_insert(self, vec):
+        before = set(self._rows)
+        if not insert(self, vec):
+            return False
+        (piv,) = set(self._rows) - before
+        rows.append(not before & set(self._rows[piv]))
+        return True
+
+    monkeypatch.setattr(EchelonBasis, "reduce", spy_reduce)
+    monkeypatch.setattr(EchelonBasis, "insert", spy_insert)
+    sq = TensorSquare(Presentation(4, 3), field)
+    assert sq._decone_splits() is split
+    assert sq.bar_span_profile() == dims
+    assert bool(reduced) is not split
+    # on the split route some stored row keeps an earlier pivot column
+    assert all(rows) is not split
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_quotient_ranks_count_the_words_without_e12(n):
     # the echelon widths of the split route are dims of the quotient's square
