@@ -18,7 +18,7 @@ same local rules applied in an arbitrary order.
 `straighten_word` is also the definition of the product of basis words:
 u * v is the normal form of the word u + v, which `Presentation.product`
 memoizes without listing the n! basis words.  `Presentation.witness_terms`
-reads the coefficients of the paper's witnesses off a few normal forms.  The
+checks the facts behind the paper's witnesses on a few normal forms.  The
 ring has one coordinate system, the indices of `full_basis()`: the operators
 R_g of `right_operators`, each row filled on its first read from the Arnold
 relation (`right_operator_row`), and the product rows of `row`, their fold.
@@ -165,7 +165,6 @@ class Presentation:
         self._right_ops = None  # the R_g lists, made once by right_operators
         self._patterns = None  # by _pattern_forms
         self._decone = None  # by decone_splits
-        self._witness = None  # by witness_terms: the pair, or () where a fact failed
 
     def __repr__(self):
         return f"Presentation(n={self.n}, m={self.m})"
@@ -256,19 +255,23 @@ class Presentation:
             self._patterns = {w: self.straighten(w) for w in _two_letter_patterns(self.n)}
         return self._patterns
 
-    def witness_terms(self) -> Optional[Tuple[int, int]]:
-        """The integer coefficients (a, b) of the paper's two witnesses, or None if a fact fails.
+    def witness_terms(self) -> Optional[int]:
+        """The integer coefficient b of the paper's shorter witness, or None if a fact fails.
 
         With E = e_12 e_13 ... e_1n and F = e_23 ... e_2n, a is the coefficient
         of E (x) E in the product of bar(e_1j)^2, j = 2..n, and b that of
         E (x) F in bar(e_12) times bar(e_1j) bar(e_2j), j = 3..n, in that order,
         over Z: a = (-2)^(n-1) for odd m and 0 for even m, b =
         (-1)^(n + parity (n-2)(n-3)/2), and a = b = 1 at n = 1 (empty words).
-        The facts, checked on normal forms: (1) two letters with different
-        upper indices swap with the Koszul sign only; (2) every term of
-        NF(e_1j e_2j) holds e_12; (3) NF(e_1j e_1j) = 0; (4) NF(E) = E and
-        NF(F) = F.  (1)-(3) are about two-letter words, so by the relabelling
-        lemma of `decone_splits` the patterns suffice (`_pattern_forms`).
+        So a is a unit in a field exactly when n = 1, or m is odd and the
+        characteristic is not 2; it is never formed.  b is a unit in every
+        field.  The facts: (1) two letters with different upper indices swap
+        with the Koszul sign only; (2) every term of NF(e_1j e_2j) holds e_12;
+        (3) NF(e_1j e_1j) = 0; (4) E and F are admissible, their upper indices
+        strictly increasing, so NF(E) = E and NF(F) = F by the basis theorem.
+        (1)-(3) are about two-letter words, so by the relabelling lemma of
+        `decone_splits` the patterns suffice (`_pattern_forms`), and are
+        checked on their normal forms; (4) holds by construction.
 
         Proof.  H is associative and (u (x) v)(u' (x) v') = (-1)^{|v||u'|}
         uu' (x) vv', so a product of the terms g (x) 1 and -(1 (x) g) of the
@@ -286,18 +289,14 @@ class Presentation:
         term has each e_2j on the right, a factor -1, and each e_1j passing the
         j - 3 letters on the right, (-1)^(parity (j-3)); with (4) it is b.
         """
-        if self._witness is None:
-            n, forms, koszul = self.n, self._pattern_forms(), -1 if self.parity else 1
-            e, f = tuple((1, j) for j in range(2, n + 1)), tuple((2, j) for j in range(3, n + 1))
-            facts = [self.straighten(e) == {e: 1}, self.straighten(f) == {f: 1},
-                     not forms.get(((1, 2), (1, 2))),
-                     all((1, 2) in w for w in forms.get(((1, 3), (2, 3)), ()))]
-            facts += [form == ({(g, h): 1} if g[1] < h[1] else {(h, g): koszul})
-                      for (g, h), form in forms.items() if g[1] != h[1]]
-            a = (-2) ** (n - 1) if not self.parity or n == 1 else 0
-            b = (-1) ** (n + self.parity * (n - 2) * (n - 3) // 2) if n > 1 else 1
-            self._witness = (a, b) if all(facts) else ()
-        return self._witness or None
+        n, forms, koszul = self.n, self._pattern_forms(), -1 if self.parity else 1
+        facts = [not forms.get(((1, 2), (1, 2))),
+                 all((1, 2) in w for w in forms.get(((1, 3), (2, 3)), ()))]
+        facts += [form == ({(g, h): 1} if g[1] < h[1] else {(h, g): koszul})
+                  for (g, h), form in forms.items() if g[1] != h[1]]
+        if not all(facts):
+            return None
+        return (-1) ** ((n + self.parity * (n - 2) * (n - 3) // 2) % 2) if n > 1 else 1
 
     def _coordinates(self) -> "_Coordinates":
         """Index data of the full basis, built once (see `_Coordinates`)."""

@@ -215,24 +215,26 @@ class BoundsReport:
 def zero_divisor_cuplength(pres: Presentation, field) -> int:
     """The zero-divisor cup-length of the ring over field, from its witness coefficients.
 
-    `Presentation.witness_terms` gives the integer coefficients of the
-    paper's two witnesses at a basis pair: a for the one of length 2n - 2,
-    the top weight, and b = +-1, a unit in every field, for the one of
-    length 2n - 3.  A witness whose coefficient is nonzero in the field
-    bounds the length from below.  At the top weight that closes it.  a =
-    (-2)^(n-1) or 0 vanishes in the field only for even m or in
-    characteristic 2, where the decone check applies
-    (`Presentation.decone_splits`): then it kills every product of 2n - 2
-    barred generators, which closes the length one below.  No tensor element
-    is formed and no span is built.  Raises ClosedFormContradiction, naming
-    the ring and the field, where a fact of `witness_terms` fails, or a
-    vanishes and the decone check fails: `straighten_word` is then broken.
+    `Presentation.witness_terms` checks the facts behind the paper's two
+    witnesses at a basis pair: the one of length 2n - 2, the top weight,
+    with coefficient a = (-2)^(n-1) or 0, and the one of length 2n - 3,
+    with coefficient b = +-1, a unit in every field.  A witness whose
+    coefficient is nonzero in the field bounds the length from below.  At
+    the top weight that closes it: a is a unit exactly when n = 1, or m is
+    odd and the characteristic is not 2, which is read off directly, so a
+    is never formed.  Elsewhere the decone check applies
+    (`Presentation.decone_splits`): it kills every product of 2n - 2
+    barred generators, which closes the length one below.  Both checks read
+    the 13 two-letter pattern forms at most, whatever n, so no tensor
+    element is formed and no span is built.  Raises
+    ClosedFormContradiction, naming the ring and the field, where a fact of
+    `witness_terms` or the decone check fails: `straighten_word` is then
+    broken.
     """
     where = f"for (m={pres.m}, n={pres.n}) over {field.describe()}"
-    terms = pres.witness_terms()
-    if terms is None:
+    if pres.witness_terms() is None:
         raise ClosedFormContradiction(f"a witness fact failed {where}")
-    if field.coerce(terms[0]):
+    if pres.n == 1 or (not pres.parity and field.characteristic != 2):
         return 2 * pres.top_weight
     if not pres.decone_splits():
         raise ClosedFormContradiction(f"the decone check failed {where}")
@@ -326,11 +328,11 @@ def assemble_report(m: int, n: int, field=QQ) -> BoundsReport:
 
     `certify_ring` does the ring work and `report_from_ring` the bounds, so
     this is the one report `report` prints and each `grid` cell matches.
-    Every input reads m only through its parity or in O(1) integer
-    arithmetic, so the cost grows with n alone (15 straightenings of at most
-    n - 1 letters); the library sets no size cap (the command line's work
-    limit does).  Raises ValueError for a configuration the ring does not
-    model, and ClosedFormContradiction where a fact of the certificate fails
-    or a pinched value disagrees with the closed form.
+    Every input reads m only through its parity, and n and m in a few
+    integer operations, so the ring work does not grow with them: at most
+    13 straightenings of two-letter words, once per ring.  No size cap is
+    set.  Raises ValueError for a configuration the ring does not model, and
+    ClosedFormContradiction where a fact of the certificate fails or a
+    pinched value disagrees with the closed form.
     """
     return report_from_ring(m, n, field, *certify_ring(m, n, field))

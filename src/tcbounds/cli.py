@@ -1,9 +1,11 @@
 """Command-line interface for batch certification runs.
 
 Exit codes: 0 pinched certificate matching the closed form, 1 unpinched
-bounds, 2 usage or input-file error (a document that cannot be written),
-3 not computed: rings past `WORK_LIMIT`, n past barspan's --max-n, a dead
-grid worker or out of memory (one `error: ...` line, no traceback),
+bounds, 2 usage or input-file error (a document that cannot be written, or an
+answer past Python's limit on the digits of a printed integer),
+3 not computed: a grid past its cell limit (`WORK_LIMIT`), n past barspan's
+--max-n, a dead grid worker or out of memory (one `error: ...` line, no
+traceback),
 4 contradiction (engine bug: a fact of the certificate failed or a report
 left the closed form; one `CONTRADICTION: ...` line, or grid's cell lines),
 141 (128 + SIGPIPE) the reader closed stdout early, as `| head` does; the
@@ -20,7 +22,7 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .algebra import (
     AlgebraElement,
@@ -46,9 +48,10 @@ EXIT_CAP = 3
 EXIT_CONTRADICTION = 4
 EXIT_PIPE = 141
 
-# points summed over the distinct rings of a report, zcl or grid run: a ring costs
-# 15 straightenings of at most n - 1 letters (`report --n 200000`: 0.7 s, 73 MB)
-WORK_LIMIT = 200_000
+# cells of a grid whose m and n have under 50 digits in all: a ring costs at
+# most 13 two-letter straightenings at any n, so a grid's time and output grow
+# with its cells
+WORK_LIMIT = 10_000
 
 _EDGE_TOKEN = re.compile(r"^e_?(\d+)[_,](\d+)$|^e(\d)(\d)$")
 
@@ -87,25 +90,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _past_work_limit(m_values: Sequence[int], n_values: Sequence[int]) -> bool:
-    """Whether the distinct rings (n, m mod 2) of the cells m x n hold past WORK_LIMIT points.
-
-    Reported on stderr.  Each of m_values and n_values holds consecutive
-    integers, ascending.  The first cell (min m, min n) is checked first: it
-    is bad whenever any cell is, so a bad (n, m) raises ValueError before the
-    limit is read.  The work is in closed form, each n once per parity of m,
-    so no cell is listed.
-    """
-    check_configuration(n_values[0], m_values[0])
-    n_lo, n_hi = n_values[0], n_values[-1]
-    work = (n_lo + n_hi) * (n_hi - n_lo + 1) // 2 * len(m_values[:2])
-    if work <= WORK_LIMIT:
-        return False
-    print(f"error: not computed: the rings hold {work} points in all, "
-          f"past the work limit of {WORK_LIMIT}", file=sys.stderr)
-    return True
-
-
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
     if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -120,8 +104,6 @@ def _emit(args, payload: dict, text_lines: List[str]) -> None:
 
 def cmd_report(args) -> int:
     field = parse_field(args.field)
-    if _past_work_limit([args.m], [args.n]):
-        return EXIT_CAP
     report = assemble_report(args.m, args.n, field=field)
     _emit(args, report.to_json_dict(), report.text_lines())
     return EXIT_PINCHED if report.pinched else EXIT_UNPINCHED
@@ -136,9 +118,10 @@ def _grid_ring(task):
 def cmd_grid(args) -> int:
     """Certify every (m, n) cell of a rectangle, each distinct ring once.
 
-    The first cell and then the work limit of the rings are checked before
-    any cell is listed, so a bad cell fails first with the message `report`
-    would print.  The ring reads m only through its parity, so the
+    The first cell, which is bad whenever any cell is, and then the cell
+    count, against `WORK_LIMIT`, are read off the two ranges before any cell
+    is listed, so a bad cell fails first with the message `report` would
+    print.  The ring reads m only through its parity, so the
     cells with the same n and parity of m share one `certify_ring` call,
     in-process or as one pool task, with at most one worker per ring.  The
     memo of those pairs lives for this call only.  Each cell's report is
@@ -155,16 +138,17 @@ def cmd_grid(args) -> int:
         print(f"error: empty grid: --m {args.m} --n {args.n} has no cells", file=sys.stderr)
         return EXIT_USAGE
     field = parse_field(args.field)
-    if _past_work_limit(m_values, n_values):
+    check_configuration(n_values[0], m_values[0])
+    # arithmetic on the bounds, since len() of a range past sys.maxsize raises;
+    # a cell's numbers have about as many digits as its m and n together, so
+    # the limit shrinks by one share per 50 of those digits
+    count = (m_values.stop - m_values.start) * (n_values.stop - n_values.start)
+    limit = WORK_LIMIT // (1 + len(f"{m_values[-1]}{n_values[-1]}") // 50)
+    if count > limit:
+        print(f"error: not computed: the grid holds {count} cells, "
+              f"past the limit of {limit}", file=sys.stderr)
         return EXIT_CAP
-    # in sorted order; the limit bounds the n values only, and list() of a
-    # range too long to hold fails at once, where a loop would fill memory
-    try:
-        cells = [(m, n) for m in list(m_values) for n in n_values]
-    except OverflowError:  # more m values than a list can index
-        print(f"error: not computed: --m {args.m} holds {m_values[-1] - m_values[0] + 1} "
-              f"values, too many to list", file=sys.stderr)
-        return EXIT_CAP
+    cells = [(m, n) for m in m_values for n in n_values]  # in sorted order
     # ring (n, m mod 2) -> the first m that needs it
     rings = {}
     for m, n in cells:
@@ -271,8 +255,6 @@ def _ring(args):
 
 def cmd_zcl(args) -> int:
     field = parse_field(args.field)
-    if _past_work_limit([args.m], [args.n]):
-        return EXIT_CAP
     # the zero-divisor lemma: the cup-length is the bar-span length
     zcl = zero_divisor_cuplength(Presentation(args.n, args.m), field)
     payload = {"n": args.n, "m": args.m, "field": field.describe(),

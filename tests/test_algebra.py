@@ -87,8 +87,40 @@ def test_triple_relation_holds(parity):
     assert all(v == 0 for v in relation.values())
 
 
+def admissible_words_are_fixed(straighten, parity):
+    """Whether straighten leaves every admissible basis word at n <= 6 as it is."""
+    return all(straighten(w, parity) == {w: 1}
+               for n in range(1, 7) for w in Presentation(n, 3 - parity).full_basis())
+
+
 def test_admissible_word_is_fixed():
+    # the basis theorem: every admissible word is its own normal form, in
+    # both parities; `witness_terms` reads NF(E) = E and NF(F) = F off it
     assert straighten_word([(1, 2), (1, 3)], 1) == {((1, 2), (1, 3)): 1}
+    assert admissible_words_are_fixed(straighten_word, 0)
+    assert admissible_words_are_fixed(straighten_word, 1)
+
+
+def rewritten(word, form):
+    """`straighten_word` with the normal form of one word replaced by form."""
+    def mutant(w, parity):
+        return dict(form) if tuple(w) == word else straighten_word(w, parity)
+
+    return mutant
+
+
+E4, F4 = ((1, 2), (1, 3), (1, 4)), ((2, 3), (2, 4))  # E and F at n = 4
+
+
+@pytest.mark.parametrize("mutant,parity", [
+    (rewritten(E4, {E4: -1}), 1),
+    (rewritten(E4, {E4: -1}), 0),
+    (rewritten(F4, {}), 1),
+], ids=["wrong-nf-e-even", "wrong-nf-e-odd", "f-vanishes"])
+def test_admissible_word_check_kills_the_witness_mutants(mutant, parity):
+    # a straightening that moves E or F breaks fact (4) of `witness_terms`,
+    # which no report reads any more: the basis check above catches it
+    assert not admissible_words_are_fixed(mutant, parity)
 
 
 def test_sorting_sign_depends_on_parity():

@@ -16,7 +16,7 @@ from tcbounds.bounds import (
     product_upper_m2,
     sharpness_upper,
 )
-from tcbounds.cli import EXIT_CAP, main
+from tcbounds.cli import EXIT_PINCHED, main
 from tcbounds.coeffs import QQ, PrimeField
 from tcbounds.tensor import TensorElement
 
@@ -178,12 +178,13 @@ def test_report_n6_certifies_past_the_default_cap(unlisted_basis):
 
 
 def test_caps_give_unknown_report(capsys):
-    # the library sets no cap; the command line's work limit refuses a run by
-    # its predicted size and prints no report at all, never one with null bounds
+    # neither the library nor `report` sets a cap: a report costs the same at
+    # any n, so every report has both bounds, never null ones
     r = assemble_report(4, 7)
     assert (r.lower, r.upper, r.pinched) == (12, 12, True)
-    assert main(["report", "--m", "4", "--n", "1000000000000", "--output", "json"]) == EXIT_CAP
-    assert capsys.readouterr().out == ""
+    assert main(["report", "--m", "4", "--n", "1000000000000", "--output", "json"]) == EXIT_PINCHED
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lower"] == doc["upper"] == doc["closed_form"] == 1999999999998
 
 
 def test_report_json_roundtrip():
@@ -231,8 +232,8 @@ def test_report_straightens_only_its_witness_products(unlisted_basis, straighten
                                                       witness_fact_words, monkeypatch):
     # over Z_p the report reads the witness, each bar(e_1j) squared, off its
     # closed-form coefficient for Z_p and for Q alike: the ring straightens the
-    # 13 two-letter patterns and the words E and F once, checking the facts of
-    # `witness_terms`, and multiplies no tensor out
+    # 13 two-letter patterns once, checking the facts of `witness_terms`, never
+    # E and F, which are admissible, and multiplies no tensor out
     def multiplied(self, other):
         raise AssertionError("a tensor product was multiplied out")
 
@@ -241,4 +242,4 @@ def test_report_straightens_only_its_witness_products(unlisted_basis, straighten
     report = assemble_report(3, n, field=PrimeField(3))
     assert report.pinched
     assert straightened_words == witness_fact_words(n)
-    assert len(straightened_words) == 15
+    assert len(straightened_words) == 13

@@ -126,18 +126,15 @@ def test_bad_configuration_has_one_message(capsys, tmp_path, monkeypatch, argv, 
 ], ids=["m", "n"])
 @pytest.mark.parametrize("command", ["report", "zcl", "barspan", "grid"])
 def test_bad_configuration_is_checked_before_the_caps(capsys, command, argv, message):
-    # barspan's --max-n set below the bad n, the work limit of the others
+    # barspan's --max-n set below the bad n; a grid reads its cell limit
+    # after its first cell
     cap = ["--max-n", "-1"] if command == "barspan" else []
     code, out, err = run(capsys, command, *argv, *cap)
     assert (code, out, err) == (EXIT_USAGE, "", message)
 
 
-def past_the_limit(points):
-    return f"error: not computed: the rings hold {points} points in all, " \
-           f"past the work limit of {WORK_LIMIT}\n"
-
-
-PAST_THE_LIMIT = past_the_limit(1000000000000)
+def past_the_limit(cells, limit=WORK_LIMIT):
+    return f"error: not computed: the grid holds {cells} cells, past the limit of {limit}\n"
 
 
 def refuse_rings(monkeypatch):
@@ -150,26 +147,33 @@ def refuse_rings(monkeypatch):
 
 @pytest.mark.parametrize("command", ["report", "zcl", "barspan"])
 def test_cap_message_is_shared(capsys, monkeypatch, command):
-    # report and zcl print grid's work-limit line; barspan keeps its --max-n line
+    # the caps left share one form, exit 3 and one "error: not computed" line
+    # before any ring is built: barspan's --max-n and grid's cell limit;
+    # report and zcl have none, and answer at any n as a one-cell grid does
+    if command != "barspan":
+        got = run(capsys, command, "--m", "3", "--n", "1000000000000")
+        assert got[0] == EXIT_PINCHED and "1999999999999" in got[1]
+        assert run(capsys, "grid", "--m", "3", "--n", "1000000000000") == (
+            EXIT_PINCHED, "m=3 n=1000000000000 closed=1999999999999 TC=1999999999999 "
+            "pinched=yes\npinched 1/1\n", "")
     refuse_rings(monkeypatch)
-    if command == "barspan":
-        argv, message = ["--n", "6"], "error: not computed: (m=3, n=6) exceeds caps (max_n=5)\n"
-    else:
-        argv, message = ["--n", "1000000000000"], PAST_THE_LIMIT
-        assert run(capsys, "grid", "--m", "3", *argv) == (EXIT_CAP, "", message)
-    assert run(capsys, command, "--m", "3", *argv) == (EXIT_CAP, "", message)
+    message = "error: not computed: (m=3, n=6) exceeds caps (max_n=5)\n"
+    assert run(capsys, "barspan", "--m", "3", "--n", "6") == (EXIT_CAP, "", message)
+    assert run(capsys, "grid", "--m", "3", "--n", "1..10001") == (
+        EXIT_CAP, "", past_the_limit(10001))
 
 
-def test_report_cap_exceeded(capsys, monkeypatch):
-    # the work limit is read off the predicted size before any ring is built,
-    # and nothing is printed on stdout, not even an empty report
-    refuse_rings(monkeypatch)
+def test_report_cap_exceeded(capsys, unlisted_basis):
+    # no cap is left on the report path: at n = 10^12 every command answers
+    # with a pinched certificate (even m pinches over every field), from the
+    # two-letter patterns, never the n! basis words
     for command in ("report", "zcl", "grid"):
         for output in ("text", "json"):
             for field in ("q", "zp:2", "zp:3"):
                 code, out, err = run(capsys, command, "--m", "4", "--n", "1000000000000",
                                      "--output", output, "--field", field)
-                assert (code, out, err) == (EXIT_CAP, "", PAST_THE_LIMIT)
+                assert (code, err) == (EXIT_PINCHED, "")
+                assert "1999999999998" in out
 
 
 def test_report_n1000_pinches(capsys):
@@ -206,8 +210,8 @@ def test_reports_call_assemble_report_once_per_cell(capsys, monkeypatch):
     assert len(calls) == 1
     assert run(capsys, "grid", "--m", "2..3", "--n", "2", "--jobs", "1")[0] == EXIT_PINCHED
     assert len(calls) == 1
-    assert run(capsys, "report", "--m", "3", "--n", "1000000000000")[0] == EXIT_CAP
-    assert len(calls) == 1
+    assert run(capsys, "report", "--m", "3", "--n", "1000000000000")[0] == EXIT_PINCHED
+    assert len(calls) == 2
 
 
 # -- grid ---------------------------------------------------------------------------
@@ -298,15 +302,21 @@ def test_grid_certifies_each_ring_once(capsys, monkeypatch, m, n, field, cells, 
 
 
 def test_grid_with_cap_cells(capsys, monkeypatch):
-    # each n is far below the work limit, but the rings of both parities of m
-    # add up past it; cells that share a ring count it once: 11 cells at
-    # n = 20000 hold 220,000 points, their two rings 40,000
+    # the limit counts cells, whatever their n and however many rings they
+    # share; it shrinks by one share per 50 digits of the largest m and n
+    # together, which the numbers of every cell have at most
     code, out, _ = run(capsys, "grid", "--m", "2..12", "--n", "20000")
     assert (code, out.splitlines()[-1]) == (EXIT_PINCHED, "pinched 11/11")
+    monkeypatch.setattr(tcbounds.cli, "WORK_LIMIT", 6)
+    big = 10 ** 48  # 49 digits; 50 with its m
+    for m, n, limit in (("2..3", "2..4", 6), ("2..4", str(big), 3)):
+        code, out, _ = run(capsys, "grid", "--m", m, "--n", n)
+        assert (code, out.splitlines()[-1]) == (EXIT_PINCHED, f"pinched {limit}/{limit}")
     refuse_rings(monkeypatch)
-    for n_hi, points in ((1000, 1000998), (447, 200254)):
-        code, out, err = run(capsys, "grid", "--m", "2..3", "--n", f"2..{n_hi}", "--jobs", "2")
-        assert (code, out, err) == (EXIT_CAP, "", past_the_limit(points))
+    for m, n, cells, limit in (("2..3", "2..5", 8, 6), ("2..5", str(big), 4, 3),
+                               ("2..10", "10..11", 18, 6), ("2..4", "9" * 99, 3, 2)):
+        code, out, err = run(capsys, "grid", "--m", m, "--n", n, "--jobs", "2")
+        assert (code, out, err) == (EXIT_CAP, "", past_the_limit(cells, limit))
 
 
 def test_grid_parallel_matches_serial(capsys):
@@ -602,20 +612,65 @@ def test_out_of_memory_is_not_computed(tmp_path, argv):
 
 
 @pytest.mark.parametrize("m,n,code,message", [
-    ("2..3", "2..1000000000000", EXIT_CAP, past_the_limit(1000000000000999999999998)),
+    ("2..3", "2..1000000000000", EXIT_CAP, past_the_limit(1999999999998)),
     ("1..3", "2..1000000000000", EXIT_USAGE, BAD_M),
     ("2..3", "0..1000000000000", EXIT_USAGE, BAD_N),
     ("2..1000000000000000000000000000000", "2", EXIT_CAP,
-     "error: not computed: --m 2..1000000000000000000000000000000 holds "
-     "999999999999999999999999999999 values, too many to list\n"),
+     past_the_limit(999999999999999999999999999999)),
 ], ids=["past-the-limit", "bad-m", "bad-n", "m-past-a-list"])
 def test_grid_refuses_without_listing_its_cells(tmp_path, m, n, code, message):
-    # the first cell, then the work limit, are read off the two ranges: two
+    # the first cell, then the cell count, are read off the two ranges: two
     # trillion cells are refused in 128 MB, with the line of their first bad
-    # cell or of the limit, never the out-of-memory line; an m range within
-    # the limit but longer than a list can index is refused, not a traceback
+    # cell or of the limit, never the out-of-memory line; so is an m range
+    # longer than a list can index, by its count, not a traceback
     proc = run_in_128_mb(tmp_path, ["grid", "--m", m, "--n", n])
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message)
+
+
+TRILLION = "1000000000000"
+
+
+def test_a_trillion_points_are_certified_in_128_mb(tmp_path):
+    # nothing on the report path grows with n: at n = 10^12, report, zcl and
+    # a three-cell grid answer in 128 MB, which (-2)^(n-1), at 10^12 bits, or
+    # a word of n - 1 letters could never fit
+    def answer(*argv):
+        proc = run_in_128_mb(tmp_path, [*argv, "--n", TRILLION, "--output", "json"])
+        assert proc.stderr == "", argv
+        return proc.returncode, json.loads(proc.stdout)
+
+    for m, field, code, lower, upper in (("3", "q", EXIT_PINCHED, 1999999999999, 1999999999999),
+                                         ("4", "q", EXIT_PINCHED, 1999999999998, 1999999999998),
+                                         ("3", "zp:2", EXIT_UNPINCHED, 1999999999998,
+                                          1999999999999)):
+        got, doc = answer("report", "--m", m, "--field", field)
+        assert (got, doc["lower"], doc["upper"]) == (code, lower, upper)
+        assert answer("zcl", "--m", m, "--field", field)[1]["tc_lower_bound"] == lower
+    got, doc = answer("grid", "--m", "2..4")
+    assert got == EXIT_PINCHED
+    assert [(c["m"], c["lower"], c["upper"]) for c in doc["cells"]] == [
+        (2, 1999999999998, 1999999999998), (3, 1999999999999, 1999999999999),
+        (4, 1999999999998, 1999999999998)]
+
+
+@pytest.mark.parametrize("field", ["q", "zp:2", "zp:3"])
+def test_a_trillion_point_report_straightens_two_letter_words(capsys, unlisted_basis,
+                                                              straightened_words, field):
+    code, _, _ = run(capsys, "report", "--n", TRILLION, "--m", "3", "--field", field)
+    assert code == (EXIT_UNPINCHED if field == "zp:2" else EXIT_PINCHED)
+    assert straightened_words == _two_letter_patterns(int(TRILLION))
+    assert max(map(len, straightened_words)) == 2 and len(straightened_words) == 13
+
+
+@pytest.mark.parametrize("argv", [
+    ["report"], ["report", "--output", "json"], ["zcl"], ["grid"], ["grid", "--output", "json"],
+], ids=lambda argv: "-".join(argv).replace("--output-", ""))
+def test_an_answer_too_long_to_print_is_an_input_error(capsys, argv):
+    # n of 4,300 digits is read, but 2n - 1 has 4,301, past CPython's limit on
+    # int-to-str conversion: one error line and exit 2, before any output
+    code, out, err = run(capsys, argv[0], "--m", "3", "--n", "9" + "0" * 4299, *argv[1:])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field", ["q", "zp:3"])
@@ -623,17 +678,18 @@ def test_grid_refuses_without_listing_its_cells(tmp_path, m, n, code, message):
 def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, unlisted_basis,
                                                                 straightened_words,
                                                                 witness_fact_words, n, field):
-    # the odd-m witness, each bar(e_1j) squared, is read off its closed-form
-    # coefficient (-2)^(n-1): the ring checks the facts of `witness_terms`
-    # once for Z_3 and Q alike, 15 straightenings at any n, never of the n!
-    # basis words: a report costs what its witness facts need
+    # the odd-m witness, each bar(e_1j) squared, survives where its
+    # coefficient (-2)^(n-1) is a unit: the ring checks the facts of
+    # `witness_terms` once for Z_3 and Q alike, 13 two-letter straightenings
+    # at any n, never of the n! basis words: a report costs what its witness
+    # facts need
     code, out, _ = run(capsys, "report", "--n", str(n), "--m", "3",
                        "--field", field, "--output", "json")
     doc = json.loads(out)
     assert code == EXIT_PINCHED
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 1
     assert straightened_words == witness_fact_words(n)
-    assert len(set(straightened_words)) == 15
+    assert len(set(straightened_words)) == 13
 
 
 @pytest.mark.parametrize("field,squares", [("q", 1), ("zp:3", 2)])
@@ -646,8 +702,8 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
     # the even-m witness has length 2n - 3, and the decone check closes the top
     # weight by straightening the 13 two-letter patterns once per ring, however
     # many fields ask for it (over Z_3 the field's and the rational one); the
-    # witness facts share those words and add only E and F, the witness's own
-    # basis pair, so no tensor is multiplied out
+    # witness facts share those words, and its basis pair E (x) F is
+    # admissible, so no tensor is multiplied out
     asking, scanned = [], []
     splits, straighten = Presentation.decone_splits, Presentation.straighten
 
@@ -668,7 +724,7 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
     assert doc["pinched"] and doc["lower"] == doc["upper"] == 2 * n - 2
     assert len(asking) == squares and len({id(pres) for pres in asking}) == 1
     assert scanned == straightened_words == witness_fact_words(n)
-    assert sorted(scanned[:13]) == sorted(_two_letter_patterns(n))
+    assert sorted(scanned) == sorted(_two_letter_patterns(n))
 
 
 @pytest.mark.parametrize("field", ["q", "zp:2", "zp:3"])

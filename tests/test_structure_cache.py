@@ -496,9 +496,9 @@ def test_full_check_counts_every_pair_and_re_derives_those_within_the_top_weight
 def test_report_from_a_cache_straightens_only_the_samples(tmp_path, capsys, request,
                                                          straightened_words):
     # loading a document straightens only its 100 samples, and a report
-    # checks its witness facts, 15 straightenings of as many words and never
-    # the n! basis words: no report reads a document, so loading one saves a
-    # report nothing
+    # checks its witness facts on the 13 two-letter patterns and never the n!
+    # basis words: no report reads a document, so loading one saves a report
+    # nothing
     from tcbounds.cli import main
 
     path = tmp_path / "s.json"
@@ -509,8 +509,8 @@ def test_report_from_a_cache_straightens_only_the_samples(tmp_path, capsys, requ
     straightened_words.clear()
     request.getfixturevalue("unlisted_basis")
     assert main(["report", "--n", "5", "--m", "3"]) == 0
-    assert len(straightened_words) == 15
-    assert len(set(straightened_words)) == 15
+    assert len(straightened_words) == 13
+    assert len(set(straightened_words)) == 13
 
 
 @pytest.mark.parametrize("samples", [0, -3, True, False, 2.0, "100"])
