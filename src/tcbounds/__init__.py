@@ -31,7 +31,6 @@ from .bounds import (
     sharpness_upper,
 )
 from .coeffs import PrimeField, QQ, Rationals, parse_field
-from .tensor import TensorElement, TensorSquare, bar, diagonal_restriction, koszul_swap
 
 __version__ = "0.1.0"
 
@@ -64,3 +63,17 @@ __all__ = [
     "structure_document",
     "write_structure_document",
 ]
+
+
+def __getattr__(name):
+    """The tensor layer, loaded on first use: no report builds a tensor square."""
+    from importlib import import_module  # `from . import` would recurse into here
+    if name in ("tensor", "linalg"):
+        return import_module(f"{__name__}.{name}")
+    if name in __all__:  # the five tensor names, the only ones not bound above
+        return getattr(import_module(f"{__name__}.tensor"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, "tensor", "linalg"})

@@ -43,7 +43,6 @@ True
 
 from __future__ import annotations
 
-import json
 import math
 from itertools import accumulate, combinations, product as iproduct
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -699,6 +698,7 @@ _CHECKED_KEYS = ("schema_version", "n", "m", "basis", "products")
 
 
 def _canonical_json(value) -> str:
+    import json  # only documents need it, as hashlib below
     # a document is built here or parsed from JSON, so it is never cyclic
     return json.dumps(value, sort_keys=True, separators=(",", ":"), check_circular=False)
 
@@ -774,6 +774,7 @@ def _sealed_checksum(data: bytes) -> Optional[str]:
 
 def structure_document(pres: Presentation) -> dict:
     """The structure document of `pres`, parsed from its file text (see `_document_text`)."""
+    import json
     return json.loads(_document_text(pres)[0])
 
 
@@ -955,6 +956,7 @@ def load_structure_document(path, pres: Presentation, samples=100) -> dict:
     is installed: no computation reads a document, which is an export and an
     independent check of the ring's products.
     """
+    import json
     with open(path, "rb") as fh:
         data = fh.read()
     sealed = _sealed_checksum(data)

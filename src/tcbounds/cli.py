@@ -18,7 +18,6 @@ structure-constant documents written by `export-algebra`.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -39,7 +38,6 @@ from .bounds import (
     zero_divisor_cuplength,
 )
 from .coeffs import parse_field
-from .tensor import TensorSquare
 
 EXIT_PINCHED = 0
 EXIT_UNPINCHED = 1
@@ -92,6 +90,7 @@ def _positive_int(text: str) -> int:
 
 def _emit(args, payload: dict, text_lines: List[str]) -> None:
     if args.output == "json":
+        import json  # a text run never loads it
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -264,6 +263,7 @@ def cmd_zcl(args) -> int:
 
 
 def cmd_barspan(args) -> int:
+    from .tensor import TensorSquare  # the one command that builds a tensor square
     ring = _ring(args)
     if ring is None:
         return EXIT_CAP
@@ -296,6 +296,7 @@ def cmd_export_algebra(args) -> int:
         return EXIT_USAGE
     basis_size = len(pres.full_basis())
     if args.output == "json":
+        import json
         print(json.dumps({"path": path, "basis_size": basis_size,
                           "checksum": checksum}, sort_keys=True))
     else:

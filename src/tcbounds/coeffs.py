@@ -3,12 +3,11 @@
 All linear algebra in this package is parameterized by a field object with a
 small arithmetic protocol (coerce/add/sub/mul/neg/inv).  Field elements are
 plain values: ``fractions.Fraction`` for Q, ints in ``range(p)`` for Z_p, so
-zero tests are ordinary truth tests and equality is ``==``.
+zero tests are ordinary truth tests and equality is ``==``.  A report forms no
+rational, so ``fractions`` loads only where one is formed.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 
 #: Miller-Rabin with these bases decides primality exactly below 2^64
@@ -48,13 +47,16 @@ class Rationals:
 
     @property
     def zero(self):
+        from fractions import Fraction
         return Fraction(0)
 
     @property
     def one(self):
+        from fractions import Fraction
         return Fraction(1)
 
     def coerce(self, value):
+        from fractions import Fraction
         return Fraction(value)
 
     def add(self, a, b):
@@ -103,6 +105,9 @@ class PrimeField:
         return 1 % self.p
 
     def coerce(self, value):
+        if type(value) is int:
+            return value % self.p
+        from fractions import Fraction
         if isinstance(value, Fraction):
             num = value.numerator % self.p
             den = value.denominator % self.p

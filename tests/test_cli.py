@@ -1,6 +1,7 @@
 """Command-line surface: options, output formats, exit codes, document checks."""
 
 import argparse
+import ast
 import json
 import multiprocessing
 import os
@@ -556,33 +557,103 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert first == b"e_1_2*e_1_3*e_1_4*e_1_5*e_1_6\n"
 
 
+def fresh_child(script, *args):
+    """The last line a fresh interpreter prints running `script` (argv: src/, then args), as a literal.
+
+    -I -S keep the environment and site-packages out of the child; -B keeps
+    it from writing bytecode into src/, which -I alone would not.  The child
+    prints with repr, read back here with `ast.literal_eval`, so it loads no
+    module to report what it loaded (json would hide itself).
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script, src, *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
 # what a process loads is part of what it costs: the document checksum loads
-# only on the commands that run it, and no report needs dataclasses (nor
-# inspect, which it imports)
+# only on the commands that run it, no report needs dataclasses (nor inspect,
+# which it imports), and only barspan loads the tensor layer; the names after
+# each command's exit code are those of argv loaded so far
 _LOADED_BY_COMMANDS = """
-import json, sys
-src, names = sys.argv[1], sys.argv[2:]
-sys.path.insert(0, src)
+import sys
+sys.path.insert(0, sys.argv[1])
+names = sys.argv[2:]
 import tcbounds.cli
 def loaded():
     return [name for name in names if name in sys.modules]
 seen = {"import": loaded()}
-seen["report"] = [tcbounds.cli.main(["report", "--m", "4", "--n", "3"])] + loaded()
-seen["grid"] = [tcbounds.cli.main(["grid", "--m", "2..3", "--n", "2..3"])] + loaded()
-print(json.dumps(seen))
+for argv in (["report", "--m", "4", "--n", "3"], ["zcl", "--m", "3", "--n", "4"],
+             ["grid", "--m", "2..3", "--n", "2..3"], ["barspan", "--m", "2", "--n", "3"],
+             ["multiply", "--m", "2", "--n", "3", "e12"],
+             ["report", "--m", "4", "--n", "3", "--output", "json"]):
+    seen[" ".join(argv)] = [tcbounds.cli.main(argv)] + loaded()
+print(repr(seen))
 """
 
 
 def test_reports_load_no_dataclasses_or_hashlib():
-    # -I -S keep the environment and site-packages out of the child; -B keeps
-    # it from writing bytecode into src/, which -I alone would not
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    names = ["dataclasses", "inspect", "hashlib"]
-    proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _LOADED_BY_COMMANDS,
-                           src, *names], capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"import": [], "report": [EXIT_PINCHED], "grid": [EXIT_PINCHED]}
+    seen = fresh_child(_LOADED_BY_COMMANDS, "dataclasses", "inspect", "hashlib")
+    # all six commands exit 0, and none loads any of them
+    assert seen.pop("import") == [] and len(seen) == 6
+    assert all(after == [EXIT_PINCHED] for after in seen.values())
+
+
+def test_reports_load_no_tensor_layer_json_or_fractions():
+    # a text report, zcl or grid loads none of them; after them, barspan loads
+    # the tensor layer, a product over Q fractions and a JSON report json, so
+    # the probe sees each
+    seen = fresh_child(_LOADED_BY_COMMANDS, "tcbounds.tensor", "tcbounds.linalg", "json",
+                       "fractions")
+    assert seen == {
+        "import": [],
+        "report --m 4 --n 3": [EXIT_PINCHED],
+        "zcl --m 3 --n 4": [0],
+        "grid --m 2..3 --n 2..3": [EXIT_PINCHED],
+        "barspan --m 2 --n 3": [0, "tcbounds.tensor", "tcbounds.linalg"],
+        "multiply --m 2 --n 3 e12": [0, "tcbounds.tensor", "tcbounds.linalg", "fractions"],
+        "report --m 4 --n 3 --output json": [
+            EXIT_PINCHED, "tcbounds.tensor", "tcbounds.linalg", "json", "fractions"],
+    }
+
+
+# the package loads its tensor layer on first use (a module __getattr__);
+# linalg is read first, before anything has loaded tensor, and the tensor
+# names are imported before the module itself is read
+_LAZY_SURFACE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import tcbounds
+seen = {"linalg": tcbounds.linalg.EchelonBasis.__module__,
+        "tensor loaded by linalg": "tcbounds.tensor" in sys.modules}
+from tcbounds import TensorSquare, bar, koszul_swap, diagonal_restriction, TensorElement
+tensor = sys.modules["tcbounds.tensor"]
+seen["own objects"] = [TensorSquare is tensor.TensorSquare, bar is tensor.bar,
+                       koszul_swap is tensor.koszul_swap, TensorElement is tensor.TensorElement,
+                       diagonal_restriction is tensor.diagonal_restriction]
+seen["tensor"] = tcbounds.tensor is tensor
+seen["unresolved"] = [name for name in tcbounds.__all__ if not hasattr(tcbounds, name)]
+seen["not listed"] = sorted(set(tcbounds.__all__ + ["tensor", "linalg"]) - set(dir(tcbounds)))
+try:
+    tcbounds.nope
+    seen["nope"] = "resolved"
+except Exception as exc:
+    seen["nope"] = type(exc).__name__
+print(repr(seen))
+"""
+
+
+def test_the_lazy_package_surface_resolves():
+    assert fresh_child(_LAZY_SURFACE) == {
+        "linalg": "tcbounds.linalg",
+        "tensor loaded by linalg": False,
+        "own objects": [True] * 5,
+        "tensor": True,
+        "unresolved": [],
+        "not listed": [],
+        "nope": "AttributeError",
+    }
 
 
 def run_in_128_mb(tmp_path, argv):

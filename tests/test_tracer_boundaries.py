@@ -5,9 +5,13 @@ so a method that moves into a base class, or a renamed global, breaks traced
 benchmark runs.  `certbench/run.py` passes each workload's argv to
 `tcbounds.cli`, so a retired option breaks every run of that workload.  Both
 modules are read and executed, never imported, so nothing is written next to
-them.
+them.  The package loads its tensor layer on first use, so the boundaries are
+also resolved in fresh processes that, as `run.py` does, import only
+`tcbounds` and `tcbounds.cli` first.
 """
 
+import ast
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -51,3 +55,44 @@ def test_every_workload_argv_parses(monkeypatch, tmp_path):
         parsed = tcbounds.cli.build_parser().parse_args(args)
         assert parsed.command == args[0], name
     assert list(tmp_path.iterdir()) == []
+
+
+# resolves the boundaries whose owner path starts with argv[3] first, then the
+# rest; prints whether the tensor layer was loaded before, and each boundary
+# whose owner does not resolve or does not define its attribute
+_FRESH_BOUNDARIES = """
+import sys, types
+src, tracer_path, first = sys.argv[1:]
+sys.path.insert(0, src)
+import tcbounds
+import tcbounds.cli
+tracer = types.ModuleType("certbench_tracer")
+with open(tracer_path) as fh:
+    exec(compile(fh.read(), tracer_path, "exec"), tracer.__dict__)
+loaded = [name for name in ("tcbounds.tensor", "tcbounds.linalg") if name in sys.modules]
+broken = []
+for name, owner_path, attr in sorted(tracer.BOUNDARIES, key=lambda b: b[1].split(".")[0] != first):
+    try:
+        owner = tracer._resolve(tcbounds, owner_path)
+    except AttributeError:
+        broken.append(name)
+        continue
+    if not callable(owner.__dict__.get(attr)):
+        broken.append(name)
+print(repr((loaded, broken)))
+"""
+
+
+def test_every_boundary_resolves_in_a_fresh_process():
+    # -I -S -B: no environment, no site-packages, no bytecode written; each
+    # owner module is resolved first in its own process, so one that resolves
+    # only after another has loaded (linalg after tensor) shows here
+    src = str(CERTBENCH.parent / "src")
+    firsts = sorted({owner_path.split(".")[0] for _, owner_path, _ in load_tracer().BOUNDARIES})
+    assert firsts == ["algebra", "cli", "linalg", "tensor"]
+    for first in firsts:
+        proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", _FRESH_BOUNDARIES,
+                               src, str(TRACER), first], capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert ast.literal_eval(proc.stdout.splitlines()[-1]) == ([], []), first
