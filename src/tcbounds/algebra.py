@@ -143,6 +143,12 @@ def check_configuration(n: int, m: int) -> None:
         )
 
 
+# (parity, min(n, 4)) -> `Presentation._pattern_forms`: by the relabelling lemma
+# of `Presentation.decone_splits` the forms and both facts read from them
+# depend on nothing else, so a process straightens the patterns once per key
+_RING_FACTS: Dict[Tuple[int, int], Tuple[dict, bool, bool]] = {}
+
+
 class Presentation:
     """Presentation of H*(F(R^m, n)): n points in R^m, generators in degree m-1.
 
@@ -162,8 +168,6 @@ class Presentation:
         self._coords = None  # built once, by _coordinates
         self._products: Dict[Tuple[Word, Word], Dict[Word, int]] = {}  # by product, in words
         self._right_ops = None  # the R_g lists, made once by right_operators
-        self._patterns = None  # by _pattern_forms
-        self._decone = None  # by decone_splits
 
     def __repr__(self):
         return f"Presentation(n={self.n}, m={self.m})"
@@ -212,7 +216,8 @@ class Presentation:
         form of `straighten`, d(ab) = b + (-1)^parity a as for the free
         derivation d(uv) = du v + (-1)^{parity |u|} u dv.  It reads only the
         normal forms of `_two_letter_patterns(n)` (`_pattern_forms`): 13 for
-        n >= 4, 7 at n = 3 and 1 at n = 2.  Run once per ring.
+        n >= 4, 7 at n = 3 and 1 at n = 2.  Run once per parity and min(n, 4),
+        which is all it depends on (the lemma below).
 
         Proof (a).  d is defined on the ring exactly when it maps the relation
         ideal I into itself.  The rules of `straighten_word` rewrite adjacent
@@ -233,8 +238,15 @@ class Presentation:
         map of its indices onto 1..k carries it to one of the patterns; at n,
         only the patterns with at most n indices occur.
         """
-        if self._decone is None:
-            sign, modulus = (-1, 0) if self.parity else (1, 2)
+        return self._pattern_forms()[2]
+
+    def _pattern_forms(self) -> Tuple[Dict[Tuple[Edge, Edge], Dict[Word, int]], bool, bool]:
+        """(NF of each word of `_two_letter_patterns(n)`, whether facts (1)-(3) of
+        `witness_terms` hold, whether the decone check holds): the key's `_RING_FACTS`."""
+        key = (self.parity, min(self.n, 4))
+        if key not in _RING_FACTS:
+            forms = {w: self.straighten(w) for w in _two_letter_patterns(self.n)}
+            sign, modulus = (-1, 0) if self.parity else (1, 2)  # sign: also the Koszul sign
 
             def closes(g, h, form) -> bool:
                 # d NF(gh) - d(gh), with d(ab) = b + sign a
@@ -245,14 +257,13 @@ class Presentation:
                     diff[a] = diff.get(a, 0) + sign * c
                 return not any(c % modulus if modulus else c for c in diff.values())
 
-            self._decone = all(closes(g, h, form) for (g, h), form in self._pattern_forms().items())
-        return self._decone
-
-    def _pattern_forms(self) -> Dict[Tuple[Edge, Edge], Dict[Word, int]]:
-        """NF of each word of `_two_letter_patterns(n)`, straightened once per ring."""
-        if self._patterns is None:
-            self._patterns = {w: self.straighten(w) for w in _two_letter_patterns(self.n)}
-        return self._patterns
+            facts = [not forms.get(((1, 2), (1, 2))),
+                     all((1, 2) in w for w in forms.get(((1, 3), (2, 3)), ()))]
+            facts += [form == ({(g, h): 1} if g[1] < h[1] else {(h, g): sign})
+                      for (g, h), form in forms.items() if g[1] != h[1]]
+            _RING_FACTS[key] = (forms, all(facts),
+                                all(closes(g, h, form) for (g, h), form in forms.items()))
+        return _RING_FACTS[key]
 
     def witness_terms(self) -> Optional[int]:
         """The integer coefficient b of the paper's shorter witness, or None if a fact fails.
@@ -288,12 +299,8 @@ class Presentation:
         term has each e_2j on the right, a factor -1, and each e_1j passing the
         j - 3 letters on the right, (-1)^(parity (j-3)); with (4) it is b.
         """
-        n, forms, koszul = self.n, self._pattern_forms(), -1 if self.parity else 1
-        facts = [not forms.get(((1, 2), (1, 2))),
-                 all((1, 2) in w for w in forms.get(((1, 3), (2, 3)), ()))]
-        facts += [form == ({(g, h): 1} if g[1] < h[1] else {(h, g): koszul})
-                  for (g, h), form in forms.items() if g[1] != h[1]]
-        if not all(facts):
+        n = self.n
+        if not self._pattern_forms()[1]:
             return None
         return (-1) ** ((n + self.parity * (n - 2) * (n - 3) // 2) % 2) if n > 1 else 1
 

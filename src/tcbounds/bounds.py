@@ -225,8 +225,9 @@ def zero_divisor_cuplength(pres: Presentation, field) -> int:
     is never formed.  Elsewhere the decone check applies
     (`Presentation.decone_splits`): it kills every product of 2n - 2
     barred generators, which closes the length one below.  Both checks read
-    the 13 two-letter pattern forms at most, whatever n, so no tensor
-    element is formed and no span is built.  Raises
+    the 13 two-letter pattern forms at most, whatever n, straightened once
+    per parity and min(n, 4) in a process, so no tensor element is formed
+    and no span is built.  Raises
     ClosedFormContradiction, naming the ring and the field, where a fact of
     `witness_terms` or the decone check fails: `straighten_word` is then
     broken.
@@ -330,9 +331,9 @@ def assemble_report(m: int, n: int, field=QQ) -> BoundsReport:
     this is the one report `report` prints and each `grid` cell matches.
     Every input reads m only through its parity, and n and m in a few
     integer operations, so the ring work does not grow with them: at most
-    13 straightenings of two-letter words, once per ring.  No size cap is
-    set.  Raises ValueError for a configuration the ring does not model, and
-    ClosedFormContradiction where a fact of the certificate fails or a
-    pinched value disagrees with the closed form.
+    13 straightenings of two-letter words, once per parity and min(n, 4) in
+    a process.  No size cap is set.  Raises ValueError for a configuration
+    the ring does not model, and ClosedFormContradiction where a fact of the
+    certificate fails or a pinched value disagrees with the closed form.
     """
     return report_from_ring(m, n, field, *certify_ring(m, n, field))

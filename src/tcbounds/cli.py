@@ -46,9 +46,9 @@ EXIT_CAP = 3
 EXIT_CONTRADICTION = 4
 EXIT_PIPE = 141
 
-# cells of a grid whose m and n have under 50 digits in all: a ring costs at
-# most 13 two-letter straightenings at any n, so a grid's time and output grow
-# with its cells
+# cells of a grid whose m and n have under 50 digits in all: a process
+# straightens the 13 two-letter patterns once per parity and min(n, 4), so a
+# grid's time and output grow with its cells
 WORK_LIMIT = 10_000
 
 _EDGE_TOKEN = re.compile(r"^e_?(\d+)[_,](\d+)$|^e(\d)(\d)$")
@@ -125,7 +125,8 @@ def cmd_grid(args) -> int:
     in-process or as one pool task, with at most one worker per ring.  The
     memo of those pairs lives for this call only.  Each cell's report is
     then assembled here, and a contradiction with the closed form is
-    reported per cell.
+    reported per cell.  Only the output asked for is built: text prints
+    each cell's line as its report is made, JSON collects the cells.
     """
     try:
         m_values = _parse_range(args.m)
@@ -170,33 +171,37 @@ def cmd_grid(args) -> int:
         results = [_grid_ring(t) for t in tasks]
     memo = dict(zip(rings, results))
 
-    reports, contradictions = [], []
+    # no cell prints a number longer than 2n - 1 at the largest n: one past the
+    # limit on printed digits fails here, before any cell's line is printed
+    str(2 * n_values[-1] - 1)
+    text = args.output == "text"
+    json_cells, contradictions, pinched = [], [], 0
     for m, n in cells:
         try:
-            reports.append(report_from_ring(m, n, field, *memo[n, m % 2]))
+            r = report_from_ring(m, n, field, *memo[n, m % 2])
         except ClosedFormContradiction as exc:
             contradictions.append((m, n, str(exc)))
-
-    pinched = sum(1 for r in reports if r.pinched)
-    lines = []
-    for r in reports:
-        val = f"TC={r.lower}" if r.pinched else f"{r.lower}..{r.upper}"
-        lines.append(
-            f"m={r.m} n={r.n} closed={r.closed_form} {val} "
-            f"pinched={'yes' if r.pinched else 'no'}"
-        )
-    for m, n, msg in contradictions:
-        lines.append(f"m={m} n={n} CONTRADICTION: {msg}")
-    lines.append(f"pinched {pinched}/{len(cells)}")
-    payload = {
-        "cells": [r.to_json_dict() for r in reports],
-        "contradictions": [
-            {"m": m, "n": n, "message": msg} for m, n, msg in contradictions
-        ],
-        "pinched": pinched,
-        "total": len(cells),
-    }
-    _emit(args, payload, lines)
+            continue
+        pinched += r.pinched
+        if text:
+            val = f"TC={r.lower}" if r.pinched else f"{r.lower}..{r.upper}"
+            print(f"m={m} n={n} closed={r.closed_form} {val} "
+                  f"pinched={'yes' if r.pinched else 'no'}")
+        else:
+            json_cells.append(r.to_json_dict())
+    if text:
+        for m, n, msg in contradictions:
+            print(f"m={m} n={n} CONTRADICTION: {msg}")
+        print(f"pinched {pinched}/{len(cells)}")
+    else:
+        _emit(args, {
+            "cells": json_cells,
+            "contradictions": [
+                {"m": m, "n": n, "message": msg} for m, n, msg in contradictions
+            ],
+            "pinched": pinched,
+            "total": len(cells),
+        }, [])
     if contradictions:
         return EXIT_CONTRADICTION
     if pinched < len(cells):

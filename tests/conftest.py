@@ -1,5 +1,6 @@
-"""Fixtures shared by the tests: a wall-clock limit on every test, and counters
-for the tests that pin how much a path computes."""
+"""Fixtures shared by the tests: a wall-clock limit on every test, a cleared
+ring-facts memo around every test, and counters for the tests that pin how
+much a path computes."""
 
 import signal
 
@@ -36,6 +37,20 @@ def time_limit():
         signal.signal(signal.SIGALRM, previous)
 
 
+@pytest.fixture(autouse=True)
+def fresh_ring_facts():
+    """Clear `algebra._RING_FACTS` before and after every test.
+
+    The memo outlives a test, so a test that counts straightenings would
+    otherwise count what earlier tests left, and a patched `straighten_word`
+    would leave broken facts behind.  A test that patches straightening
+    clears it again after the patch.
+    """
+    algebra._RING_FACTS.clear()
+    yield
+    algebra._RING_FACTS.clear()
+
+
 @pytest.fixture
 def straightened_words(monkeypatch):
     """Every word `straighten_word` is called on from here on, in call order."""
@@ -47,6 +62,7 @@ def straightened_words(monkeypatch):
         return straighten(word, parity)
 
     monkeypatch.setattr(algebra, "straighten_word", counting)
+    algebra._RING_FACTS.clear()  # facts made before the patch went uncounted
     return words
 
 

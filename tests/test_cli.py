@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import tcbounds.algebra
 import tcbounds.bounds
 import tcbounds.cli
 from tcbounds.algebra import Presentation, _two_letter_patterns
@@ -744,6 +745,18 @@ def test_an_answer_too_long_to_print_is_an_input_error(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_a_grid_with_one_answer_too_long_prints_no_cell(capsys, output):
+    # 2n - 1 has 4,300 digits in the first cell and 4,301 in the second: the
+    # grid fails before it prints the first, although text prints each cell
+    # as it is made
+    half = 5 * 10 ** 4299
+    code, out, err = run(capsys, "grid", "--m", "3", "--n", f"{half}..{half + 1}",
+                         "--output", output)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field", ["q", "zp:3"])
 @pytest.mark.parametrize("n", [7, 8])
 def test_odd_m_report_past_the_cap_straightens_only_its_witness(capsys, unlisted_basis,
@@ -771,10 +784,10 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
                                                                      witness_fact_words,
                                                                      n, field, squares):
     # the even-m witness has length 2n - 3, and the decone check closes the top
-    # weight by straightening the 13 two-letter patterns once per ring, however
-    # many fields ask for it (over Z_3 the field's and the rational one); the
-    # witness facts share those words, and its basis pair E (x) F is
-    # admissible, so no tensor is multiplied out
+    # weight by straightening the 13 two-letter patterns once per parity and
+    # min(n, 4), however many fields ask for it (over Z_3 the field's and the
+    # rational one); the witness facts share those words, and its basis pair
+    # E (x) F is admissible, so no tensor is multiplied out
     asking, scanned = [], []
     splits, straighten = Presentation.decone_splits, Presentation.straighten
 
@@ -796,6 +809,57 @@ def test_even_m_report_past_the_cap_straightens_only_two_letter_words(capsys, mo
     assert len(asking) == squares and len({id(pres) for pres in asking}) == 1
     assert scanned == straightened_words == witness_fact_words(n)
     assert sorted(scanned) == sorted(_two_letter_patterns(n))
+
+
+def test_ring_facts_are_straightened_once_per_parity_and_min_n_4(capsys, straightened_words):
+    # the pattern forms and both facts read from them depend on the parity of
+    # m and on min(n, 4) alone: the first report straightens its patterns,
+    # a later report of the same key none, whatever its m, n >= 4 and field,
+    # and a ring of the other parity, or with n < 4, straightens its own
+    assert run(capsys, "report", "--m", "3", "--n", "4")[0] == EXIT_PINCHED
+    assert straightened_words == _two_letter_patterns(4)
+    straightened_words.clear()
+    for m, n, field in [(5, 4, "zp:3"), (3, 9, "q"), (7, TRILLION, "zp:2"), (3, 5, "zp:5")]:
+        assert run(capsys, "report", "--m", str(m), "--n", str(n), "--field", field)[0] in (
+            EXIT_PINCHED, EXIT_UNPINCHED)
+    assert straightened_words == []
+    for m, n in [(4, 6), (3, 3), (6, 3)]:
+        assert run(capsys, "report", "--m", str(m), "--n", str(n))[0] == EXIT_PINCHED
+        assert straightened_words == _two_letter_patterns(n), (m, n)
+        straightened_words.clear()
+
+
+SOUND_STRAIGHTEN = tcbounds.algebra.straighten_word
+
+
+def disjoint_swap_signed(word, parity):
+    """`straighten_word` with the sign flipped where two disjoint letters swap.
+
+    Only a two-letter word on four indices has disjoint letters, so every ring
+    with n <= 3 keeps its facts, and every ring with n >= 4 fails fact (1) of
+    `witness_terms`.
+    """
+    word = tuple(word)
+    form = SOUND_STRAIGHTEN(word, parity)
+    if len(word) == 2 and not {*word[0]} & {*word[1]} and word[0][1] > word[1][1]:
+        return {w: -c for w, c in form.items()}
+    return form
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_facts_broken_at_four_indices_are_not_read_off_n_3(capsys, monkeypatch, m):
+    # the memo keys the facts by min(n, 4) as well as parity: with n = 3
+    # certified first, by a report and by the grid's own first ring, the
+    # n = 4 ring still straightens its patterns and fails, and n = 3 still
+    # pinches after it
+    monkeypatch.setattr(tcbounds.algebra, "straighten_word", disjoint_swap_signed)
+    tcbounds.algebra._RING_FACTS.clear()
+    assert run(capsys, "report", "--m", str(m), "--n", "3")[0] == EXIT_PINCHED
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "grid", "--m", str(m), "--n", "3..4", "--jobs", jobs)
+        assert (code, out) == (EXIT_CONTRADICTION, ""), jobs
+        assert err == f"CONTRADICTION: a witness fact failed for (m={m}, n=4) over Q\n", jobs
+    assert run(capsys, "report", "--m", str(m), "--n", "3")[0] == EXIT_PINCHED
 
 
 @pytest.mark.parametrize("field", ["q", "zp:2", "zp:3"])
