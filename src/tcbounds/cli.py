@@ -3,9 +3,9 @@
 Exit codes: 0 pinched certificate matching the closed form, 1 unpinched
 bounds, 2 usage or input-file error (a document that cannot be written, or an
 answer past Python's limit on the digits of a printed integer),
-3 not computed: a grid past its cell limit (`WORK_LIMIT`), n past barspan's
---max-n, a dead grid worker or out of memory (one `error: ...` line, no
-traceback),
+3 not computed: a grid past its cell limit (`WORK_LIMIT`), a barspan whose
+route echelons in a square past `SPAN_LIMIT`, a dead grid worker or out of
+memory (one `error: ...` line, no traceback),
 4 contradiction (engine bug: a fact of the certificate failed or a report
 left the closed form; one `CONTRADICTION: ...` line, or grid's cell lines),
 141 (128 + SIGPIPE) the reader closed stdout early, as `| head` does; the
@@ -50,6 +50,11 @@ EXIT_PIPE = 141
 # straightens the 13 two-letter patterns once per parity and min(n, 4), so a
 # grid's time and output grow with its cells
 WORK_LIMIT = 10_000
+
+# the dimension of the square that barspan's route echelons in, (n!)^2 or,
+# where the ring splits at the decone, (n!/2)^2: the full route up to n = 5,
+# the split one up to n = 6
+SPAN_LIMIT = 360 ** 2
 
 _EDGE_TOKEN = re.compile(r"^e_?(\d+)[_,](\d+)$|^e(\d)(\d)$")
 
@@ -243,20 +248,6 @@ def cmd_multiply(args) -> int:
     return 0
 
 
-def _ring(args):
-    """(presentation, field) for --n/--m/--field, or None (reported) past --max-n.
-
-    A bad (n, m) raises ValueError first; m is read only through its parity.
-    """
-    field = parse_field(args.field)
-    check_configuration(args.n, args.m)
-    if args.n > args.max_n:
-        print(f"error: not computed: (m={args.m}, n={args.n}) exceeds caps "
-              f"(max_n={args.max_n})", file=sys.stderr)
-        return None
-    return Presentation(args.n, args.m), field
-
-
 def cmd_zcl(args) -> int:
     field = parse_field(args.field)
     # the zero-divisor lemma: the cup-length is the bar-span length
@@ -269,10 +260,19 @@ def cmd_zcl(args) -> int:
 
 def cmd_barspan(args) -> int:
     from .tensor import TensorSquare  # the one command that builds a tensor square
-    ring = _ring(args)
-    if ring is None:
-        return EXIT_CAP
-    square = TensorSquare(*ring)
+    field = parse_field(args.field)
+    square = TensorSquare(Presentation(args.n, args.m), field)
+    # the route echelons in a square of dimension N^2: N = n!, or n!/2 where
+    # the ring splits at the decone; the product stops once past the limit
+    split = square._decone_splits()
+    side, route = 1, "(n!/2)^2" if split else "(n!)^2"
+    for k in range(3 if split else 2, args.n + 1):
+        side *= k
+        if side * side > SPAN_LIMIT:
+            print(f"error: not computed: (m={args.m}, n={args.n}) over {field.describe()} "
+                  f"echelons in a square of dimension {route}, past the limit of {SPAN_LIMIT}",
+                  file=sys.stderr)
+            return EXIT_CAP
     dims = square.bar_span_profile()
     witness = square.bar_span_witness()
     payload = {"n": args.n, "m": args.m, "field": square.field.describe(),
@@ -334,7 +334,7 @@ COMMANDS = {
     ) + _OUTPUT + _FIELD),
     "zcl": ("zero-divisor cup-length", cmd_zcl, _RING),
     "barspan": ("longest nonzero product of barred generators", cmd_barspan,
-                _RING + (("--max-n", {"type": int, "default": 5}),)),
+                _RING),
     "export-algebra": ("write the structure-constant document", cmd_export_algebra, _M_N + (
         ("--out", {"default": None,
                    "help": "output path (default: $TC_CACHE_DIR/structure_n{n}_m{m}.json)"}),

@@ -24,7 +24,7 @@ as they are.
 Every bar(S) in the package is held by its half.  The Koszul swap
 tau(u (x) v) = (-1)^{|u||v|} v (x) u is an algebra automorphism of H (x) H
 with tau(bar g) = -bar g, so tau(bar S) = (-1)^{|S|} bar S: in the flat
-coordinates f = iu * N + iv (`TensorSquare._bar_operators` keys N^2 - 1 - f),
+coordinates f = iu * N + iv (`TensorSquare._operators` keys N^2 - 1 - f),
 
     x[iv * N + iu] = mirror * x[iu * N + iv],  mirror = (-1)^{|S| + |u||v|},
 
@@ -290,8 +290,8 @@ class TensorSquare:
 
     # -- products of barred generators ---------------------------------------
 
-    def _bar_operators(self):
-        """(one, gens, times_bar): multiplying by bar(g) on halves, over Z.
+    def _operators(self, split: bool):
+        """(one, gens, times_bar, ranks): multiplying by bar(g) on halves, over Z.
 
         u (x) v sits at N^2 - 1 - f, f = iu * N + iv, with iu and iv the indices
         of u and v in `Presentation.full_basis()` (N = n!), so one =
@@ -299,24 +299,21 @@ class TensorSquare:
         generator indices, and times_bar(vec, g) maps the half of bar(S) (its
         coordinates iu <= iv, module docstring) to the half of bar(S) * bar(g),
         with the rows of R_g of `Presentation.right_operators()`, each filled
-        on its first read.
-        """
-        pres = self.pres
-        ops = pres.right_operators()
-        one = {len(pres.full_basis()) ** 2 - 1: 1}
-        return one, range(len(ops)), _times_bar(pres, ops, pres.right_operator_row)
+        on its first read; ranks are those of the ring that is squared.
 
-    def _quotient_operators(self):
-        """(one, gens, times_bar, ranks) of the square of H/(x), x = e_12.
-
-        In the coordinates of H (x) H: the quotient's basis is the admissible
-        words without e_12, and its R_g rows are those of H, filtered on first
-        read, with every term that holds e_12 dropped.  That drop is the
-        quotient map, an algebra map, so the products are exact.  gens omits
-        x; H = (1 + t) H/(x) as graded spaces gives the ranks.
+        With split, that ring is H/(x), x = e_12, in the coordinates of H: the
+        quotient's basis is the admissible words without e_12, and its R_g
+        rows are those of H, filtered on first read, with every term that
+        holds e_12 dropped.  That drop is the quotient map, an algebra map, so
+        the products are exact.  gens omits x; H = (1 + t) H/(x) as graded
+        spaces gives the ranks.
         """
         pres = self.pres
         ops, fill = pres.right_operators(), pres.right_operator_row
+        ranks = rank_polynomial(pres.n)
+        one = {len(pres.full_basis()) ** 2 - 1: 1}
+        if not split:
+            return one, range(len(ops)), _times_bar(pres, ops, fill), ranks
         # e_12 is the one letter of upper index 2, so it leads a word that holds it
         kept = [w[:1] != ((1, 2),) for w in pres.full_basis()]
         rows = [[None] * len(op) for op in ops]
@@ -328,11 +325,10 @@ class TensorSquare:
             rows[g][iu] = got = [(iw, k) for iw, k in row if kept[iw]]
             return got
 
-        ranks = [1]
-        for r in rank_polynomial(pres.n)[1:-1]:
-            ranks.append(r - ranks[-1])
-        one = {len(kept) ** 2 - 1: 1}
-        return one, range(1, len(ops)), _times_bar(pres, rows, quotient_row), ranks
+        quotient_ranks = [1]
+        for r in ranks[1:-1]:
+            quotient_ranks.append(r - quotient_ranks[-1])
+        return one, range(1, len(ops)), _times_bar(pres, rows, quotient_row), quotient_ranks
 
     def _decone_splits(self) -> bool:
         """Whether the ring splits at the decone, so the span may be built in H/(e_12).
@@ -361,28 +357,28 @@ class TensorSquare:
         field_rule = bool(pres.parity) or self.field.characteristic == 2
         return pres.n >= 2 and field_rule and pres.decone_splits()
 
-    def _span_levels(self, one, gens, times_bar, ranks: List[int],
-                     rank_test: bool = False) -> List[List[Label]]:
+    def _span_levels(self, split: bool) -> List[List[Label]]:
         """Labels of the accepted basis vectors of the span, level by level.
 
-        V_1, V_2, ... with the operators of `_bar_operators`, W_1, W_2, ...
-        with those of `_quotient_operators`; ranks are those of the ring
-        squared.  A label is the sorted tuple of generator indices S, standing
-        for the integer vector bar(S) in the flat coordinates of
-        `_bar_operators`.  Since bar(S) depends on the multiset S only up to
-        sign, level k + 1 is spanned by bar(S + g) over the labels S of level
-        k, and each new label is multiplied out once.
+        W_1, W_2, ... in the square of H/(e_12) with split, else V_1, V_2, ...,
+        with the operators of `_operators(split)`.  A label is the sorted tuple
+        of generator indices S, standing for the integer vector bar(S) in the
+        flat coordinates of `_operators`.  Since bar(S) depends on the
+        multiset S only up to sign, level k + 1 is spanned by bar(S + g) over
+        the labels S of level k, and each new label is multiplied out once.
 
         Each bar(S) is its half as `times_bar` returns it, which determines
         it (module docstring): the echelon takes half rows without changing a
         rank, its width the dimension of the square's weight-k piece, and
         `level` keeps the same vector for the next multiplication.
 
-        With rank_test (the split route) each product goes straight to the
-        rank-test `insert`; otherwise most are dependent (5,896 of 10,031 at
-        n = 5, m = 3 over Q), and each is reduced in full first, so that it
-        does not cascade through the fill-in of less reduced rows.
+        The route sets the echelon: on the split route each product goes
+        straight to the rank-test `insert`; on the full one most are dependent
+        (5,896 of 10,031 at n = 5, m = 3 over Q), and each is reduced in full
+        first, so that it does not cascade through the fill-in of less reduced
+        rows.
         """
+        one, gens, times_bar, ranks = self._operators(split)
         pres, field = self.pres, self.field
         top = 2 * (len(ranks) - 1)
         # bar(g)^2 is 0 for odd |g| and -2 g (x) g for even |g| (`witness_terms`),
@@ -403,7 +399,7 @@ class TensorSquare:
                         continue
                     seen.add(new)
                     prod = times_bar(vec, gi)
-                    offered = prod if rank_test else eb.reduce(prod)
+                    offered = prod if split else eb.reduce(prod)
                     if offered and eb.insert(offered):
                         nxt.append((new, prod))
                         if len(nxt) == eb.width:
@@ -419,11 +415,7 @@ class TensorSquare:
     def _levels(self) -> List[List[Label]]:
         """Labels of the span's levels: W_1, W_2, ... where `_decone_splits`, else V_1, V_2, ..."""
         if self._levels_cache is None:
-            if self._decone_splits():
-                levels = self._span_levels(*self._quotient_operators(), rank_test=True)
-            else:
-                levels = self._span_levels(*self._bar_operators(), rank_polynomial(self.pres.n))
-            self._levels_cache = levels
+            self._levels_cache = self._span_levels(self._decone_splits())
         return self._levels_cache
 
     def bar_span_profile(self) -> List[int]:

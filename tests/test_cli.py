@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,11 +23,12 @@ from tcbounds.cli import (
     EXIT_PIPE,
     EXIT_UNPINCHED,
     EXIT_USAGE,
+    SPAN_LIMIT,
     WORK_LIMIT,
     main,
     parse_generator_word,
 )
-from tcbounds.tensor import TensorElement
+from tcbounds.tensor import TensorElement, TensorSquare
 
 
 def run(capsys, *argv):
@@ -128,10 +130,9 @@ def test_bad_configuration_has_one_message(capsys, tmp_path, monkeypatch, argv, 
 ], ids=["m", "n"])
 @pytest.mark.parametrize("command", ["report", "zcl", "barspan", "grid"])
 def test_bad_configuration_is_checked_before_the_caps(capsys, command, argv, message):
-    # barspan's --max-n set below the bad n; a grid reads its cell limit
-    # after its first cell
-    cap = ["--max-n", "-1"] if command == "barspan" else []
-    code, out, err = run(capsys, command, *argv, *cap)
+    # barspan reads its span limit off the ring, which checks (n, m) first; a
+    # grid reads its cell limit after its first cell
+    code, out, err = run(capsys, command, *argv)
     assert (code, out, err) == (EXIT_USAGE, "", message)
 
 
@@ -147,22 +148,75 @@ def refuse_rings(monkeypatch):
     monkeypatch.setattr(Presentation, "__init__", refuse)
 
 
+def refuse_span_work(monkeypatch):
+    """Fail the test if anything from here on lists the basis words or builds a span."""
+    def refuse(self, *args):
+        raise AssertionError("span work was started")
+
+    monkeypatch.setattr(Presentation, "_coordinates", refuse)
+    monkeypatch.setattr(TensorSquare, "_span_levels", refuse)
+
+
+def past_the_span_limit(m, n, field, route):
+    return (f"error: not computed: (m={m}, n={n}) over {field} echelons in a square of "
+            f"dimension {route}, past the limit of {SPAN_LIMIT}\n")
+
+
 @pytest.mark.parametrize("command", ["report", "zcl", "barspan"])
 def test_cap_message_is_shared(capsys, monkeypatch, command):
-    # the caps left share one form, exit 3 and one "error: not computed" line
-    # before any ring is built: barspan's --max-n and grid's cell limit;
-    # report and zcl have none, and answer at any n as a one-cell grid does
+    # the limits left share one form, exit 3 and one "error: not computed"
+    # line: barspan's span limit, before any basis word is listed, and grid's
+    # cell limit, before any ring is built; report and zcl have none, and
+    # answer at any n as a one-cell grid does
     if command != "barspan":
         got = run(capsys, command, "--m", "3", "--n", "1000000000000")
         assert got[0] == EXIT_PINCHED and "1999999999999" in got[1]
         assert run(capsys, "grid", "--m", "3", "--n", "1000000000000") == (
             EXIT_PINCHED, "m=3 n=1000000000000 closed=1999999999999 TC=1999999999999 "
             "pinched=yes\npinched 1/1\n", "")
-    refuse_rings(monkeypatch)
-    message = "error: not computed: (m=3, n=6) exceeds caps (max_n=5)\n"
+    refuse_span_work(monkeypatch)
+    message = past_the_span_limit(3, 6, "Q", "(n!)^2")
     assert run(capsys, "barspan", "--m", "3", "--n", "6") == (EXIT_CAP, "", message)
+    refuse_rings(monkeypatch)
     assert run(capsys, "grid", "--m", "3", "--n", "1..10001") == (
         EXIT_CAP, "", past_the_limit(10001))
+
+
+@pytest.mark.parametrize("m,n,field,route", [
+    (3, 6, "q", "(n!)^2"),               # 720^2: the unsplit n = 6 cells
+    (3, 6, "zp:3", "(n!)^2"),
+    (3, 7, "zp:2", "(n!/2)^2"),          # 2520^2: the split route past n = 6
+    (2, 1000000000000, "q", "(n!/2)^2"),
+    (3, 1000000000000, "q", "(n!)^2"),
+], ids=["6-Q", "6-Z3", "7-Z2", "huge-split", "huge-full"])
+def test_barspan_refuses_by_the_size_of_its_square(capsys, monkeypatch, m, n, field, route):
+    # the route's square, (n!)^2 or (n!/2)^2 where the decone splits, is
+    # sized before any basis word is listed, and without forming n!
+    refuse_span_work(monkeypatch)
+    start = time.perf_counter()
+    got = run(capsys, "barspan", "--m", str(m), "--n", str(n), "--field", field,
+              "--output", "json")
+    assert time.perf_counter() - start < 1
+    name = "Q" if field == "q" else "Z_" + field[3:]
+    assert got == (EXIT_CAP, "", past_the_span_limit(m, n, name, route))
+
+
+class SpanReached(Exception):
+    pass
+
+
+@pytest.mark.parametrize("m,field", [(2, "q"), (3, "zp:2")])
+def test_barspan_admits_the_split_n6_cells(capsys, monkeypatch, m, field):
+    # (6!/2)^2 is the limit itself: the split n = 6 cells pass it and reach
+    # the span, on the split route (stopped there, since the span takes seconds)
+    def reached(self, split):
+        raise SpanReached(split)
+
+    monkeypatch.setattr(TensorSquare, "_span_levels", reached)
+    with pytest.raises(SpanReached) as exc:
+        main(["barspan", "--m", str(m), "--n", "6", "--field", field])
+    assert exc.value.args == (True,)
+    assert capsys.readouterr() == ("", "")
 
 
 def test_report_cap_exceeded(capsys, unlisted_basis):
@@ -513,7 +567,7 @@ OPTIONS = {
     "basis": ["-h", "--help", "--m", "--n", "--k", "--output"],
     "multiply": ["-h", "--help", "--m", "--n", "--output", "--field"],
     "zcl": ["-h", "--help", "--m", "--n", "--output", "--field"],
-    "barspan": ["-h", "--help", "--m", "--n", "--output", "--field", "--max-n"],
+    "barspan": ["-h", "--help", "--m", "--n", "--output", "--field"],
     "export-algebra": ["-h", "--help", "--m", "--n", "--out", "--output"],
 }
 
@@ -540,6 +594,12 @@ def test_retired_cache_option_is_rejected(capsys, tmp_path, argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert f"unrecognized arguments: --cache {path}" in err
+
+
+def test_retired_max_n_option_is_rejected(capsys):
+    code, out, err = run(capsys, "barspan", "--m", "2", "--n", "6", "--max-n", "6")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.endswith("error: unrecognized arguments: --max-n 6\n")
 
 
 def test_closed_stdout_exits_quietly(tmp_path):

@@ -6,9 +6,9 @@ bar-span engine: every report over Q, Z_2 and Z_3 up to n = 5, so any change
 in a bound, a diagnostic, a warning or the JSON layout shows here.
 Each `data/grid_n6_F.json` is the stdout of
 `tcbounds grid --m 2..7 --n 6 --output json --field F`, recorded (with the
-`--max-n 6` the command then needed) while reports still closed the top
-weight by searching every square-free product of 2n - 2 barred generators,
-before the decone check took that over.
+`--max-n 6` the command then needed; no command has that option now) while
+reports still closed the top weight by searching every square-free product
+of 2n - 2 barred generators, before the decone check took that over.
 
 Each `data/barspan_F.jsonl` holds the stdout of
 `tcbounds barspan --n N --m M --output json --field F` for n = 1..4 and
@@ -90,12 +90,29 @@ def test_barspan_n5_even_m_matches_recorded_output(capsys, field):
 @pytest.mark.parametrize("m,field", [(2, "q"), (2, "zp:3"), (3, "zp:2")])
 def test_barspan_n5_split_route_reads_its_witness_off_the_span(capsys, monkeypatch, m, field):
     # where the decone splits, the span is built in the quotient square only,
-    # and the witness is read off its last level: nothing in H (x) H is formed
-    def refuse(self, *args):
-        raise AssertionError("the split route multiplied out in H (x) H")
+    # and the witness is read off its last level: nothing in H (x) H is
+    # formed, so no product has a coordinate u (x) v with e_12 in u or v
+    operators, routes = TensorSquare._operators, []
 
-    monkeypatch.setattr(TensorSquare, "_bar_operators", refuse)
+    def quotient_only(self, split):
+        routes.append(split)
+        one, gens, times_bar, ranks = operators(self, split)
+        mons = self.pres.full_basis()
+        held = [w[:1] == ((1, 2),) for w in mons]
+        last = len(mons) ** 2 - 1
+
+        def checked(vec, g):
+            prod = times_bar(vec, g)
+            for r in prod:
+                iu, iv = divmod(last - r, len(mons))
+                assert not (held[iu] or held[iv]), "the split route multiplied out in H (x) H"
+            return prod
+
+        return one, gens, checked, ranks
+
+    monkeypatch.setattr(TensorSquare, "_operators", quotient_only)
     expected = (DATA / f"barspan_n5_{field.replace(':', '')}.json").read_text()
     assert main(["barspan", "--n", "5", "--m", str(m), "--output", "json",
                  "--field", field]) == 0
     assert capsys.readouterr().out == expected
+    assert routes == [True]

@@ -8,7 +8,7 @@ import textwrap
 import pytest
 
 import tcbounds.algebra as algebra
-from tcbounds.algebra import AlgebraElement, Presentation, rank_polynomial
+from tcbounds.algebra import AlgebraElement, Presentation
 from tcbounds.bounds import assemble_report, report_from_ring, zero_divisor_cuplength
 from tcbounds.cli import EXIT_CONTRADICTION, main
 from tcbounds.coeffs import QQ, PrimeField
@@ -232,7 +232,7 @@ def test_bar_products_are_swap_eigenvectors(n, m):
     # times_bar must return exactly that half, in the keys N^2 - 1 - f of the
     # flat coordinates f = iu * N + iv
     pres = Presentation(n, m)
-    one, gens, times_bar = TensorSquare(pres, QQ)._bar_operators()
+    one, gens, times_bar, _ = TensorSquare(pres, QQ)._operators(False)
     bars = [bar(generator(pres, i, j)) for i, j in pres.generators()]
     index = {w: i for i, w in enumerate(pres.full_basis())}
     n_mons = len(index)
@@ -266,7 +266,7 @@ def test_times_bar_returns_only_the_half(n, m):
     # every key N^2 - 1 - f of a product has iu <= iv, f = iu * N + iv, on the
     # witness words and beyond
     pres = Presentation(n, m)
-    one, gens, times_bar = TensorSquare(pres, QQ)._bar_operators()
+    one, gens, times_bar, _ = TensorSquare(pres, QQ)._operators(False)
     n_mons = len(pres.full_basis())
     vec, seen = one, 0
     for gi in list(gens) + list(gens):
@@ -387,7 +387,7 @@ def square_free_products_vanish(sq, k):
     sorted S, multiplied out over Z with the square's own operators; a partial
     product that is 0 over Z stays 0.
     """
-    one, gens, times_bar = sq._bar_operators()
+    one, gens, times_bar, _ = sq._operators(False)
     coerce = sq.field.coerce
 
     def vanish(vec, start, depth):
@@ -623,7 +623,7 @@ def test_barspan_is_empty_at_one_point(field, m):
 
 def full_span_levels(sq):
     """Labels of V_1, V_2, ..., built in all of H (x) H whether or not the decone splits."""
-    return sq._span_levels(*sq._bar_operators(), rank_polynomial(sq.pres.n))
+    return sq._span_levels(False)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -683,32 +683,28 @@ def test_span_route_selects_the_insert(field, split, dims, monkeypatch):
 def test_quotient_ranks_count_the_words_without_e12(n):
     # the echelon widths of the split route are dims of the quotient's square
     pres = Presentation(n, 2)
-    ranks = TensorSquare(pres, QQ)._quotient_operators()[3]
+    ranks = TensorSquare(pres, QQ)._operators(True)[3]
     assert ranks == [sum((1, 2) not in w for w in pres.basis(k)) for k in range(n - 1)]
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_broken_koszul_sign_takes_the_full_route(n, monkeypatch):
     # with the swap's sign dropped the check fails, and the span is built in full
-    full_calls = []
-    bar_operators = TensorSquare._bar_operators
+    routes = []
+    operators = TensorSquare._operators
 
-    def spy(self):
-        full_calls.append(self)
-        return bar_operators(self)
-
-    def no_quotient(self):
-        raise AssertionError("the split route was taken")
+    def spy(self, split):
+        routes.append(split)
+        return operators(self, split)
 
     expected = TensorSquare(Presentation(n, 2), QQ).bar_span_profile()
     break_koszul_sign(monkeypatch)
-    monkeypatch.setattr(TensorSquare, "_bar_operators", spy)
-    monkeypatch.setattr(TensorSquare, "_quotient_operators", no_quotient)
+    monkeypatch.setattr(TensorSquare, "_operators", spy)
     # `break_koszul_sign` cleared the facts the sound square above left
     sq = TensorSquare(Presentation(n, 2), QQ)
     assert not sq._decone_splits()
     assert sq.bar_span_profile() == expected
-    assert full_calls
+    assert routes == [False]
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (3, 2), (3, 5)])
